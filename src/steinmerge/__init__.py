@@ -27,6 +27,7 @@ from .generator import (
 )
 from .graph import (
     InfeasibleError,
+    InvariantError,
     ParseError,
     SteinerError,
     SteinerInstance,
@@ -79,6 +80,7 @@ __all__ = [
     "EliminationOrder",
     "GeneratorConfig",
     "InfeasibleError",
+    "InvariantError",
     "MergeConfig",
     "MergeReport",
     "NiceDecomposition",

@@ -16,7 +16,9 @@ collide and the minimum is kept.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from math import inf
+from operator import itemgetter
 
 BACKEND_NAME = "python"
 
@@ -165,7 +167,16 @@ def dp_introduce_vertex(table, pos, is_terminal):
         if not is_terminal:
             out[(nm, labels)] = (val, (key, False))
         j = (mask & low).bit_count()
-        nl = canon_labels(labels[:j] + (len(labels),) + labels[j:])
+        # the new block takes the first id not used before position j and
+        # the later ids move up by one, which keeps first-occurrence order
+        if j == len(labels):
+            nl = labels + (max(labels, default=-1) + 1,)
+        elif j:
+            head = labels[:j]
+            b = max(head) + 1
+            nl = head + (b,) + tuple([x + (x >= b) for x in labels[j:]])
+        else:
+            nl = (0,) + tuple([x + 1 for x in labels])
         out[(nm | bit, nl)] = (val, (key, True))
     return out
 
@@ -175,6 +186,7 @@ def dp_introduce_edge(table, pu, pv, w):
     out = {}
     bu = 1 << pu
     bv = 1 << pv
+    both = bu | bv
     lowu = bu - 1
     lowv = bv - 1
     for key, entry in table.items():
@@ -183,15 +195,16 @@ def dp_introduce_edge(table, pu, pv, w):
         if cur is None or val < cur[0]:
             out[key] = (val, (key, False))
         mask, labels = key
-        if (mask & bu) and (mask & bv):
+        if mask & both == both:
             lu = labels[(mask & lowu).bit_count()]
             lv = labels[(mask & lowv).bit_count()]
             if lu == lv:
                 continue  # edge inside a block only adds weight
             if lu > lv:
                 lu, lv = lv, lu
-            merged = canon_labels(tuple(lu if x == lv else x for x in labels))
-            nk = (mask, merged)
+            # block lv joins the earlier block lu and the later ids close
+            # the gap, which keeps the labels in first-occurrence order
+            nk = (mask, tuple([lu if x == lv else x - (x > lv) for x in labels]))
             nv = val + w
             cur = out.get(nk)
             if cur is None or nv < cur[0]:
@@ -217,7 +230,8 @@ def dp_forget(table, pos):
             rest = labels[:j] + labels[j + 1 :]
             if lab not in rest:
                 continue
-            nl = canon_labels(rest)
+            # dropping a later member of a block keeps first-occurrence order
+            nl = rest if labels.index(lab) < j else canon_labels(rest)
         else:
             nl = labels
         nm = (mask & low) | ((mask >> (pos + 1)) << pos)
@@ -228,15 +242,66 @@ def dp_forget(table, pos):
     return out
 
 
+@lru_cache(maxsize=1 << 16)
+def _join_relabel(c, ends):
+    """Block renumbering after tying left blocks pairwise, or None if unchanged.
+
+    ``ends`` lists left block ids two by two; each pair lies in one right
+    block. The result maps every old block id below ``c`` to its canonical
+    id in the joined partition.
+    """
+    parent = list(range(c))
+    merged = False
+    it = iter(ends)
+    for a in it:
+        b = next(it)
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            merged = True
+            # the lower id stays the root, so roots are the lowest members
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+    if not merged:
+        return None
+    # a merged block first occurs where its lowest member block does, so
+    # numbering the roots in block order gives first-occurrence order
+    ids = []
+    n = 0
+    for b in range(c):
+        a = parent[b]
+        if a == b:
+            ids.append(n)
+            n += 1
+        else:
+            ids.append(ids[a])
+    return tuple(ids)
+
+
 def dp_join(left, right):
     """Combine sibling tables over an identical bag.
 
     States pair up on equal chosen sets; values add and blocks coarsen to
     the transitive closure of overlaps between the two partitions.
     """
+    # a right state ties position pairs together: each later member of a
+    # block to its first one; the getter reads those positions' left blocks
     by_mask = {}
     for key, entry in right.items():
-        by_mask.setdefault(key[0], []).append((key, entry[0]))
+        firsts = []
+        ties = []
+        for i, lab in enumerate(key[1]):
+            if lab == len(firsts):
+                firsts.append(i)
+            else:
+                ties.append(firsts[lab])
+                ties.append(i)
+        get = itemgetter(*ties) if ties else None
+        by_mask.setdefault(key[0], []).append((key, entry[0], get))
     out = {}
     for lkey, lentry in left.items():
         mask, llabels = lkey
@@ -245,31 +310,13 @@ def dp_join(left, right):
             continue
         lval = lentry[0]
         c = len(llabels)
-        for rkey, rval in matches:
-            parent = list(range(c))
-            for labels in (llabels, rkey[1]):
-                first = {}
-                for i in range(c):
-                    lab = labels[i]
-                    r = first.get(lab)
-                    if r is None:
-                        first[lab] = i
-                    else:
-                        a = i
-                        while parent[a] != a:
-                            a = parent[a]
-                        b = r
-                        while parent[b] != b:
-                            b = parent[b]
-                        if a != b:
-                            parent[a] = b
-            roots = []
-            for i in range(c):
-                a = i
-                while parent[a] != a:
-                    a = parent[a]
-                roots.append(a)
-            nk = (mask, canon_labels(roots))
+        for rkey, rval, get in matches:
+            labels = llabels
+            if get is not None:
+                ids = _join_relabel(c, get(llabels))
+                if ids is not None:
+                    labels = tuple(map(ids.__getitem__, llabels))
+            nk = (mask, labels)
             nv = lval + rval
             cur = out.get(nk)
             if cur is None or nv < cur[0]:

@@ -9,13 +9,16 @@ the terminal count instead, kept as an independent oracle for testing.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 
 from . import kernels
 from .graph import (
     InfeasibleError,
+    InvariantError,
     SteinerError,
     SteinerInstance,
     SteinerSolution,
@@ -57,6 +60,33 @@ def _bell(n: int) -> int:
     return row[0]
 
 
+def _checked_prune(instance: SteinerInstance, edges: set, value: int) -> SteinerSolution:
+    """Prune reconstructed edges, checking the tree weighs what the DP said."""
+    solution = prune(instance, edges)
+    if solution.weight != value:
+        raise InvariantError(
+            f"reconstructed tree weighs {solution.weight}, the DP value is {value}"
+        )
+    return solution
+
+
+@contextmanager
+def _cycle_collection_paused():
+    """Keep the cyclic garbage collector off for the duration of the block.
+
+    DP tables are dicts of tuples and hold no reference cycles, so the
+    collections their growth triggers find nothing; they cost a fifth to a
+    third of a solve. The collector's earlier state is restored on exit.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def dp_solve(
     instance: SteinerInstance,
     nice: NiceDecomposition,
@@ -77,6 +107,21 @@ def dp_solve(
     ``state_budget``. Pass a list as ``stats`` to collect per-node
     (index, kind, bag size, table size) rows.
     """
+    with _cycle_collection_paused():
+        try:
+            return _dp_solve(instance, nice, state_budget, stats)
+        except CapacityError as exc:
+            # its traceback holds the frame that holds the partial tables;
+            # dropping it frees them before the collector resumes
+            raise exc.with_traceback(None)
+
+
+def _dp_solve(
+    instance: SteinerInstance,
+    nice: NiceDecomposition,
+    state_budget: int,
+    stats: list[tuple[int, str, int, int]] | None,
+) -> SteinerSolution:
     graph = instance.graph
     terminals = instance.terminals
     if nice.root_vertex not in terminals:
@@ -121,7 +166,8 @@ def dp_solve(
         else:
             raise ValidationError(f"unknown node kind {nd.kind!r}")
         b = len(nd.bag)
-        assert len(table) <= (1 << b) * _bell(b), "table outgrew the subset*Bell bound"
+        if len(table) > (1 << b) * _bell(b):
+            raise InvariantError("table outgrew the subset*Bell bound")
         tables[idx] = table
         stored += len(table)
         # tables stay alive until reconstruction, so the budget caps the total
@@ -156,9 +202,7 @@ def dp_solve(
             stack.append((nd.children[0], back[0]))
             stack.append((nd.children[1], back[1]))
 
-    solution = prune(instance, edges)
-    assert solution.weight == value, "reconstructed tree disagrees with the DP value"
-    return solution
+    return _checked_prune(instance, edges, value)
 
 
 def solve_with_decomposition(
@@ -271,6 +315,4 @@ def dreyfus_wagner(
             edges.add(edge_key(order[v], order[u]))
             stack.append((mask, u))
 
-    solution = prune(instance, edges)
-    assert solution.weight == value, "reconstructed tree disagrees with the DP value"
-    return solution
+    return _checked_prune(instance, edges, value)

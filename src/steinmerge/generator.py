@@ -8,23 +8,26 @@ bit-identical to a sequential one.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import inf
 
 from . import kernels
 from .graph import (
     Edge,
-    InfeasibleError,
+    InvariantError,
     ParseError,
     SteinerInstance,
     SteinerSolution,
     ValidationError,
     edge_key,
-    minimum_spanning_edges,
+    minimum_spanning_edges,  # noqa: F401  (perfbench/layers.py wraps this name)
     prune,
     solution_violations,
+    strip_leaves,
 )
 
 _M64 = (1 << 64) - 1
@@ -147,78 +150,135 @@ def sph_construct(
 
 
 def _induced_tree(
-    instance: SteinerInstance, vertices: set[int]
+    instance: SteinerInstance, members: set[int], bound: float = inf
 ) -> SteinerSolution | None:
-    """Pruned MST of the subgraph induced by ``vertices``; None if infeasible."""
+    """Pruned MST of the subgraph induced by ``members`` (CSR indices).
+
+    Equals ``prune(instance, minimum_spanning_edges(g, induced_edges))``
+    when that is lighter than ``bound``, and is None otherwise, including
+    when the members do not connect the terminals. Kruskal runs over edge
+    ranks: their (w, u, v) order is strict, so the minimum spanning forest
+    is unique and the same as the one ``minimum_spanning_edges`` picks.
+    The forest then goes straight to ``strip_leaves``, because the MST that
+    ``prune`` would take of it first is the forest itself.
+    """
     g = instance.graph
-    edges = [
-        (v, u)
-        for v in vertices
-        for u in g.adjacency[v]
-        if u > v and u in vertices
-    ]
-    try:
-        return prune(instance, minimum_spanning_edges(g, edges))
-    except InfeasibleError:
+    _, _, indptr, nbr, _ = g.csr
+    ranks = g.edge_ranks
+    slot, tail, head = ranks.slot, ranks.tail, ranks.head
+    induced = sorted(
+        slot[i]
+        for v in members
+        for i in range(indptr[v], indptr[v + 1])
+        if nbr[i] > v and nbr[i] in members
+    )
+    parent = list(range(len(indptr) - 1))
+    forest: list[int] = []
+    need = len(members) - 1
+    for r in induced:
+        a = tail[r]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        b = head[r]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            forest.append(r)
+            if len(forest) == need:
+                break
+    stripped = strip_leaves(instance, forest)
+    if stripped is None or stripped[1] >= bound:
         return None
+    kept, weight = stripped
+    return SteinerSolution(frozenset(ranks.edges[r] for r in kept), weight)
 
 
 def _cheapest_reconnect(
-    instance: SteinerInstance, side: set[int], other: set[int]
-) -> tuple[float, list[Edge]] | None:
-    """Cheapest path from ``side`` to ``other`` in the host graph."""
+    instance: SteinerInstance, side: set[int], other: set[int], limit: int
+) -> tuple[int, list[Edge]] | None:
+    """Cheapest path from ``side`` to ``other`` (CSR indices) under ``limit``.
+
+    A multi-source Dijkstra that never keeps a distance of ``limit`` or
+    more. Every vertex closer than ``limit`` ends with the distance and
+    predecessor the unbounded search gives it, since relaxations that
+    reach ``limit`` can never improve on such a vertex. Returns None when
+    no vertex of ``other`` is that close.
+    """
     graph = instance.graph
-    order, index, indptr, nbr, wts = graph.csr
-    dist, pred = kernels.dijkstra_multi(
-        indptr, nbr, wts, sorted(index[v] for v in side), len(order)
-    )
-    best_v = None
-    best_d = None
-    for v in sorted(other):
-        d = dist[index[v]]
-        if best_d is None or d < best_d:
-            best_d, best_v = d, v
-    if best_v is None or best_d == float("inf"):
+    order, _, indptr, nbr, wts = graph.csr
+    dist = [limit] * len(order)
+    pred = [-1] * len(order)
+    heap = []
+    for s in side:
+        dist[s] = 0
+        heap.append((0, s))
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for i in range(indptr[v], indptr[v + 1]):
+            u = nbr[i]
+            nd = d + wts[i]
+            if nd < dist[u]:
+                dist[u] = nd
+                pred[u] = v
+                heapq.heappush(heap, (nd, u))
+    best_v = min(sorted(other), key=dist.__getitem__)
+    if dist[best_v] >= limit:
         return None
     path: list[Edge] = []
-    cur = index[best_v]
+    cur = best_v
     while pred[cur] >= 0:
         p = pred[cur]
         path.append(edge_key(order[cur], order[p]))
         cur = p
-    return best_d, path
+    return dist[best_v], path
 
 
 def local_search(
-    instance: SteinerInstance, tree: SteinerSolution, rng: random.Random
+    instance: SteinerInstance,
+    tree: SteinerSolution,
+    rng: random.Random,
+    deadline: float | None = None,
 ) -> SteinerSolution:
     """Descend from ``tree`` to a local optimum; weight never increases.
 
     Moves, tried in order until none improves: insert a non-tree vertex and
     rebuild the pruned MST over the enlarged vertex set; delete a Steiner
     vertex the same way; swap one tree edge for the cheapest path that
-    reconnects the two halves. Scan orders are shuffled by ``rng``.
+    reconnects the two halves. Scan orders are shuffled by ``rng``. Once
+    ``deadline`` (a monotonic-clock timestamp) has passed, the current tree
+    is returned before the next candidate is evaluated.
     """
     current = tree
     if len(instance.terminals) == 1:
         return current
     graph = instance.graph
-    terms = instance.terminals
+    order, index, indptr, nbr, _ = graph.csr
+    terms = instance.terminal_index
+
+    def expired() -> bool:
+        return deadline is not None and time.monotonic() > deadline
+
     while True:
-        tverts = set(current.vertices)
+        tverts = {index[v] for v in current.vertices}
         # insertion: only vertices with two tree neighbors can pay off,
         # anything attached by a single edge is pruned right back off
         candidates = [
             v
-            for v in sorted(graph.vertices - tverts)
-            if sum(1 for u in graph.adjacency[v] if u in tverts) >= 2
+            for v in range(len(order))
+            if v not in tverts
+            and sum(nbr[i] in tverts for i in range(indptr[v], indptr[v + 1])) >= 2
         ]
         rng.shuffle(candidates)
         accepted = None
         for v in candidates:
-            cand = _induced_tree(instance, tverts | {v})
-            if cand is not None and cand.weight < current.weight:
-                accepted = cand
+            if expired():
+                return current
+            accepted = _induced_tree(instance, tverts | {v}, current.weight)
+            if accepted is not None:
                 break
         if accepted is not None:
             current = accepted
@@ -227,41 +287,46 @@ def local_search(
         removable = [v for v in sorted(tverts) if v not in terms]
         rng.shuffle(removable)
         for v in removable:
-            cand = _induced_tree(instance, tverts - {v})
-            if cand is not None and cand.weight < current.weight:
-                accepted = cand
+            if expired():
+                return current
+            accepted = _induced_tree(instance, tverts - {v}, current.weight)
+            if accepted is not None:
                 break
         if accepted is not None:
             current = accepted
             continue
 
         # edge exchange: drop one tree edge and reconnect the two halves
-        # along the cheapest path in the whole graph
+        # along the cheapest path in the whole graph; a path costing w(e)
+        # or more cannot pay off, so the search stops below w(e)
+        adj: dict[int, list[int]] = {}
+        for a, b in current.edges:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
         tree_edges = list(current.canonical_edges())
         rng.shuffle(tree_edges)
         for e in tree_edges:
-            rest = set(current.edges)
-            rest.discard(e)
-            side: set[int] = {e[0]}
-            adj: dict[int, list[int]] = {}
-            for a, b in rest:
-                adj.setdefault(a, []).append(b)
-                adj.setdefault(b, []).append(a)
+            if expired():
+                return current
+            # the half holding e[0]: the tree minus e, searched from e[0]
+            seen = {e[0], e[1]}
             stack = [e[0]]
             while stack:
                 x = stack.pop()
-                for y in adj.get(x, ()):
-                    if y not in side:
-                        side.add(y)
+                for y in adj[x]:
+                    if y not in seen:
+                        seen.add(y)
                         stack.append(y)
-            other = tverts - side
-            found = _cheapest_reconnect(instance, side, other)
+            seen.discard(e[1])
+            side = {index[v] for v in seen}
+            found = _cheapest_reconnect(
+                instance, side, tverts - side, graph.weights[e]
+            )
             if found is None:
                 continue
-            cost, path = found
-            if cost >= graph.weights[e]:
-                continue
-            cand = prune(instance, rest | set(path))
+            rest = set(current.edges)
+            rest.discard(e)
+            cand = prune(instance, rest | set(found[1]))
             if cand.weight < current.weight:
                 accepted = cand
                 break
@@ -285,10 +350,13 @@ def _one_run(
             break
         wmap = _perturbed_weights(instance, cfg.perturbation_strength, rng)
         start = rng.choice(sorted(instance.terminals))
-        sol = local_search(instance, sph_construct(instance, wmap, start, rng), rng)
+        sol = local_search(
+            instance, sph_construct(instance, wmap, start, rng), rng, deadline
+        )
         if best is None or sol.weight < best.weight:
             best, best_iteration = sol, it
-    assert best is not None
+    if best is None:
+        raise InvariantError("a generator run finished without a tree")
     return PoolEntry(best, run_seed, run, best_iteration)
 
 
@@ -378,6 +446,10 @@ def read_pool(text: str, instance: SteinerInstance) -> SolutionPool:
             u, v = ids[i], ids[i + 1]
             if not (u in instance.graph.vertices and v in instance.graph.vertices):
                 raise ParseError(f"line {lineno}: vertex id out of range")
+            if not instance.graph.has_edge(u, v):
+                raise ValidationError(
+                    f"line {lineno}: ({u + 1}, {v + 1}) is not an edge of the instance"
+                )
             edges.add(edge_key(u, v))
         sol = SteinerSolution.from_edges(instance.graph, edges)
         if sol.weight != weight:

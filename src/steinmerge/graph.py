@@ -38,6 +38,10 @@ class InfeasibleError(SteinerError):
     """The requested object does not exist, e.g. terminals cannot be connected."""
 
 
+class InvariantError(SteinerError):
+    """An internal consistency check failed: a bug in the toolkit, not bad input."""
+
+
 def edge_key(u: int, v: int) -> Edge:
     """Normalized (small, large) representation of an undirected edge."""
     return (u, v) if u <= v else (v, u)
@@ -158,6 +162,27 @@ class WeightedGraph:
             indptr.append(len(nbr))
         return order, index, indptr, nbr, wts
 
+    @cached_property
+    def edge_ranks(self) -> "EdgeRanks":
+        """Edges numbered by their position in Kruskal's (w, u, v) order."""
+        order, index, indptr, nbr, _ = self.csr
+        ranked = sorted((w, u, v) for (u, v), w in self.weights.items())
+        edges = tuple((u, v) for _, u, v in ranked)
+        rank = {e: r for r, e in enumerate(edges)}
+        slot = [
+            rank[edge_key(order[v], order[nbr[i]])]
+            for v in range(len(order))
+            for i in range(indptr[v], indptr[v + 1])
+        ]
+        return EdgeRanks(
+            edges,
+            [index[u] for u, _ in edges],
+            [index[v] for _, v in edges],
+            [w for w, _, _ in ranked],
+            slot,
+            rank,
+        )
+
     def csr_weight_list(self, weight_map: dict[Edge, float] | None) -> list:
         """Per-CSR-slot weight list; ``weight_map`` overrides the graph weights."""
         _, _, _, _, wts = self.csr
@@ -217,6 +242,24 @@ class WeightedGraph:
         return sum(self.weights[edge_key(u, v)] for u, v in edges)
 
 
+@dataclass(frozen=True)
+class EdgeRanks:
+    """A graph's edges in the strict (weight, u, v) order Kruskal sorts by.
+
+    Rank ``r`` is an edge's position in that order: ``edges[r]`` is the edge,
+    ``tail[r] < head[r]`` its endpoints' CSR indices and ``weight[r]`` its
+    cost. ``slot[i]`` is the rank of CSR slot ``i``'s edge and ``rank`` maps
+    an edge back to its rank.
+    """
+
+    edges: tuple[Edge, ...]
+    tail: list[int]
+    head: list[int]
+    weight: list[int]
+    slot: list[int]
+    rank: dict[Edge, int]
+
+
 def graph_union(graphs: Sequence[WeightedGraph]) -> WeightedGraph:
     """Union of vertex and edge sets; weights must agree on shared edges."""
     if not graphs:
@@ -255,6 +298,12 @@ class SteinerInstance:
     @property
     def n_terminals(self) -> int:
         return len(self.terminals)
+
+    @cached_property
+    def terminal_index(self) -> frozenset[int]:
+        """CSR indices of the terminals."""
+        index = self.graph.csr[1]
+        return frozenset(index[t] for t in self.terminals)
 
 
 @dataclass(frozen=True)
@@ -368,11 +417,15 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
     saw_graph = False
     saw_terminals = False
 
-    def parse_int(tok: str, lineno: int, what: str) -> int:
+    def parse_int(toks: list[str], i: int, lineno: int, what: str) -> int:
+        if i >= len(toks):
+            raise ParseError(f"line {lineno}: missing {what}")
         try:
-            return int(tok)
+            return int(toks[i])
         except ValueError:
-            raise ParseError(f"line {lineno}: {what} is not an integer: {tok!r}") from None
+            raise ParseError(
+                f"line {lineno}: {what} is not an integer: {toks[i]!r}"
+            ) from None
 
     while True:
         item = next_line()
@@ -401,14 +454,14 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
             if section == "graph":
                 saw_graph = True
                 if head == "nodes":
-                    n_nodes = parse_int(toks[1], lineno, "node count")
+                    n_nodes = parse_int(toks, 1, lineno, "node count")
                 elif head == "edges":
-                    declared_edges = parse_int(toks[1], lineno, "edge count")
+                    declared_edges = parse_int(toks, 1, lineno, "edge count")
                 elif head == "e":
                     if len(toks) != 4:
                         raise ParseError(f"line {lineno}: edge line needs 'E u v w'")
-                    u = parse_int(toks[1], lineno, "edge endpoint")
-                    v = parse_int(toks[2], lineno, "edge endpoint")
+                    u = parse_int(toks, 1, lineno, "edge endpoint")
+                    v = parse_int(toks, 2, lineno, "edge endpoint")
                     try:
                         w = int(toks[3])
                     except ValueError:
@@ -423,9 +476,9 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
             elif section == "terminals":
                 saw_terminals = True
                 if head == "terminals":
-                    declared_terminals = parse_int(toks[1], lineno, "terminal count")
+                    declared_terminals = parse_int(toks, 1, lineno, "terminal count")
                 elif head == "t":
-                    terminal_ids.append(parse_int(toks[1], lineno, "terminal id"))
+                    terminal_ids.append(parse_int(toks, 1, lineno, "terminal id"))
             elif section == "comment":
                 m = _NAME_RE.match(ln)
                 if m:
@@ -466,6 +519,9 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
         terms.add(t - 1)
     if not terms:
         raise ValidationError("instance has no terminals")
+    if n_nodes > len(wmap) + 1:
+        # checked before the vertex set is built from a count that may be huge
+        raise ValidationError(f"{len(wmap)} edges cannot connect {n_nodes} nodes")
 
     graph = WeightedGraph(frozenset(range(n_nodes)), wmap)
     return SteinerInstance.create(graph, terms, name=comment_name or name)
@@ -535,10 +591,11 @@ def minimum_spanning_edges(graph: WeightedGraph, edges: Iterable[Edge]) -> list[
 def prune(instance: SteinerInstance, edges: Iterable[Edge]) -> SteinerSolution:
     """Canonical cleanup of an edge set into a pruned Steiner tree.
 
-    Takes a minimum spanning forest of the selected subgraph, keeps the
-    component holding the terminals and strips non-terminal leaves until
-    every leaf is a terminal. Raises InfeasibleError when the edges do not
-    connect all terminals.
+    Takes a minimum spanning forest of the selected subgraph, then keeps the
+    part of it that ``strip_leaves`` keeps. Raises InfeasibleError when the
+    edges do not connect all terminals. The edges may contain cycles; a
+    caller that already holds a forest calls ``strip_leaves`` alone, since
+    Kruskal over a forest returns that forest unchanged.
     """
     g = instance.graph
     terms = instance.terminals
@@ -551,35 +608,66 @@ def prune(instance: SteinerInstance, edges: Iterable[Edge]) -> SteinerSolution:
             return SteinerSolution(frozenset(), 0)
         raise InfeasibleError("terminals are not connected by the given edges")
 
-    forest = minimum_spanning_edges(g, es)
-    dsu = DisjointSets()
-    for u, v in forest:
-        dsu.add(u)
-        dsu.add(v)
-        dsu.union(u, v)
-    for t in terms:
-        dsu.add(t)
-    anchor = dsu.find(min(terms))
-    if any(dsu.find(t) != anchor for t in terms):
+    ranks = g.edge_ranks
+    stripped = strip_leaves(
+        instance, [ranks.rank[e] for e in minimum_spanning_edges(g, es)]
+    )
+    if stripped is None:
         raise InfeasibleError("terminals are not connected by the given edges")
+    kept, weight = stripped
+    return SteinerSolution(frozenset(ranks.edges[r] for r in kept), weight)
 
-    adj: dict[int, set[int]] = {}
-    for u, v in forest:
-        if dsu.find(u) != anchor:
-            continue
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    # strip non-terminal leaves until fixpoint
-    stack = [v for v, nb in adj.items() if len(nb) <= 1 and v not in terms]
+
+def strip_leaves(
+    instance: SteinerInstance, forest: Sequence[int]
+) -> tuple[list[int], int] | None:
+    """Pruned Steiner tree inside a forest given as edge ranks.
+
+    Strips non-terminal leaves until every leaf is a terminal. A component
+    without terminals vanishes entirely, so what is left is the unique
+    smallest subtree of the forest spanning the terminals, whatever order
+    the leaves go in. Returns its ranks and total weight, or None when the
+    forest does not connect the terminals. ``forest`` must be acyclic.
+    """
+    ranks = instance.graph.edge_ranks
+    tail, head, weight = ranks.tail, ranks.head, ranks.weight
+    terms = instance.terminal_index
+    n = len(instance.graph.csr[0])
+    deg = [0] * n
+    # xor of the ranks of each vertex's remaining edges: a leaf's one edge
+    incident = [0] * n
+    for r in forest:
+        a = tail[r]
+        b = head[r]
+        deg[a] += 1
+        deg[b] += 1
+        incident[a] ^= r
+        incident[b] ^= r
+    stack = [
+        x
+        for r in forest
+        for x in (tail[r], head[r])
+        if deg[x] == 1 and x not in terms
+    ]
+    dropped = set()
     while stack:
         v = stack.pop()
-        nb = adj.get(v)
-        if nb is None or len(nb) > 1 or v in terms:
-            continue
-        del adj[v]
-        for u in nb:
-            adj[u].discard(v)
-            if len(adj[u]) <= 1 and u not in terms:
-                stack.append(u)
-    kept = {edge_key(u, v) for u, nb in adj.items() for v in nb}
-    return SteinerSolution.from_edges(g, kept)
+        if deg[v] != 1:
+            continue  # its last neighbor went first
+        r = incident[v]
+        u = tail[r] ^ head[r] ^ v
+        deg[v] = 0
+        deg[u] -= 1
+        incident[u] ^= r
+        dropped.add(r)
+        if deg[u] == 1 and u not in terms:
+            stack.append(u)
+    # every component left holds a terminal; the terminals are connected
+    # iff exactly one is left, counting edgeless terminals as components
+    edges_left = len(forest) - len(dropped)
+    components = n - deg.count(0) - edges_left
+    components += sum(1 for t in terms if not deg[t])
+    if components != 1:
+        return None
+    kept = [r for r in forest if r not in dropped]
+    return kept, sum(weight[r] for r in kept)

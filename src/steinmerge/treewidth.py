@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import kernels
-from .graph import ParseError, ValidationError, WeightedGraph, edge_key
+from .graph import (
+    InvariantError,
+    ParseError,
+    ValidationError,
+    WeightedGraph,
+    edge_key,
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,8 @@ def greedy_degree(graph: WeightedGraph, tie: str = "low") -> EliminationOrder:
     """
     vs, _, masks = _adjacency_masks(graph)
     width, idx_order = kernels.eliminate(masks, -1, _check_tie(tie))
-    assert idx_order is not None
+    if idx_order is None:
+        raise InvariantError("uncapped elimination returned no order")
     return EliminationOrder(tuple(vs[i] for i in idx_order), width)
 
 
@@ -432,23 +439,29 @@ def read_td(text: str) -> TreeDecomposition:
         if not ln or ln.startswith("c"):
             continue
         toks = ln.split()
-        if toks[0] == "s":
-            if len(toks) < 5 or toks[1] != "td":
-                raise ParseError(f"line {lineno}: malformed solution line")
-            n_bags = int(toks[2])
-            width = int(toks[3]) - 1
-        elif toks[0] == "b":
-            if n_bags is None:
-                raise ParseError(f"line {lineno}: bag before the s-line")
-            idx = int(toks[1]) - 1
-            if not (0 <= idx < n_bags):
-                raise ParseError(f"line {lineno}: bag id {idx + 1} out of range")
-            bags[idx] = frozenset(int(t) - 1 for t in toks[2:])
-        else:
-            if n_bags is None:
-                raise ParseError(f"line {lineno}: edge before the s-line")
-            i, j = int(toks[0]) - 1, int(toks[1]) - 1
-            edges.append((i, j))
+        try:
+            if toks[0] == "s":
+                if len(toks) < 5 or toks[1] != "td":
+                    raise ParseError(f"line {lineno}: malformed solution line")
+                n_bags = int(toks[2])
+                width = int(toks[3]) - 1
+            elif toks[0] == "b":
+                if n_bags is None:
+                    raise ParseError(f"line {lineno}: bag before the s-line")
+                if len(toks) < 2:
+                    raise ParseError(f"line {lineno}: bag line without a bag id")
+                idx = int(toks[1]) - 1
+                if not (0 <= idx < n_bags):
+                    raise ParseError(f"line {lineno}: bag id {idx + 1} out of range")
+                bags[idx] = frozenset(int(t) - 1 for t in toks[2:])
+            else:
+                if n_bags is None:
+                    raise ParseError(f"line {lineno}: edge before the s-line")
+                if len(toks) < 2:
+                    raise ParseError(f"line {lineno}: edge line needs two bag ids")
+                edges.append((int(toks[0]) - 1, int(toks[1]) - 1))
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer field in {ln!r}") from None
     if n_bags is None or width is None:
         raise ParseError("missing s-line")
     bag_list = [bags.get(i, frozenset()) for i in range(n_bags)]

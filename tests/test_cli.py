@@ -190,6 +190,13 @@ class TestSolveCommand:
         bad.write_text("not an instance\n")
         assert main(["solve", str(bad)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("line, bare", [("Nodes 4", "Nodes"), ("T 4", "T")])
+    def test_line_without_its_number(self, stp, tmp_path, capsys, line, bare):
+        bad = tmp_path / "bad.stp"
+        bad.write_text(write_stp(four_cycle()).replace(line, bare))
+        assert main(["solve", str(bad)]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+
     def test_env_defaults_and_flag_priority(self, stp, capsys, monkeypatch):
         path = stp(sparse_instance(5, 25, 4))
         monkeypatch.setenv("SMH_POOL", "2")
@@ -279,6 +286,14 @@ class TestValidateTdCommand:
         out = capsys.readouterr()
         assert code == 1
         assert out.out.strip() != ""
+
+
+    @pytest.mark.parametrize("td", ["s td 1 2 4\nb x 1 2\n", "s td 1 2 4\nb 1 1 2\n1\n"])
+    def test_malformed_file_is_a_parse_error(self, stp, tmp_path, capsys, td):
+        td_path = tmp_path / "bad.td"
+        td_path.write_text(td)
+        assert main(["validate-td", stp(four_cycle()), str(td_path)]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from helpers import brute_force_weight, build_instance, four_cycle, path_distance
 from steinmerge import (
     CapacityError,
+    InvariantError,
+    SteinerSolution,
     ValidationError,
     decomposition_from_order,
     dp_solve,
@@ -16,6 +18,7 @@ from steinmerge import (
     solution_violations,
     solve_with_decomposition,
 )
+from steinmerge import exact
 from steinmerge.exact import DW_TERMINAL_CAP, _bell
 from steinmerge.synth import random_connected_instance, sparse_instance
 
@@ -27,6 +30,19 @@ def small_instance(seed):
 class TestBellNumbers:
     def test_known_prefix(self):
         assert [_bell(i) for i in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+
+
+class TestReconstructionCheck:
+    """A reconstructed tree that disagrees with the DP value is an error,
+    also under ``python -O``."""
+
+    @pytest.mark.parametrize("solver", [solve_with_decomposition, dreyfus_wagner])
+    def test_weight_mismatch_raises(self, monkeypatch, solver):
+        monkeypatch.setattr(
+            exact, "prune", lambda instance, edges: SteinerSolution(frozenset(), -1)
+        )
+        with pytest.raises(InvariantError, match="DP value"):
+            solver(four_cycle())
 
 
 class TestDreyfusWagner:

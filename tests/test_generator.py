@@ -1,6 +1,9 @@
 """Pool generation: construction heuristic, local search, runs, pool files."""
 
+import hashlib
 import random
+import time
+from math import inf
 
 import pytest
 from hypothesis import given, settings
@@ -9,18 +12,30 @@ from hypothesis import strategies as st
 from helpers import build_instance, four_cycle, solution_of
 from steinmerge import (
     GeneratorConfig,
+    InfeasibleError,
     ParseError,
+    SteinerInstance,
     ValidationError,
+    WeightedGraph,
     dreyfus_wagner,
+    edge_key,
     generate_pool,
+    kernels,
     local_search,
+    prune,
     read_pool,
     solution_violations,
     sph_construct,
     write_pool,
 )
-from steinmerge.generator import _derive_seed
-from steinmerge.synth import random_connected_instance, sparse_instance
+from steinmerge.generator import _cheapest_reconnect, _derive_seed, _induced_tree
+from steinmerge.graph import minimum_spanning_edges
+from steinmerge.synth import (
+    dense_instance,
+    grid_with_holes,
+    random_connected_instance,
+    sparse_instance,
+)
 
 
 def rng_for(seed=0):
@@ -132,6 +147,17 @@ class TestLocalSearch:
         start = solution_of(inst, [(0, 1), (1, 2)])
         assert local_search(inst, start, rng_for()).weight == 5
 
+    def test_expired_deadline_returns_a_valid_tree(self):
+        # the start tree is not a local optimum, so only the deadline
+        # keeps the descent from moving
+        inst = four_cycle(heavy=10)
+        start = solution_of(inst, [(0, 3)])
+        assert local_search(inst, start, rng_for()).weight < start.weight
+        out = local_search(inst, start, rng_for(), deadline=time.monotonic() - 1.0)
+        assert out.weight <= start.weight
+        assert solution_violations(inst, out) == []
+        assert out == start
+
     def test_inserts_profitable_steiner_vertex(self):
         # star center 3 beats the rim path connecting the three terminals
         inst = build_instance(
@@ -139,6 +165,157 @@ class TestLocalSearch:
         )
         start = solution_of(inst, [(0, 1), (1, 2)])
         assert local_search(inst, start, rng_for()).weight == 3
+
+
+def tie_heavy_instance(seed, n_vertices=14, n_edges=30, n_terminals=4):
+    """A random synth graph with weights redrawn from 0..3: many ties, some zeros."""
+    base = random_connected_instance(seed, n_vertices, n_edges, n_terminals)
+    rng = random.Random(seed)
+    graph = WeightedGraph.build(
+        base.graph.vertices,
+        [(u, v, rng.randint(0, 3)) for u, v in sorted(base.graph.weights)],
+    )
+    return SteinerInstance.create(graph, base.terminals)
+
+
+def reference_prune(instance, edges):
+    """``prune`` as a dict-backed pass: MST, terminal check, leaf strip."""
+    g = instance.graph
+    terms = instance.terminals
+    forest = minimum_spanning_edges(g, {edge_key(u, v) for u, v in edges})
+    root = {}
+
+    def find(x):
+        root.setdefault(x, x)
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in forest:
+        root[find(u)] = find(v)
+    if len({find(t) for t in terms}) > 1:
+        raise InfeasibleError("terminals are not connected")
+    adj = {}
+    for u, v in forest:
+        if find(u) == find(min(terms)):
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    leaves = [v for v, nb in adj.items() if len(nb) == 1 and v not in terms]
+    while leaves:
+        v = leaves.pop()
+        for u in adj.pop(v):
+            adj[u].discard(v)
+            if len(adj[u]) == 1 and u not in terms:
+                leaves.append(u)
+    return solution_of(instance, {edge_key(u, v) for u in adj for v in adj[u]})
+
+
+def reference_induced_tree(instance, vertices):
+    """The pruned MST of G[vertices] as the reference prune finds it, or None."""
+    g = instance.graph
+    edges = [
+        (v, u) for v in vertices for u in g.adjacency[v] if u > v and u in vertices
+    ]
+    try:
+        return reference_prune(instance, edges)
+    except InfeasibleError:
+        return None
+
+
+def reference_reconnect(instance, side, other):
+    """Cheapest side-to-other path from an unbounded ``dijkstra_multi`` run."""
+    order, _, indptr, nbr, wts = instance.graph.csr
+    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, sorted(side), len(order))
+    best = min(sorted(other), key=dist.__getitem__)
+    if dist[best] == inf:
+        return None
+    path = []
+    cur = best
+    while pred[cur] >= 0:
+        path.append(edge_key(order[cur], order[pred[cur]]))
+        cur = pred[cur]
+    return dist[best], path
+
+
+class TestIndexSpaceMoves:
+    """The local-search moves against the slower routines they replace."""
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_induced_tree_matches_prune_of_mst(self, seed, data):
+        inst = tie_heavy_instance(seed)
+        g = inst.graph
+        vertices = data.draw(st.sets(st.sampled_from(sorted(g.vertices))))
+        if data.draw(st.booleans()):
+            vertices |= inst.terminals
+        members = {g.csr[1][v] for v in vertices}
+        ref = reference_induced_tree(inst, vertices)
+        assert _induced_tree(inst, members) == ref
+        bound = data.draw(st.integers(0, 3 * g.n_vertices))
+        got = _induced_tree(inst, members, bound)
+        assert (got is None) == (ref is None or ref.weight >= bound)
+        if got is not None:
+            assert got == ref
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_prune_matches_reference(self, seed, data):
+        inst = tie_heavy_instance(seed)
+        edges = data.draw(st.sets(st.sampled_from(sorted(inst.graph.edges))))
+        try:
+            ref = reference_prune(inst, edges)
+        except InfeasibleError:
+            ref = None
+        if ref is None:
+            with pytest.raises(InfeasibleError):
+                prune(inst, edges)
+        else:
+            assert prune(inst, edges) == ref
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_reconnect_matches_full_search(self, seed, data):
+        inst = tie_heavy_instance(seed)
+        n = inst.graph.n_vertices
+        side = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        rest = sorted(set(range(n)) - side)
+        other = data.draw(st.sets(st.sampled_from(rest), min_size=1))
+        limit = data.draw(st.integers(0, 8))
+        ref = reference_reconnect(inst, side, other)
+        got = _cheapest_reconnect(inst, side, other, limit)
+        if ref is not None and ref[0] < limit:
+            assert got == ref
+        else:
+            assert got is None
+
+
+# sha256 of write_pool(generate_pool(...)), captured at commit 18002ed,
+# before local search moved to CSR index space; a rewrite of local search
+# must keep every tie-break, so these may not change
+GOLDEN_POOLS = {
+    "grid": (
+        lambda: grid_with_holes(21, 12, 12),
+        GeneratorConfig(pool_size=6, iterations_per_run=2, perturbation_strength=0.6, seed=5),
+        "d3a475a089bc6772455068b8292f01285952d02d792698b652c4d1376db46773",
+    ),
+    "dense": (
+        lambda: dense_instance(22, 40, 0.2, 10, max_weight=3),
+        GeneratorConfig(pool_size=6, iterations_per_run=2, seed=6),
+        "2df3f48c67ba6cca80a447ca01318b107faa3d3444ef0c955ddbb25da58dac1d",
+    ),
+    "sparse": (
+        lambda: sparse_instance(23, 100, 15, avg_degree=4),
+        GeneratorConfig(pool_size=6, iterations_per_run=2, perturbation_strength=0.6, seed=7),
+        "805b0e9ddf169a166f447fbeb13c3e4e2c044d1ab29899f3208c63a200a46f34",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_POOLS))
+def test_golden_pool(family):
+    make, cfg, digest = GOLDEN_POOLS[family]
+    text = write_pool(generate_pool(make(), cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestGeneratePool:
@@ -228,6 +405,12 @@ class TestPoolFiles:
         inst = four_cycle()
         with pytest.raises(ParseError):
             read_pool("steinmerge-pool 1\ntree 3 1 9\n", inst)
+
+    @pytest.mark.parametrize("pair", ["1 1", "1 3"])
+    def test_non_edge_rejected(self, pair):
+        inst = four_cycle()
+        with pytest.raises(ValidationError, match="not an edge"):
+            read_pool(f"steinmerge-pool 1\ntree 3 {pair} 2 3 3 4\n", inst)
 
     def test_wrong_stated_weight(self):
         inst = four_cycle()

@@ -197,6 +197,18 @@ class TestStpFormat:
         with pytest.raises(ParseError, match="out of range"):
             parse_stp(bad)
 
+    @pytest.mark.parametrize(
+        "line, bare", [("Nodes 4", "Nodes"), ("Edges 4", "Edges"),
+                       ("Terminals 2", "Terminals"), ("T 4", "T")]
+    )
+    def test_line_without_its_number(self, line, bare):
+        with pytest.raises(ParseError, match="missing"):
+            parse_stp(SAMPLE.replace(line, bare))
+
+    def test_huge_node_count_is_rejected_before_allocation(self):
+        with pytest.raises(ValidationError, match="cannot connect"):
+            parse_stp(SAMPLE.replace("Nodes 4", "Nodes 99999999999999"))
+
     def test_duplicate_edge_keeps_minimum(self):
         body = """
 SECTION Graph

@@ -186,3 +186,116 @@ class TestBackendEquivalence:
                 grow_table(self.cy, left_ops), grow_table(self.cy, right_ops)
             )
             assert out_py == out_cy
+
+
+# The loop forms the pure-Python table transforms had before their partition
+# bookkeeping was shortened; the shortened ones must give identical tables,
+# down to the insertion order and the backrefs.
+
+
+def ref_canon(labels):
+    seen = {}
+    return tuple(seen.setdefault(x, len(seen)) for x in labels)
+
+
+def ref_introduce_edge(table, pu, pv, w):
+    out = {}
+    for key, (val, _) in table.items():
+        cur = out.get(key)
+        if cur is None or val < cur[0]:
+            out[key] = (val, (key, False))
+        mask, labels = key
+        if mask >> pu & 1 and mask >> pv & 1:
+            lu = labels[(mask & ((1 << pu) - 1)).bit_count()]
+            lv = labels[(mask & ((1 << pv) - 1)).bit_count()]
+            if lu == lv:
+                continue
+            lu, lv = min(lu, lv), max(lu, lv)
+            nk = (mask, ref_canon(tuple(lu if x == lv else x for x in labels)))
+            cur = out.get(nk)
+            if cur is None or val + w < cur[0]:
+                out[nk] = (val + w, (key, True))
+    return out
+
+
+def ref_forget(table, pos):
+    out = {}
+    low = (1 << pos) - 1
+    for key, (val, _) in table.items():
+        mask, labels = key
+        nl = labels
+        if mask >> pos & 1:
+            j = (mask & low).bit_count()
+            rest = labels[:j] + labels[j + 1:]
+            if labels[j] not in rest:
+                continue
+            nl = ref_canon(rest)
+        nk = ((mask & low) | ((mask >> (pos + 1)) << pos), nl)
+        cur = out.get(nk)
+        if cur is None or val < cur[0]:
+            out[nk] = (val, key)
+    return out
+
+
+def ref_join(left, right):
+    out = {}
+    for lkey, (lval, _) in left.items():
+        for rkey, (rval, _) in right.items():
+            if rkey[0] != lkey[0]:
+                continue
+            c = len(lkey[1])
+            parent = list(range(c))
+
+            def find(a):
+                while parent[a] != a:
+                    a = parent[a]
+                return a
+
+            for labels in (lkey[1], rkey[1]):
+                for i in range(c):
+                    a, b = find(i), find(labels.index(labels[i]))
+                    if a != b:
+                        parent[a] = b
+            nk = (lkey[0], ref_canon(tuple(find(i) for i in range(c))))
+            cur = out.get(nk)
+            if cur is None or lval + rval < cur[0]:
+                out[nk] = (lval + rval, (lkey, rkey))
+    return out
+
+
+class TestPythonTransformsMatchReference:
+    py = kernels.load_backend("python")
+
+    @staticmethod
+    def same(a, b):
+        assert a == b
+        assert list(a) == list(b)
+
+    def test_introduce_edge_and_forget(self):
+        for seed in range(150):
+            rng = random.Random(700 + seed)
+            ops, bag = random_ops(rng, rng.randint(1, 14))
+            table = grow_table(self.py, ops)
+            if bag >= 2:
+                pu, pv = rng.sample(range(bag), 2)
+                self.same(
+                    self.py.dp_introduce_edge(table, pu, pv, 3),
+                    ref_introduce_edge(table, pu, pv, 3),
+                )
+            pos = rng.randrange(bag)
+            self.same(self.py.dp_forget(table, pos), ref_forget(table, pos))
+
+    def test_join(self):
+        for seed in range(150):
+            rng = random.Random(900 + seed)
+            prefix, bag = random_ops(rng, rng.randint(1, 10))
+
+            def branch():
+                ops = list(prefix)
+                for _ in range(rng.randint(0, 5) if bag >= 2 else 0):
+                    pu, pv = rng.sample(range(bag), 2)
+                    ops.append(("edge", pu, pv, rng.randint(0, 3)))
+                return grow_table(self.py, ops)
+
+            left, right = branch(), branch()
+            self.same(self.py.dp_join(left, right), ref_join(left, right))

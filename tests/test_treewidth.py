@@ -217,6 +217,15 @@ class TestTdFormat:
         with pytest.raises(ParseError):
             read_td("s td 1 2 2\nb 5 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["s td 1 2 2\nb x 1 2\n", "s td x 2 2\nb 1 1 2\n", "s td 2 2 2\nb\n",
+         "s td 2 2 2\nb 1 1\nb 2 2\n1\n", "s td 2 2 2\nb 1 1\nb 2 2\n1 y\n"],
+    )
+    def test_read_malformed_lines(self, text):
+        with pytest.raises(ParseError, match="line"):
+            read_td(text)
+
     def test_header_width_preserved_for_validation(self):
         # a lying header width must survive parsing so validation can flag it
         g = path_graph(2)
