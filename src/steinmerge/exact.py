@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import time
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
@@ -42,6 +43,10 @@ from .treewidth import (
 
 class CapacityError(SteinerError):
     """A solver refused to run because a configured size budget was exceeded."""
+
+
+class DeadlineError(SteinerError):
+    """A solver stopped because the caller's deadline passed."""
 
 
 DEFAULT_STATE_BUDGET = 1 << 26
@@ -92,6 +97,7 @@ def dp_solve(
     nice: NiceDecomposition,
     state_budget: int = DEFAULT_STATE_BUDGET,
     stats: list[tuple[int, str, int, int]] | None = None,
+    deadline: float | None = None,
 ) -> SteinerSolution:
     """Minimum Steiner tree via dynamic programming over a nice decomposition.
 
@@ -104,13 +110,14 @@ def dp_solve(
     backrefs and pruned.
 
     Raises CapacityError once the total number of stored states passes
-    ``state_budget``. Pass a list as ``stats`` to collect per-node
-    (index, kind, bag size, table size) rows.
+    ``state_budget``, and DeadlineError once ``time.monotonic()`` passes
+    ``deadline``, checked before each node. Pass a list as ``stats`` to
+    collect per-node (index, kind, bag size, table size) rows.
     """
     with _cycle_collection_paused():
         try:
-            return _dp_solve(instance, nice, state_budget, stats)
-        except CapacityError as exc:
+            return _dp_solve(instance, nice, state_budget, stats, deadline)
+        except (CapacityError, DeadlineError) as exc:
             # its traceback holds the frame that holds the partial tables;
             # dropping it frees them before the collector resumes
             raise exc.with_traceback(None)
@@ -121,6 +128,7 @@ def _dp_solve(
     nice: NiceDecomposition,
     state_budget: int,
     stats: list[tuple[int, str, int, int]] | None,
+    deadline: float | None,
 ) -> SteinerSolution:
     graph = instance.graph
     terminals = instance.terminals
@@ -139,6 +147,8 @@ def _dp_solve(
             )
 
     for idx, nd in enumerate(nodes):
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineError(f"dynamic program stopped at its deadline, node {idx}")
         if nd.kind == LEAF:
             table = kernels.dp_leaf()
         elif nd.kind == INTRODUCE:

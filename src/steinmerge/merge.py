@@ -5,18 +5,19 @@ tree but still sparse enough for the width-bounded exact solver. Selection
 keeps adding pool trees while the union's greedy elimination width stays
 within a cap; the ranking phase scores each tree by how good the unions it
 joins turn out to be; the final pass solves the union of the best-ranked
-trees exactly.
+trees exactly. One ``UnionMemo`` per ``run_smh`` call lets every round
+reuse the width checks and exact solves of earlier rounds.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import CapacityError, DEFAULT_STATE_BUDGET, dp_solve
+from .exact import CapacityError, DEFAULT_STATE_BUDGET, DeadlineError, dp_solve
 from .generator import SolutionPool, _derive_seed
 from .graph import (
     SteinerInstance,
@@ -68,6 +69,24 @@ class UnionSelection:
         return self.elimination.width
 
 
+@dataclass
+class UnionMemo:
+    """Width checks and exact solves already done, keyed by what decides them.
+
+    ``widths`` maps (tie rule, width cap, union edge set) to the union's
+    elimination order, or to None when the capped elimination broke the
+    cap; a first tree's key has cap None, since it is eliminated uncapped.
+    ``solves`` maps (union edge set, elimination order, state budget) to the
+    union's optimum or to the CapacityError its DP raised. Both values are
+    functions of their keys: the union graph is the edge set plus the
+    terminals, and elimination and the DP are deterministic. Only edge
+    sets, orders and trees are stored, never graphs.
+    """
+
+    widths: dict = field(default_factory=dict)
+    solves: dict = field(default_factory=dict)
+
+
 def _union_graph(instance: SteinerInstance, edges) -> WeightedGraph:
     return instance.graph.subgraph_of_edges(edges, extra_vertices=instance.terminals)
 
@@ -77,6 +96,7 @@ def greedy_steiner_union(
     solutions: Sequence[SteinerSolution],
     width_cap: int,
     tie: str = "low",
+    memo: UnionMemo | None = None,
 ) -> UnionSelection:
     """Greedily fold solutions into a union while its width stays in bounds.
 
@@ -85,36 +105,74 @@ def greedy_steiner_union(
     union stays within ``width_cap``. The result is maximal for the given
     order: every rejected solution would have pushed the union past the cap
     at the moment it was tried.
+
+    A tentative union already in ``memo`` is answered without building its
+    graph; the union graph is built once, for the selected set.
     """
     if not solutions:
         raise ValidationError("cannot select from an empty pool")
+    widths = {} if memo is None else memo.widths
+    union_edges = solutions[0].edges
+    graph = None  # graph of the selected union, when a miss already built it
+    key = (tie, None, union_edges)
+    elim = widths.get(key)
+    if elim is None:
+        graph = _union_graph(instance, union_edges)
+        elim = widths[key] = greedy_degree(graph, tie=tie)
     selected = [0]
-    union_edges = set(solutions[0].edges)
-    graph = _union_graph(instance, union_edges)
-    elim = greedy_degree(graph, tie=tie)
     for i in range(1, len(solutions)):
-        tentative = union_edges | solutions[i].edges
-        candidate = _union_graph(instance, tentative)
-        res = greedy_degree_capped(candidate, width_cap, tie=tie)
-        if res.exceeded:
+        edges = union_edges | solutions[i].edges
+        key = (tie, width_cap, edges)
+        candidate = None
+        if key not in widths:
+            candidate = _union_graph(instance, edges)
+            res = greedy_degree_capped(candidate, width_cap, tie=tie)
+            widths[key] = (
+                None if res.exceeded else EliminationOrder(res.order, res.width)
+            )
+        if widths[key] is None:
             continue
         selected.append(i)
-        union_edges = tentative
-        graph = candidate
-        elim = EliminationOrder(res.order, res.width)
+        union_edges = edges
+        graph, elim = candidate, widths[key]
+    if graph is None:
+        graph = _union_graph(instance, union_edges)
     return UnionSelection(tuple(selected), graph, elim)
 
 
 def _solve_union(
-    instance: SteinerInstance, selection: UnionSelection, state_budget: int
+    instance: SteinerInstance,
+    selection: UnionSelection,
+    state_budget: int,
+    memo: UnionMemo,
+    deadline: float | None = None,
 ) -> SteinerSolution:
-    """Exact solve of the instance restricted to the union subgraph."""
+    """Exact solve of the instance restricted to the union subgraph.
+
+    A union already in ``memo`` returns the same tree, or raises a fresh
+    CapacityError with the stored message. A deadline stop is not stored.
+    """
+    key = (frozenset(selection.graph.weights), selection.elimination.order, state_budget)
+    known = memo.solves.get(key)
+    if isinstance(known, CapacityError):
+        raise CapacityError(*known.args)
+    if known is not None:
+        return known
     union_instance = SteinerInstance.create(
         selection.graph, instance.terminals, instance.name
     )
     td = decomposition_from_order(selection.graph, selection.elimination)
     nice = make_nice(selection.graph, td, min(instance.terminals))
-    return dp_solve(union_instance, nice, state_budget=state_budget)
+    try:
+        tree = dp_solve(
+            union_instance, nice, state_budget=state_budget, deadline=deadline
+        )
+    except CapacityError as exc:
+        # a copy that was never raised carries no traceback, so no frames
+        memo.solves[key] = CapacityError(*exc.args)
+        raise
+    memo.solves[key] = tree
+    return tree
 
 
 @dataclass(frozen=True)
@@ -145,6 +203,7 @@ def ranking_procedure(
     cfg: MergeConfig,
     state_budget: int = DEFAULT_STATE_BUDGET,
     deadline: float | None = None,
+    memo: UnionMemo | None = None,
 ) -> RankingState:
     """Score pool members by the union optima they contribute to.
 
@@ -155,7 +214,15 @@ def ranking_procedure(
     good unions are pulled below their raw weight. Rounds whose DP exceeds
     the state budget record no value. The best union tree seen is kept when
     the config asks for it.
+
+    Small pools make most rounds pick a union an earlier round already
+    solved. ``memo`` (fresh when not given) answers those width checks and
+    solves from the earlier round; every round still logs its value, or
+    its skip, as if it had solved the union itself. A deadline that passes,
+    between rounds or inside a DP, ends the ranking.
     """
+    if memo is None:
+        memo = UnionMemo()
     sols = pool.solutions
     observed: dict[int, list[int]] = {i: [s.weight] for i, s in enumerate(sols)}
     incumbent: SteinerSolution | None = None
@@ -169,11 +236,13 @@ def ranking_procedure(
         perm = list(range(len(sols)))
         rng.shuffle(perm)
         selection = greedy_steiner_union(
-            instance, [sols[p] for p in perm], cfg.rank_width
+            instance, [sols[p] for p in perm], cfg.rank_width, memo=memo
         )
         chosen = tuple(sorted(perm[j] for j in selection.selected))
         try:
-            tree = _solve_union(instance, selection, state_budget)
+            tree = _solve_union(instance, selection, state_budget, memo, deadline)
+        except DeadlineError:
+            break
         except CapacityError:
             skipped += 1
             iterations.append(
@@ -235,11 +304,17 @@ def run_smh(
     ranking incumbent (when kept), and the best raw pool member, so it is
     never worse than the best pool tree. A final-stage budget or deadline
     miss degrades gracefully to the other candidates and flags the report.
+
+    One ``UnionMemo`` serves the ranking rounds and the final pass and is
+    dropped on return. When the final union is one ranking already solved,
+    the final pass gets the same tree back and, as the final-dp result,
+    wins the tie with the ranking incumbent.
     """
     if not pool.entries:
         raise ValidationError("merge needs a nonempty pool")
+    memo = UnionMemo()
     t_rank = time.monotonic()
-    ranking = ranking_procedure(instance, pool, cfg, state_budget, deadline)
+    ranking = ranking_procedure(instance, pool, cfg, state_budget, deadline, memo)
     rank_seconds = time.monotonic() - t_rank
 
     sols = pool.solutions
@@ -248,14 +323,18 @@ def run_smh(
     )
     t_final = time.monotonic()
     selection = greedy_steiner_union(
-        instance, [sols[i] for i in order], cfg.final_width
+        instance, [sols[i] for i in order], cfg.final_width, memo=memo
     )
     final_tree: SteinerSolution | None = None
     capacity_fallback = False
     timed_out = deadline is not None and time.monotonic() > deadline
     if not timed_out:
         try:
-            final_tree = _solve_union(instance, selection, state_budget)
+            final_tree = _solve_union(
+                instance, selection, state_budget, memo, deadline
+            )
+        except DeadlineError:
+            timed_out = True
         except CapacityError:
             capacity_fallback = True
     final_seconds = time.monotonic() - t_final

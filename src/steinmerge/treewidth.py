@@ -429,12 +429,14 @@ def read_td(text: str) -> TreeDecomposition:
     """Parse a PACE .td file.
 
     The header's width field is preserved as stated (not recomputed) so that
-    validate_decomposition can flag an inconsistent header.
+    validate_decomposition can flag an inconsistent header. A bag count
+    that is negative or exceeds the file's line count is a ParseError.
     """
+    lines = text.splitlines()
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     n_bags = width = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         ln = raw.strip()
         if not ln or ln.startswith("c"):
             continue
@@ -445,6 +447,13 @@ def read_td(text: str) -> TreeDecomposition:
                     raise ParseError(f"line {lineno}: malformed solution line")
                 n_bags = int(toks[2])
                 width = int(toks[3]) - 1
+                # each bag needs a line of its own; checked before the
+                # bag list is built from a count that may be huge
+                if not 0 <= n_bags <= len(lines):
+                    raise ParseError(
+                        f"line {lineno}: {n_bags} bags declared in a file"
+                        f" of {len(lines)} lines"
+                    )
             elif toks[0] == "b":
                 if n_bags is None:
                     raise ParseError(f"line {lineno}: bag before the s-line")

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, env overrides, bench files."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from steinmerge.cli import (
     read_best_known,
     write_bench_csv,
 )
-from steinmerge.synth import sparse_instance
+from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance
 
 from helpers import four_cycle
 
@@ -294,6 +295,59 @@ class TestValidateTdCommand:
         td_path.write_text(td)
         assert main(["validate-td", stp(four_cycle()), str(td_path)]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
+
+    def test_bag_count_beyond_the_file_is_a_parse_error(self, stp, tmp_path, capsys):
+        td_path = tmp_path / "huge.td"
+        td_path.write_text("s td 99999999999999 2 2\n")
+        assert main(["validate-td", stp(four_cycle()), str(td_path)]) == EXIT_PARSE
+        assert "bags declared" in capsys.readouterr().err
+
+
+# sha256 of `--format json` stdout, captured on the code before the merge
+# reused unions across ranking rounds; reuse must not change a byte. `merge`
+# and `solve` see the same pool (same generator flags and seed), so each
+# case has one digest for both.
+GOLDEN_CASES = {
+    "sparse": (
+        lambda: sparse_instance(4, 120, 20, 4.0),
+        ("--pool", "6", "--grasp-iters", "1", "--perturb", "0.7"),
+        ("--max-width", "2", "--rank-width", "2"),
+        "035623787ca8130d58ffb78105bf3cd1223736f6b619f43939f357305773ec75",
+    ),
+    "holed-grid": (
+        lambda: grid_with_holes(2, 12, 12, 0.15, 10),
+        ("--pool", "8", "--grasp-iters", "2"),
+        ("--rank-iters", "5"),
+        "abe248096d5e6b616bf32d048246c3f1b45eb3f0907b42b84da914db76497d43",
+    ),
+    "dense-budget-64": (
+        lambda: dense_instance(7, 60, 0.12, 16, 3),
+        ("--pool", "16", "--grasp-iters", "1", "--perturb", "0.95"),
+        ("--max-width", "3", "--rank-width", "2", "--state-budget", "64"),
+        "9ed8230796fd0f5570419fb8ed3d8f63245657622022bc65316c1032fdc2135f",
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    @pytest.mark.parametrize("command", ["merge", "solve"])
+    def test_json_digest(self, stp, tmp_path, capsys, case, command):
+        build, pool_flags, flags, digest = GOLDEN_CASES[case]
+        path = stp(build())
+        if command == "merge":
+            pool_path = tmp_path / "pool.txt"
+            code = main(["generate", path, "-o", str(pool_path), "--seed", "3",
+                         *pool_flags])
+            assert code == EXIT_OK
+            argv = ["merge", path, str(pool_path)]
+        else:
+            argv = ["solve", path, *pool_flags]
+        capsys.readouterr()
+        code = main([*argv, "--format", "json", "--seed", "3", *flags])
+        out = capsys.readouterr().out
+        assert code == (EXIT_CAPACITY if case == "dense-budget-64" else EXIT_OK)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBenchCommand:

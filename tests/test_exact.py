@@ -1,5 +1,7 @@
 """Both exact solvers: the decomposition DP and the terminal-subset DP."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import brute_force_weight, build_instance, four_cycle, path_distance
 from steinmerge import (
     CapacityError,
+    DeadlineError,
     InvariantError,
     SteinerSolution,
     ValidationError,
@@ -157,6 +160,26 @@ class TestDpSolve:
         with pytest.raises(CapacityError):
             solve_with_decomposition(inst, state_budget=8)
         assert solve_with_decomposition(inst).weight == dreyfus_wagner(inst).weight
+
+    def test_deadline_stops_mid_dp(self, monkeypatch):
+        inst = small_instance(8)
+        td = decomposition_from_order(inst.graph, greedy_degree(inst.graph))
+        nice = make_nice(inst.graph, td, min(inst.terminals))
+        reads = []
+
+        def clock():
+            # time passes the deadline after the fifth node has started
+            reads.append(None)
+            return 0.0 if len(reads) <= 5 else 2.0
+
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock))
+        with pytest.raises(DeadlineError):
+            dp_solve(inst, nice, deadline=1.0)
+        # one clock read per node: the sixth node saw the deadline pass
+        assert len(reads) == 6 < len(nice.nodes)
+        # a deadline that never passes changes nothing
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        assert dp_solve(inst, nice, deadline=1.0) == dp_solve(inst, nice)
 
     def test_stats_rows(self):
         inst = small_instance(7)

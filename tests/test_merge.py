@@ -1,13 +1,16 @@
 """Union selection, the ranking rounds, and the end-to-end merge pipeline."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import build_instance, solution_of
 from steinmerge import (
+    CapacityError,
     GeneratorConfig,
     MergeConfig,
+    UnionMemo,
     ValidationError,
     dreyfus_wagner,
     generate_pool,
@@ -16,6 +19,7 @@ from steinmerge import (
     ranking_procedure,
     run_smh,
 )
+from steinmerge import exact, merge
 from steinmerge.generator import PoolEntry, SolutionPool
 from steinmerge.synth import sparse_instance
 
@@ -259,3 +263,135 @@ class TestRunSmh:
         assert 1 <= report.trees_used <= len(pool)
         assert report.merge_seconds == report.rank_seconds + report.final_seconds
         assert not report.timed_out
+
+
+def repeating_pool():
+    # 5 trees whose 20 ranking rounds at caps 2/2 select only 4 distinct unions
+    inst = sparse_instance(4, 120, 20, 4.0)
+    cfg = GeneratorConfig(
+        pool_size=6, iterations_per_run=1, perturbation_strength=0.7, seed=3
+    )
+    return inst, generate_pool(inst, cfg)
+
+
+def count_calls(monkeypatch, name, key):
+    """Wrap ``merge.<name>`` so each call appends ``key(args, kwargs)``."""
+    seen = []
+    real = getattr(merge, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(key(args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(merge, name, wrapper)
+    return seen
+
+
+class TestUnionMemo:
+    def test_one_solve_and_one_width_check_per_distinct_key(self, monkeypatch):
+        inst, pool = repeating_pool()
+        solves = count_calls(
+            monkeypatch, "dp_solve",
+            lambda a, k: (frozenset(a[0].graph.weights), a[1].nodes),
+        )
+        checks = count_calls(
+            monkeypatch, "greedy_degree_capped",
+            lambda a, k: (a[1], frozenset(a[0].weights)),
+        )
+        cfg = MergeConfig(final_width=2, rank_width=2, seed=3)
+        report = run_smh(inst, pool, cfg)
+        distinct = {it.selected for it in report.ranking.iterations}
+        assert len(report.ranking.iterations) == 20
+        assert len(distinct) < 20
+        # a union's (edge set, decomposition) is solved once per run_smh
+        assert len(solves) == len(set(solves))
+        assert len(solves) <= len(distinct) + 1
+        # a tentative (cap, union edge set) is width-checked once per run_smh
+        assert len(checks) == len(set(checks))
+        # a second run starts from an empty memo and repeats the same calls
+        before = (list(solves), list(checks))
+        again = run_smh(inst, pool, cfg)
+        assert (solves[len(before[0]):], checks[len(before[1]):]) == before
+        assert again.solution == report.solution
+
+    def test_memo_changes_no_result(self):
+        inst, pool = repeating_pool()
+        sols = pool.solutions
+        memo = UnionMemo()
+        for perm in ([0, 1, 2, 3, 4], [4, 2, 0, 1, 3], [0, 1, 2, 3, 4]):
+            trees = [sols[p] for p in perm]
+            for cap in (1, 2, 3):
+                plain = greedy_steiner_union(inst, trees, cap)
+                assert greedy_steiner_union(inst, trees, cap, memo=memo) == plain
+
+    def test_repeated_capacity_miss_is_skipped_every_round(self, monkeypatch):
+        inst, pool = repeating_pool()
+        solves = count_calls(monkeypatch, "dp_solve", lambda a, k: a[1].nodes)
+        rounds = 8
+        state = ranking_procedure(
+            inst, pool, MergeConfig(final_width=2, rank_width=2,
+                                    rank_iterations=rounds, seed=3),
+            state_budget=1,
+        )
+        distinct = {it.selected for it in state.iterations}
+        assert len(distinct) < rounds
+        assert len(solves) == len(distinct)
+        assert state.skipped == rounds
+        assert [it.value for it in state.iterations] == [None] * rounds
+        for i, w in enumerate(pool.weights):
+            assert state.z[i] == (w,)
+
+    def test_memo_hit_raises_a_fresh_capacity_error(self):
+        inst, pool = repeating_pool()
+        memo = UnionMemo()
+        sel = greedy_steiner_union(inst, pool.solutions, 2, memo=memo)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(CapacityError) as info:
+                merge._solve_union(inst, sel, 1, memo)
+            errors.append(info.value)
+        assert errors[0] is not errors[1]
+        assert errors[0].args == errors[1].args
+
+
+def expiring_clock(monkeypatch, reads_left):
+    """Make the DP see its deadline pass after ``reads_left`` clock reads."""
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= reads_left else float("inf")
+
+    monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock))
+    return reads
+
+
+class TestDeadlineInsideTheDp:
+    def test_expiry_ends_ranking_and_is_not_memoized(self, monkeypatch):
+        inst, pool = repeating_pool()
+        cfg = MergeConfig(final_width=2, rank_width=2, rank_iterations=4, seed=3)
+        memo = UnionMemo()
+        far = 1e18  # never reached by the real clock between rounds
+        expiring_clock(monkeypatch, 3)
+        stopped = ranking_procedure(inst, pool, cfg, deadline=far, memo=memo)
+        assert stopped.iterations == ()
+        assert stopped.skipped == 0
+        assert memo.solves == {}
+        # with time left, the same memo solves round 0 as a fresh run does
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        resumed = ranking_procedure(inst, pool, cfg, deadline=far, memo=memo)
+        assert resumed.iterations[0].value == ranking_procedure(
+            inst, pool, cfg
+        ).iterations[0].value
+
+    def test_expiry_in_the_final_pass_times_out_to_the_pool(self, monkeypatch):
+        inst, pool = repeating_pool()
+        expiring_clock(monkeypatch, 3)
+        report = run_smh(
+            inst, pool, MergeConfig(final_width=2, rank_width=2, rank_iterations=0),
+            deadline=1e18,
+        )
+        assert report.timed_out
+        assert not report.capacity_fallback
+        assert report.source == "pool"
+        assert report.weight == min(pool.weights)

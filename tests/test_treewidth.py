@@ -226,6 +226,14 @@ class TestTdFormat:
         with pytest.raises(ParseError, match="line"):
             read_td(text)
 
+    @pytest.mark.parametrize(
+        "text", ["s td 99999999999999 2 2\n", "s td 3 2 2\nb 1 1 2\n", "s td -1 2 2\n"]
+    )
+    def test_read_bag_count_must_fit_the_file(self, text):
+        # a count the file cannot hold is refused before any bag is built
+        with pytest.raises(ParseError, match="bags declared"):
+            read_td(text)
+
     def test_header_width_preserved_for_validation(self):
         # a lying header width must survive parsing so validation can flag it
         g = path_graph(2)
