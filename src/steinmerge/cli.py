@@ -484,7 +484,8 @@ def _add_merge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--state-budget", type=int,
         default=_env("SMH_STATE_BUDGET", DEFAULT_STATE_BUDGET, int),
-        help="max stored DP states before falling back",
+        help="max stored DP states before falling back (default 2^23, "
+        "about 3 GB at roughly 360 bytes per state)",
     )
     p.add_argument(
         "--no-keep-best", action="store_true",

@@ -11,9 +11,11 @@ from __future__ import annotations
 import heapq
 import random
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import inf
+from typing import Iterable
 
 from . import kernels
 from .graph import (
@@ -149,18 +151,17 @@ def sph_construct(
     return prune(instance, edges)
 
 
-def _induced_tree(
-    instance: SteinerInstance, members: set[int], bound: float = inf
-) -> SteinerSolution | None:
-    """Pruned MST of the subgraph induced by ``members`` (CSR indices).
+def _induced_forest(
+    instance: SteinerInstance, members: set[int], spare: list[int] | None = None
+) -> list[int]:
+    """Minimum spanning forest of the subgraph induced by ``members``.
 
-    Equals ``prune(instance, minimum_spanning_edges(g, induced_edges))``
-    when that is lighter than ``bound``, and is None otherwise, including
-    when the members do not connect the terminals. Kruskal runs over edge
-    ranks: their (w, u, v) order is strict, so the minimum spanning forest
-    is unique and the same as the one ``minimum_spanning_edges`` picks.
-    The forest then goes straight to ``strip_leaves``, because the MST that
-    ``prune`` would take of it first is the forest itself.
+    Members are CSR indices and the forest is a list of edge ranks.
+    Kruskal runs over ranks: their (w, u, v) order is strict, so the
+    forest is unique and the same as the one ``minimum_spanning_edges``
+    picks. When ``spare`` is given, every induced edge left out of the
+    forest is appended to it in rank order; otherwise Kruskal stops as
+    soon as the forest spans.
     """
     g = instance.graph
     _, _, indptr, nbr, _ = g.csr
@@ -185,13 +186,177 @@ def _induced_tree(
         if a != b:
             parent[a] = b
             forest.append(r)
-            if len(forest) == need:
+            if len(forest) == need and spare is None:
                 break
+        elif spare is not None:
+            spare.append(r)
+    return forest
+
+
+def _stripped_tree(
+    instance: SteinerInstance, forest: list[int], bound: float
+) -> SteinerSolution | None:
+    """``strip_leaves`` of ``forest`` as a solution, or None unless below ``bound``."""
     stripped = strip_leaves(instance, forest)
     if stripped is None or stripped[1] >= bound:
         return None
     kept, weight = stripped
-    return SteinerSolution(frozenset(ranks.edges[r] for r in kept), weight)
+    edges = instance.graph.edge_ranks.edges
+    return SteinerSolution(frozenset(edges[r] for r in kept), weight)
+
+
+def _induced_tree(
+    instance: SteinerInstance, members: set[int], bound: float = inf
+) -> SteinerSolution | None:
+    """Pruned MST of the subgraph induced by ``members`` (CSR indices).
+
+    Equals ``prune(instance, minimum_spanning_edges(g, induced_edges))``
+    when that is lighter than ``bound``, and is None otherwise, including
+    when the members do not connect the terminals. The forest goes
+    straight to ``strip_leaves``, because the MST that ``prune`` would
+    take of it first is the forest itself.
+    """
+    return _stripped_tree(instance, _induced_forest(instance, members), bound)
+
+
+def _preorder(
+    edges: Iterable[tuple[int, int]], root: int, n: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Depth-first preorder from ``root`` of the tree with these edges.
+
+    Vertices are CSR indices below ``n``. Returns the order, each vertex's
+    position in it (-1 off the tree) and each vertex's subtree size, so
+    the subtree of ``x`` is the slice ``pre[pos[x]:pos[x] + size[x]]``.
+    """
+    adj: dict[int, list[int]] = {root: []}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    pos = [-1] * n
+    size = [1] * n
+    up = {root: -1}
+    pre: list[int] = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        pos[x] = len(pre)
+        pre.append(x)
+        for y in adj[x]:
+            if y not in up:
+                up[y] = x
+                stack.append(y)
+    for x in reversed(pre[1:]):
+        size[up[x]] += size[x]
+    return pre, pos, size
+
+
+class _DeletionCheck:
+    """Every Steiner-vertex deletion of one tree, scored against one MST.
+
+    Built once per local-search pass from the MST of G[T], T the current
+    tree's vertices, and the induced edges left out of it. An MST edge
+    avoiding ``v`` is the lightest edge across some cut of G[T]; the same
+    cut restricted to G[T - v] keeps it lightest, and under the strict rank
+    order that puts it in the unique minimum spanning forest of G[T - v].
+    So that forest is the MST minus the edges at ``v``, plus whatever
+    Kruskal takes from the left-out edges avoiding ``v`` to join the
+    pieces ``v`` leaves behind.
+    """
+
+    def __init__(self, instance: SteinerInstance, members: set[int]) -> None:
+        self.instance = instance
+        ranks = instance.graph.edge_ranks
+        self.tail, self.head = ranks.tail, ranks.head
+        self.spare: list[int] = []
+        self.mst = _induced_forest(instance, members, self.spare)
+        self.pre, self.pos, self.size = _preorder(
+            ((self.tail[r], self.head[r]) for r in self.mst),
+            min(members),
+            len(instance.graph.csr[0]),
+        )
+
+    def without(self, v: int, bound: float) -> SteinerSolution | None:
+        """``_induced_tree(instance, members - {v}, bound)`` for one ``v``."""
+        tail, head, pre, pos, size = self.tail, self.head, self.pre, self.pos, self.size
+        # the MST minus v falls apart into v's child subtrees, which are
+        # consecutive slices of the preorder, and the part above v
+        lo = pos[v]
+        hi = lo + size[v]
+        starts = []
+        p = lo + 1
+        while p < hi:
+            starts.append(p)
+            p += size[pre[p]]
+        above = len(starts)
+        joins = above - (lo == 0)
+        forest = [r for r in self.mst if tail[r] != v and head[r] != v]
+        # union-find over the pieces: child subtree k is piece k, the part
+        # above v is piece ``above``
+        piece = list(range(above + 1))
+        for r in self.spare:
+            if not joins:
+                break
+            a = tail[r]
+            b = head[r]
+            if a == v or b == v:
+                continue
+            pa = pos[a]
+            a = bisect_right(starts, pa) - 1 if lo < pa < hi else above
+            pb = pos[b]
+            b = bisect_right(starts, pb) - 1 if lo < pb < hi else above
+            while piece[a] != a:
+                piece[a] = a = piece[piece[a]]
+            while piece[b] != b:
+                piece[b] = b = piece[piece[b]]
+            if a != b:
+                piece[a] = b
+                forest.append(r)
+                joins -= 1
+        return _stripped_tree(self.instance, forest, bound)
+
+
+def _reconnects_below(
+    instance: SteinerInstance,
+    pre: list[int],
+    pos: list[int],
+    lo: int,
+    hi: int,
+    limit: int,
+) -> bool:
+    """Whether a path shorter than ``limit`` rejoins the two halves of a tree.
+
+    The tree is the preorder ``pre`` with positions ``pos``; one half is
+    the slice ``pre[lo:hi]``, the other the rest. Distances are symmetric,
+    so the answer equals ``_cheapest_reconnect(...) is not None`` from
+    either half. A bounded Dijkstra from the smaller half answers it: it
+    never relaxes an edge back into its own half, whose vertices all sit
+    at distance 0, and stops at the first vertex of the other half it
+    reaches below ``limit``.
+    """
+    _, _, indptr, nbr, wts = instance.graph.csr
+    inner = hi - lo <= len(pre) - (hi - lo)
+    sources = pre[lo:hi] if inner else pre[:lo] + pre[hi:]
+    dist: dict[int, int] = {}
+    heap = [(0, s) for s in sources]
+    heapq.heapify(heap)
+    while heap:
+        d, x = heapq.heappop(heap)
+        if d > dist.get(x, 0):
+            continue
+        for i in range(indptr[x], indptr[x + 1]):
+            nd = d + wts[i]
+            if nd >= limit:
+                continue
+            u = nbr[i]
+            p = pos[u]
+            if p >= 0:
+                if (lo <= p < hi) != inner:
+                    return True
+                continue
+            if nd < dist.get(u, limit):
+                dist[u] = nd
+                heapq.heappush(heap, (nd, u))
+    return False
 
 
 def _cheapest_reconnect(
@@ -251,6 +416,12 @@ def local_search(
     reconnects the two halves. Scan orders are shuffled by ``rng``. Once
     ``deadline`` (a monotonic-clock timestamp) has passed, the current tree
     is returned before the next candidate is evaluated.
+
+    Deletions and exchanges are checked against the current tree rather
+    than rebuilt per candidate, with the same outcome: ``_DeletionCheck``
+    repairs one MST per pass instead of building the MST of each G[T - v],
+    and ``_reconnects_below`` rules an exchange out before the cheapest-path
+    search runs. ``tree`` must be a tree.
     """
     current = tree
     if len(instance.terminals) == 1:
@@ -286,10 +457,12 @@ def local_search(
 
         removable = [v for v in sorted(tverts) if v not in terms]
         rng.shuffle(removable)
+        if removable:
+            deletion = _DeletionCheck(instance, tverts)
         for v in removable:
             if expired():
                 return current
-            accepted = _induced_tree(instance, tverts - {v}, current.weight)
+            accepted = deletion.without(v, current.weight)
             if accepted is not None:
                 break
         if accepted is not None:
@@ -298,32 +471,27 @@ def local_search(
 
         # edge exchange: drop one tree edge and reconnect the two halves
         # along the cheapest path in the whole graph; a path costing w(e)
-        # or more cannot pay off, so the search stops below w(e)
-        adj: dict[int, list[int]] = {}
-        for a, b in current.edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
+        # or more cannot pay off, so only a path below w(e) is looked for
+        pre, pos, size = _preorder(
+            ((index[a], index[b]) for a, b in current.edges), min(tverts), len(order)
+        )
         tree_edges = list(current.canonical_edges())
         rng.shuffle(tree_edges)
         for e in tree_edges:
             if expired():
                 return current
-            # the half holding e[0]: the tree minus e, searched from e[0]
-            seen = {e[0], e[1]}
-            stack = [e[0]]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            seen.discard(e[1])
-            side = {index[v] for v in seen}
-            found = _cheapest_reconnect(
-                instance, side, tverts - side, graph.weights[e]
-            )
-            if found is None:
+            # the half below e in the preorder is the deeper endpoint's subtree
+            a, b = index[e[0]], index[e[1]]
+            lower = a if pos[a] > pos[b] else b
+            lo = pos[lower]
+            limit = graph.weights[e]
+            if not _reconnects_below(instance, pre, pos, lo, lo + size[lower], limit):
                 continue
+            below = set(pre[lo : lo + size[lower]])
+            side = below if lower == a else tverts - below
+            found = _cheapest_reconnect(instance, side, tverts - side, limit)
+            if found is None:
+                raise InvariantError("a reconnecting path was found, then lost")
             rest = set(current.edges)
             rest.discard(e)
             cand = prune(instance, rest | set(found[1]))

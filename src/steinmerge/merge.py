@@ -14,12 +14,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import CapacityError, DEFAULT_STATE_BUDGET, DeadlineError, dp_solve
 from .generator import SolutionPool, _derive_seed
 from .graph import (
+    Edge,
     SteinerInstance,
     SteinerSolution,
     ValidationError,
@@ -61,12 +63,18 @@ class UnionSelection:
     """Outcome of the greedy union step: who made it in, and their union."""
 
     selected: tuple[int, ...]
-    graph: WeightedGraph
+    edges: frozenset[Edge]
     elimination: EliminationOrder
+    instance: SteinerInstance = field(repr=False, compare=False)
 
     @property
     def width(self) -> int:
         return self.elimination.width
+
+    @cached_property
+    def graph(self) -> WeightedGraph:
+        """The union subgraph (``edges`` plus every terminal), built on first read."""
+        return _union_graph(self.instance, self.edges)
 
 
 @dataclass
@@ -107,26 +115,25 @@ def greedy_steiner_union(
     at the moment it was tried.
 
     A tentative union already in ``memo`` is answered without building its
-    graph; the union graph is built once, for the selected set.
+    graph. The selection carries the union's edge set; its graph is built
+    only when something reads it, which ``_solve_union`` does on a miss.
     """
     if not solutions:
         raise ValidationError("cannot select from an empty pool")
     widths = {} if memo is None else memo.widths
     union_edges = solutions[0].edges
-    graph = None  # graph of the selected union, when a miss already built it
     key = (tie, None, union_edges)
     elim = widths.get(key)
     if elim is None:
-        graph = _union_graph(instance, union_edges)
-        elim = widths[key] = greedy_degree(graph, tie=tie)
+        elim = widths[key] = greedy_degree(_union_graph(instance, union_edges), tie=tie)
     selected = [0]
     for i in range(1, len(solutions)):
         edges = union_edges | solutions[i].edges
         key = (tie, width_cap, edges)
-        candidate = None
         if key not in widths:
-            candidate = _union_graph(instance, edges)
-            res = greedy_degree_capped(candidate, width_cap, tie=tie)
+            res = greedy_degree_capped(
+                _union_graph(instance, edges), width_cap, tie=tie
+            )
             widths[key] = (
                 None if res.exceeded else EliminationOrder(res.order, res.width)
             )
@@ -134,10 +141,8 @@ def greedy_steiner_union(
             continue
         selected.append(i)
         union_edges = edges
-        graph, elim = candidate, widths[key]
-    if graph is None:
-        graph = _union_graph(instance, union_edges)
-    return UnionSelection(tuple(selected), graph, elim)
+        elim = widths[key]
+    return UnionSelection(tuple(selected), union_edges, elim, instance)
 
 
 def _solve_union(
@@ -152,7 +157,7 @@ def _solve_union(
     A union already in ``memo`` returns the same tree, or raises a fresh
     CapacityError with the stored message. A deadline stop is not stored.
     """
-    key = (frozenset(selection.graph.weights), selection.elimination.order, state_budget)
+    key = (selection.edges, selection.elimination.order, state_budget)
     known = memo.solves.get(key)
     if isinstance(known, CapacityError):
         raise CapacityError(*known.args)

@@ -41,6 +41,8 @@ from steinmerge.synth import (
     tree_instance,
 )
 
+pytestmark = pytest.mark.slow
+
 
 def report(capsys, num, name, ok, detail=""):
     with capsys.disabled():

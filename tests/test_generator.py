@@ -28,7 +28,14 @@ from steinmerge import (
     sph_construct,
     write_pool,
 )
-from steinmerge.generator import _cheapest_reconnect, _derive_seed, _induced_tree
+from steinmerge.generator import (
+    _cheapest_reconnect,
+    _DeletionCheck,
+    _derive_seed,
+    _induced_tree,
+    _preorder,
+    _reconnects_below,
+)
 from steinmerge.graph import minimum_spanning_edges
 from steinmerge.synth import (
     dense_instance,
@@ -157,6 +164,20 @@ class TestLocalSearch:
         assert out.weight <= start.weight
         assert solution_violations(inst, out) == []
         assert out == start
+
+    def test_exchange_path_is_searched_from_the_first_endpoint(self):
+        # dropping (1, 2) leaves halves {0, 1} and {2, 3}, and two paths of
+        # cost 3 rejoin them; searched from 1's half, the tie goes to the
+        # lower vertex 2 of the other half, so 1-7-8-2 comes in. Searched
+        # from 2's half it would be 3-6-5-0, and the result would weigh 3
+        inst = build_instance(
+            [(0, 1, 1), (1, 2, 10), (2, 3, 1), (0, 5, 1), (5, 6, 1), (6, 3, 1),
+             (1, 7, 1), (7, 8, 1), (8, 2, 1)],
+            [0, 3],
+        )
+        start = solution_of(inst, [(0, 1), (1, 2), (2, 3)])
+        out = local_search(inst, start, rng_for())
+        assert out == solution_of(inst, [(0, 1), (1, 7), (7, 8), (2, 8), (2, 3)])
 
     def test_inserts_profitable_steiner_vertex(self):
         # star center 3 beats the rim path connecting the three terminals
@@ -289,9 +310,86 @@ class TestIndexSpaceMoves:
             assert got is None
 
 
-# sha256 of write_pool(generate_pool(...)), captured at commit 18002ed,
-# before local search moved to CSR index space; a rewrite of local search
-# must keep every tie-break, so these may not change
+def random_tree(instance, data):
+    """CSR indices and edges of a random subtree of the instance graph.
+
+    Grows from a random vertex by random tree-to-outside edges, for a drawn
+    number of steps or until it spans the terminals.
+    """
+    _, index, indptr, nbr, _ = instance.graph.csr
+    n = len(indptr) - 1
+    members = {data.draw(st.integers(0, n - 1))}
+    edges = []
+    steps = data.draw(st.integers(1, n - 1))
+    spanning = data.draw(st.booleans())
+    terms = instance.terminal_index
+    while (not terms <= members) if spanning else steps > 0:
+        frontier = sorted(
+            (x, nbr[i])
+            for x in members
+            for i in range(indptr[x], indptr[x + 1])
+            if nbr[i] not in members
+        )
+        if not frontier:
+            break
+        x, y = data.draw(st.sampled_from(frontier))
+        members.add(y)
+        edges.append((x, y))
+        steps -= 1
+    return members, edges
+
+
+class TestCurrentTreeChecks:
+    """Deletion and exchange checks against the from-scratch routines."""
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_deletion_matches_induced_tree(self, seed, data):
+        inst = tie_heavy_instance(seed)
+        members, _ = random_tree(inst, data)
+        check = _DeletionCheck(inst, members)
+        bound = data.draw(st.one_of(st.just(inf), st.integers(0, 30)))
+        for v in sorted(members - inst.terminal_index):
+            assert check.without(v, bound) == _induced_tree(inst, members - {v}, bound)
+
+    def test_deletion_of_a_cut_vertex(self):
+        # 1 is the only link between terminals 0 and 2 inside {0, 1, 2, 3}:
+        # without it G[T - 1] falls apart, and without 3 it does not
+        inst = build_instance(
+            [(0, 1, 2), (1, 2, 2), (1, 3, 1), (0, 3, 1), (2, 4, 1), (3, 4, 9)],
+            [0, 2],
+        )
+        members = {0, 1, 2, 3}
+        check = _DeletionCheck(inst, members)
+        assert check.without(1, inf) is None
+        assert _induced_tree(inst, {0, 2, 3}) is None
+        assert check.without(3, inf) == _induced_tree(inst, {0, 1, 2})
+        assert check.without(3, inf).weight == 4
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_split_check_matches_reconnect(self, seed, data):
+        inst = tie_heavy_instance(seed)
+        members, edges = random_tree(inst, data)
+        if len(members) < 2:
+            return
+        pre, pos, size = _preorder(edges, min(members), inst.graph.n_vertices)
+        lower = data.draw(st.sampled_from(pre[1:]))
+        lo, hi = pos[lower], pos[lower] + size[lower]
+        below = set(pre[lo:hi])
+        above = members - below
+        limit = data.draw(st.integers(0, 8))
+        got = _reconnects_below(inst, pre, pos, lo, hi, limit)
+        assert got == (_cheapest_reconnect(inst, below, above, limit) is not None)
+        assert got == (_cheapest_reconnect(inst, above, below, limit) is not None)
+
+
+# sha256 of write_pool(generate_pool(...)); a rewrite of local search must
+# keep every tie-break, so these may not change. "grid", "dense" and
+# "sparse" were captured at commit 18002ed, before local search moved to CSR
+# index space; "grid-ties" (small integer weights, no perturbation, so many
+# ties) and "zero-weights" at commit 376ab63, before deletions and exchanges
+# were checked against the current tree
 GOLDEN_POOLS = {
     "grid": (
         lambda: grid_with_holes(21, 12, 12),
@@ -307,6 +405,16 @@ GOLDEN_POOLS = {
         lambda: sparse_instance(23, 100, 15, avg_degree=4),
         GeneratorConfig(pool_size=6, iterations_per_run=2, perturbation_strength=0.6, seed=7),
         "805b0e9ddf169a166f447fbeb13c3e4e2c044d1ab29899f3208c63a200a46f34",
+    ),
+    "grid-ties": (
+        lambda: grid_with_holes(40, 14, 14, max_weight=4, n_terminals=12),
+        GeneratorConfig(pool_size=6, iterations_per_run=3, perturbation_strength=0.0, seed=40),
+        "d9b5d1ce8f7471e0ca490c20dcc67a6de2f27ce981cffc801b40233c40da1acb",
+    ),
+    "zero-weights": (
+        lambda: tie_heavy_instance(45, 80, 150, 12),
+        GeneratorConfig(pool_size=6, iterations_per_run=3, perturbation_strength=0.5, seed=45),
+        "057c8b65b68d80a2d3860b5702819ea6845c46139dba86cd4d4db0723b2c5798",
     ),
 }
 

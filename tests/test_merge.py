@@ -314,6 +314,18 @@ class TestUnionMemo:
         assert (solves[len(before[0]):], checks[len(before[1]):]) == before
         assert again.solution == report.solution
 
+    def test_union_graph_is_built_only_to_check_or_solve(self, monkeypatch):
+        inst, pool = repeating_pool()
+        builds = count_calls(monkeypatch, "_union_graph", lambda a, k: a[1])
+        uses = [
+            count_calls(monkeypatch, name, lambda a, k: None)
+            for name in ("greedy_degree", "greedy_degree_capped", "dp_solve")
+        ]
+        report = run_smh(inst, pool, MergeConfig(final_width=2, rank_width=2, seed=3))
+        assert len(report.ranking.iterations) == 20
+        # memo hits read only the selection's edge set, never its graph
+        assert len(builds) == sum(map(len, uses))
+
     def test_memo_changes_no_result(self):
         inst, pool = repeating_pool()
         sols = pool.solutions
