@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -58,6 +59,16 @@ def _env(name: str, default, cast):
         return cast(raw)
     except ValueError:
         raise SteinerError(f"environment variable {name} has a bad value: {raw!r}")
+
+
+FORMATS = ("csv", "json", "table")
+
+
+def _format_name(raw: str) -> str:
+    """Cast for SMH_FORMAT: argparse checks ``choices`` only on flags, not defaults."""
+    if raw not in FORMATS:
+        raise ValueError(raw)
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +518,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--format", choices=("csv", "json", "table"),
-        default=_env("SMH_FORMAT", "table", str),
+        "--format", choices=FORMATS,
+        default=_env("SMH_FORMAT", "table", _format_name),
         help="output format (default table)",
     )
 
@@ -591,6 +602,9 @@ def _merge_config(args: argparse.Namespace) -> MergeConfig:
 def _deadline(args: argparse.Namespace) -> float | None:
     if args.time_limit is None:
         return None
+    # a NaN deadline compares False with every clock reading and never fires
+    if not math.isfinite(args.time_limit):
+        raise ValidationError(f"time limit must be a finite number, not {args.time_limit}")
     return time.monotonic() + args.time_limit
 
 

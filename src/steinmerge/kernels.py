@@ -1,54 +1,325 @@
-"""Backend selection for the hot kernels.
+"""The hot inner loops: elimination, multi-source Dijkstra and the DP tables.
 
-The compiled extension is used when it imported successfully; otherwise the
-pure-Python twin takes over. Set SMH_PURE_PYTHON=1 to force the fallback.
-Both backends are required to produce bit-identical results.
+Callers reach these through the module attribute (``kernels.dp_join(...)``,
+never ``from .kernels import ...``), so a tracer such as ``perfbench/``
+can rebind them for the length of a run.
+
+Dynamic-program tables map a state key to (value, backref). A key is
+(mask, labels): ``mask`` marks the bag positions chosen into the partial
+solution, ``labels`` assigns a block id to each chosen position in ascending
+position order, renumbered so block ids appear in first-occurrence order.
+That renumbering makes the key canonical, so equal partial solutions always
+collide and the minimum is kept.
 """
 
 from __future__ import annotations
 
-import os
+import heapq
+from functools import lru_cache
+from math import inf
+from operator import itemgetter
 
-if os.environ.get("SMH_PURE_PYTHON"):
-    from . import _kernels_py as _impl
-else:
-    try:
-        from . import _kernels_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _impl
-
-BACKEND_NAME = _impl.BACKEND_NAME
-
-eliminate = _impl.eliminate
-elimination_bags = _impl.elimination_bags
-dijkstra_multi = _impl.dijkstra_multi
-canon_labels = _impl.canon_labels
-dp_leaf = _impl.dp_leaf
-dp_introduce_vertex = _impl.dp_introduce_vertex
-dp_introduce_edge = _impl.dp_introduce_edge
-dp_forget = _impl.dp_forget
-dp_join = _impl.dp_join
+# perfbench records this name with each result and compares only results
+# that carry the same one.
+BACKEND_NAME = "python"
 
 
-def available_backends() -> list[str]:
-    names = ["python"]
-    try:
-        from . import _kernels_cy  # noqa: F401
-
-        names.append("cython")
-    except ImportError:
-        pass
-    return names
+# ---------------------------------------------------------------------------
+# greedy minimum-degree elimination
 
 
-def load_backend(name: str):
-    """Explicitly load one backend module (used by tests and benchmarks)."""
-    if name == "python":
-        from . import _kernels_py
+def eliminate(masks, cap, tie_high=False):
+    """Greedy minimum-degree elimination over bitmask adjacency.
 
-        return _kernels_py
-    if name == "cython":
-        from . import _kernels_cy  # type: ignore[attr-defined]
+    masks[i] is the neighbor bitmask of vertex i (the caller's list is not
+    mutated). Ties on degree go to the lowest index, or the highest when
+    tie_high is set. cap < 0 disables the width cap.
 
-        return _kernels_cy
-    raise ValueError(f"unknown kernel backend: {name!r}")
+    Returns (width, order). When some elimination would exceed cap the scan
+    aborts and returns (exceeding_degree, None).
+    """
+    n = len(masks)
+    adj = list(masks)
+    deg = [m.bit_count() for m in adj]
+    if tie_high:
+        heap = [(deg[v], -v) for v in range(n)]
+    else:
+        heap = [(deg[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    removed = [False] * n
+    order = []
+    width = 0
+    alive = n
+    while alive:
+        d, key = heapq.heappop(heap)
+        v = -key if tie_high else key
+        if removed[v] or d != deg[v]:
+            continue
+        if cap >= 0 and d > cap:
+            return d, None
+        if d > width:
+            width = d
+        order.append(v)
+        removed[v] = True
+        alive -= 1
+        nb = adj[v]
+        adj[v] = 0
+        not_v = ~(1 << v)
+        m = nb
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            # neighborhood becomes a clique, v disappears
+            nu = (adj[u] | nb) & ~(1 << u) & not_v
+            adj[u] = nu
+            du = nu.bit_count()
+            deg[u] = du
+            heapq.heappush(heap, (du, -u if tie_high else u))
+    return width, order
+
+
+def elimination_bags(masks, order):
+    """Replay a fixed elimination order; bag i = order[i] plus its remaining neighbors."""
+    adj = list(masks)
+    bags = []
+    for v in order:
+        nb = adj[v]
+        bags.append(nb | (1 << v))
+        adj[v] = 0
+        not_v = ~(1 << v)
+        m = nb
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            adj[u] = (adj[u] | nb) & ~(1 << u) & not_v
+    return bags
+
+
+# ---------------------------------------------------------------------------
+# shortest paths
+
+
+def dijkstra_multi(indptr, nbrs, wts, sources, n):
+    """Multi-source Dijkstra over CSR arrays; returns (dist, pred) lists.
+
+    pred[v] is -1 for sources and unreached vertices; unreached distances
+    stay inf. Ties resolve deterministically (first strict improvement wins,
+    heap breaks equal distances by vertex index).
+    """
+    dist = [inf] * n
+    pred = [-1] * n
+    heap = []
+    for s in sources:
+        dist[s] = 0
+        heap.append((0, s))
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for i in range(indptr[v], indptr[v + 1]):
+            u = nbrs[i]
+            nd = d + wts[i]
+            if nd < dist[u]:
+                dist[u] = nd
+                pred[u] = v
+                heapq.heappush(heap, (nd, u))
+    return dist, pred
+
+
+# ---------------------------------------------------------------------------
+# decomposition-guided dynamic program: per-node table transforms
+
+
+def canon_labels(labels):
+    """Renumber block labels into first-occurrence order (canonical form)."""
+    seen = {}
+    out = []
+    for x in labels:
+        r = seen.get(x)
+        if r is None:
+            r = len(seen)
+            seen[x] = r
+        out.append(r)
+    return tuple(out)
+
+
+def dp_leaf():
+    # single pinned vertex, chosen, in its own block, cost 0
+    return {(1, (0,)): (0, None)}
+
+
+def dp_introduce_vertex(table, pos, is_terminal):
+    """Bag gains a vertex at position pos.
+
+    Non-terminals branch into an excluded copy and an included-as-singleton
+    copy; terminals must be included. Both branches are injective so no
+    collision handling is needed.
+    """
+    out = {}
+    low = (1 << pos) - 1
+    bit = 1 << pos
+    for key, entry in table.items():
+        mask, labels = key
+        val = entry[0]
+        nm = (mask & low) | ((mask >> pos) << (pos + 1))
+        if not is_terminal:
+            out[(nm, labels)] = (val, (key, False))
+        j = (mask & low).bit_count()
+        # the new block takes the first id not used before position j and
+        # the later ids move up by one, which keeps first-occurrence order
+        if j == len(labels):
+            nl = labels + (max(labels, default=-1) + 1,)
+        elif j:
+            head = labels[:j]
+            b = max(head) + 1
+            nl = head + (b,) + tuple([x + (x >= b) for x in labels[j:]])
+        else:
+            nl = (0,) + tuple([x + 1 for x in labels])
+        out[(nm | bit, nl)] = (val, (key, True))
+    return out
+
+
+def dp_introduce_edge(table, pu, pv, w):
+    """Offer one graph edge: a state may pay w to merge its endpoints' blocks."""
+    out = {}
+    bu = 1 << pu
+    bv = 1 << pv
+    both = bu | bv
+    lowu = bu - 1
+    lowv = bv - 1
+    for key, entry in table.items():
+        val = entry[0]
+        cur = out.get(key)
+        if cur is None or val < cur[0]:
+            out[key] = (val, (key, False))
+        mask, labels = key
+        if mask & both == both:
+            lu = labels[(mask & lowu).bit_count()]
+            lv = labels[(mask & lowv).bit_count()]
+            if lu == lv:
+                continue  # edge inside a block only adds weight
+            if lu > lv:
+                lu, lv = lv, lu
+            # block lv joins the earlier block lu and the later ids close
+            # the gap, which keeps the labels in first-occurrence order
+            nk = (mask, tuple([lu if x == lv else x - (x > lv) for x in labels]))
+            nv = val + w
+            cur = out.get(nk)
+            if cur is None or nv < cur[0]:
+                out[nk] = (nv, (key, True))
+    return out
+
+
+def dp_forget(table, pos):
+    """Bag drops the vertex at position pos.
+
+    A chosen vertex may leave only if its block keeps another bag vertex;
+    otherwise its component could never reattach and the state dies.
+    """
+    out = {}
+    bit = 1 << pos
+    low = bit - 1
+    for key, entry in table.items():
+        mask, labels = key
+        val = entry[0]
+        if mask & bit:
+            j = (mask & low).bit_count()
+            lab = labels[j]
+            rest = labels[:j] + labels[j + 1 :]
+            if lab not in rest:
+                continue
+            # dropping a later member of a block keeps first-occurrence order
+            nl = rest if labels.index(lab) < j else canon_labels(rest)
+        else:
+            nl = labels
+        nm = (mask & low) | ((mask >> (pos + 1)) << pos)
+        nk = (nm, nl)
+        cur = out.get(nk)
+        if cur is None or val < cur[0]:
+            out[nk] = (val, key)
+    return out
+
+
+@lru_cache(maxsize=1 << 16)
+def _join_relabel(c, ends):
+    """Block renumbering after tying left blocks pairwise, or None if unchanged.
+
+    ``ends`` lists left block ids two by two; each pair lies in one right
+    block. The result maps every old block id below ``c`` to its canonical
+    id in the joined partition.
+    """
+    parent = list(range(c))
+    merged = False
+    it = iter(ends)
+    for a in it:
+        b = next(it)
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            merged = True
+            # the lower id stays the root, so roots are the lowest members
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+    if not merged:
+        return None
+    # a merged block first occurs where its lowest member block does, so
+    # numbering the roots in block order gives first-occurrence order
+    ids = []
+    n = 0
+    for b in range(c):
+        a = parent[b]
+        if a == b:
+            ids.append(n)
+            n += 1
+        else:
+            ids.append(ids[a])
+    return tuple(ids)
+
+
+def dp_join(left, right):
+    """Combine sibling tables over an identical bag.
+
+    States pair up on equal chosen sets; values add and blocks coarsen to
+    the transitive closure of overlaps between the two partitions.
+    """
+    # a right state ties position pairs together: each later member of a
+    # block to its first one; the getter reads those positions' left blocks
+    by_mask = {}
+    for key, entry in right.items():
+        firsts = []
+        ties = []
+        for i, lab in enumerate(key[1]):
+            if lab == len(firsts):
+                firsts.append(i)
+            else:
+                ties.append(firsts[lab])
+                ties.append(i)
+        get = itemgetter(*ties) if ties else None
+        by_mask.setdefault(key[0], []).append((key, entry[0], get))
+    out = {}
+    for lkey, lentry in left.items():
+        mask, llabels = lkey
+        matches = by_mask.get(mask)
+        if not matches:
+            continue
+        lval = lentry[0]
+        c = len(llabels)
+        for rkey, rval, get in matches:
+            labels = llabels
+            if get is not None:
+                ids = _join_relabel(c, get(llabels))
+                if ids is not None:
+                    labels = tuple(map(ids.__getitem__, llabels))
+            nk = (mask, labels)
+            nv = lval + rval
+            cur = out.get(nk)
+            if cur is None or nv < cur[0]:
+                out[nk] = (nv, (lkey, rkey))
+    return out

@@ -219,6 +219,24 @@ class TestSolveCommand:
         monkeypatch.setenv("SMH_POOL", "many")
         assert main(["solve", path]) == EXIT_USAGE
 
+    def test_bad_env_format(self, stp, capsys, monkeypatch):
+        path = stp(sparse_instance(6, 25, 4))
+        monkeypatch.setenv("SMH_FORMAT", "xml")
+        assert main(["solve", path, "--pool", "2", "--grasp-iters", "1"]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert "environment variable SMH_FORMAT has a bad value" in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    def test_non_finite_time_limit(self, stp, capsys, monkeypatch, limit):
+        path = stp(sparse_instance(6, 25, 4))
+        argv = ["solve", path, "--pool", "2", "--grasp-iters", "1", "--rank-iters", "1"]
+        assert main(argv + ["--time-limit", limit]) == EXIT_PARSE
+        assert "invalid input" in capsys.readouterr().err
+        monkeypatch.setenv("SMH_TIME_LIMIT", limit)
+        assert main(argv) == EXIT_PARSE
+        assert main(argv + ["--time-limit", "-1"]) == EXIT_TIMEOUT
+
 
 class TestGenerateAndMerge:
     def test_pipeline_via_files(self, stp, tmp_path, capsys):

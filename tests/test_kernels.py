@@ -1,18 +1,12 @@
-"""The two kernel backends must be interchangeable, bit for bit."""
+"""The kernel module: its transforms against reference loops, and the
+contract the benchmark tracer relies on."""
 
-import os
 import random
-import subprocess
-import sys
+from collections import Counter
 
-import pytest
-
-from steinmerge import kernels
-
-BACKENDS = kernels.available_backends()
-needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="compiled backend not built"
-)
+import steinmerge
+from steinmerge import GeneratorConfig, MergeConfig, generate_pool, kernels, run_smh
+from steinmerge.synth import sparse_instance
 
 
 def random_masks(rng, n, p=0.3):
@@ -25,25 +19,8 @@ def random_masks(rng, n, p=0.3):
     return masks
 
 
-def random_csr(rng, n, p=0.3):
-    nbrs_of = {v: [] for v in range(n)}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                w = rng.randint(1, 20)
-                nbrs_of[u].append((v, w))
-                nbrs_of[v].append((u, w))
-    indptr, nbrs, wts = [0], [], []
-    for v in range(n):
-        for u, w in sorted(nbrs_of[v]):
-            nbrs.append(u)
-            wts.append(w)
-        indptr.append(len(nbrs))
-    return indptr, nbrs, wts
-
-
 def grow_table(mod, ops):
-    """Replay a recorded op sequence against one backend's transforms."""
+    """Replay a recorded op sequence against the kernel transforms."""
     table = mod.dp_leaf()
     for op in ops:
         kind = op[0]
@@ -77,115 +54,40 @@ def random_ops(rng, length):
     return ops, bag
 
 
-class TestDispatch:
-    def test_python_always_available(self):
-        assert "python" in BACKENDS
-
-    def test_active_backend_is_known(self):
-        assert kernels.BACKEND_NAME in BACKENDS
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.load_backend("fortran")
-
-    def test_env_forces_pure_python(self):
-        env = dict(os.environ, SMH_PURE_PYTHON="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from steinmerge import kernels; print(kernels.BACKEND_NAME)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "python"
-
-    @needs_both
-    def test_default_prefers_compiled(self):
-        env = {k: v for k, v in os.environ.items() if k != "SMH_PURE_PYTHON"}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from steinmerge import kernels; print(kernels.BACKEND_NAME)"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "cython"
-
-
-@needs_both
-class TestBackendEquivalence:
-    def setup_method(self):
-        self.py = kernels.load_backend("python")
-        self.cy = kernels.load_backend("cython")
-
-    def test_eliminate(self):
-        for seed in range(30):
-            rng = random.Random(seed)
-            masks = random_masks(rng, rng.randint(1, 18))
-            for cap in (-1, 2, 4):
-                for tie_high in (False, True):
-                    assert self.py.eliminate(masks, cap, tie_high) == \
-                        self.cy.eliminate(masks, cap, tie_high)
-
+class TestKernelContracts:
     def test_eliminate_does_not_mutate_input(self):
-        rng = random.Random(0)
-        masks = random_masks(rng, 10)
-        keep = list(masks)
-        for mod in (self.py, self.cy):
-            mod.eliminate(masks, -1, False)
-            assert masks == keep
+        for seed in range(10):
+            masks = random_masks(random.Random(seed), 12)
+            keep = list(masks)
+            for cap in (-1, 2):
+                kernels.eliminate(masks, cap, seed % 2 == 1)
+                assert masks == keep
 
-    def test_elimination_bags(self):
-        for seed in range(30):
-            rng = random.Random(100 + seed)
-            masks = random_masks(rng, rng.randint(1, 18))
-            _, order = self.py.eliminate(masks, -1, False)
-            assert self.py.elimination_bags(masks, order) == \
-                self.cy.elimination_bags(masks, order)
-
-    def test_dijkstra(self):
-        for seed in range(30):
-            rng = random.Random(200 + seed)
-            n = rng.randint(1, 25)
-            indptr, nbrs, wts = random_csr(rng, n)
-            sources = sorted(rng.sample(range(n), rng.randint(1, n)))
-            assert self.py.dijkstra_multi(indptr, nbrs, wts, sources, n) == \
-                self.cy.dijkstra_multi(indptr, nbrs, wts, sources, n)
-
-    def test_canon_labels(self):
+    def test_canon_labels_is_canonical_and_idempotent(self):
         for seed in range(50):
             rng = random.Random(300 + seed)
             labels = tuple(rng.randrange(5) for _ in range(rng.randint(0, 8)))
-            a = self.py.canon_labels(labels)
-            assert a == self.cy.canon_labels(labels)
-            # canonical means idempotent
-            assert self.py.canon_labels(a) == a
+            a = kernels.canon_labels(labels)
+            assert a == ref_canon(labels)
+            assert kernels.canon_labels(a) == a
 
-    def test_transform_sequences(self):
-        for seed in range(40):
-            rng = random.Random(400 + seed)
-            ops, _ = random_ops(rng, rng.randint(1, 12))
-            assert grow_table(self.py, ops) == grow_table(self.cy, ops)
+    def test_pipeline_calls_kernels_through_the_module(self, monkeypatch):
+        """perfbench traces the pipeline by rebinding these module attributes
+        and records ``BACKEND_NAME`` with each result."""
+        calls = Counter()
+        for name in ("dijkstra_multi", "eliminate", "dp_join"):
+            def counted(*args, _name=name, _inner=getattr(kernels, name)):
+                calls[_name] += 1
+                return _inner(*args)
 
-    def test_join(self):
-        for seed in range(25):
-            rng = random.Random(500 + seed)
-            # two siblings share a bag: same intro prefix, different edges
-            prefix = []
-            bag = 1
-            for _ in range(rng.randint(1, 4)):
-                prefix.append(("intro", rng.randrange(bag + 1), rng.random() < 0.5))
-                bag += 1
-            def branch():
-                ops = list(prefix)
-                for _ in range(rng.randint(0, 4)):
-                    pu, pv = rng.sample(range(bag), 2)
-                    ops.append(("edge", pu, pv, rng.randint(1, 9)))
-                return ops
-            left_ops, right_ops = branch(), branch()
-            out_py = self.py.dp_join(
-                grow_table(self.py, left_ops), grow_table(self.py, right_ops)
-            )
-            out_cy = self.cy.dp_join(
-                grow_table(self.cy, left_ops), grow_table(self.cy, right_ops)
-            )
-            assert out_py == out_cy
+            monkeypatch.setattr(kernels, name, counted)
+        inst = sparse_instance(0, 25, 5)
+        pool = generate_pool(inst, GeneratorConfig(pool_size=3, iterations_per_run=1))
+        run_smh(inst, pool, MergeConfig(rank_iterations=2))
+        assert calls["dijkstra_multi"] > 0
+        assert calls["eliminate"] > 0
+        assert calls["dp_join"] > 0
+        assert steinmerge.BACKEND_NAME == "python"
 
 
 # The loop forms the pure-Python table transforms had before their partition
@@ -264,7 +166,7 @@ def ref_join(left, right):
 
 
 class TestPythonTransformsMatchReference:
-    py = kernels.load_backend("python")
+    py = kernels
 
     @staticmethod
     def same(a, b):
