@@ -35,13 +35,10 @@ from .graph import (
     SteinerSolution,
     ValidationError,
     WeightedGraph,
-    assert_valid_solution,
     edge_key,
-    graph_union,
     parse_stp,
     parse_stp_file,
     prune,
-    shortest_paths,
     solution_violations,
     write_stp,
 )
@@ -99,13 +96,11 @@ __all__ = [
     "UnionSelection",
     "ValidationError",
     "WeightedGraph",
-    "assert_valid_solution",
     "decomposition_from_order",
     "dp_solve",
     "dreyfus_wagner",
     "edge_key",
     "generate_pool",
-    "graph_union",
     "greedy_degree",
     "greedy_degree_capped",
     "greedy_steiner_union",
@@ -118,7 +113,6 @@ __all__ = [
     "read_pool",
     "read_td",
     "run_smh",
-    "shortest_paths",
     "solution_violations",
     "solve_with_decomposition",
     "sph_construct",

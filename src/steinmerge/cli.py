@@ -11,7 +11,8 @@ SMH_FORMAT, SMH_JOBS, SMH_STATE_BUDGET); explicit flags win. Machine
 formats (json, csv) keep wall-clock times on stderr so repeated runs with
 the same seed emit byte-identical stdout.
 
-Exit codes: 0 success, 2 usage, 3 parse or validation failure, 4
+Exit codes: 0 success, 1 invalid decomposition (validate-td), 2 usage,
+3 parse or validation failure (input that is not UTF-8 text included), 4
 infeasible, 5 capacity fallback, 6 timeout.
 """
 
@@ -508,7 +509,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=_env("SMH_SEED", 0, int))
     p.add_argument(
         "--jobs", type=int, default=_env("SMH_JOBS", 1, int),
-        help="worker threads (pool runs, or bench instances)",
+        help="worker threads, at least 1 (pool runs, or bench instances)",
     )
     p.add_argument(
         "--time-limit", type=float, default=_env("SMH_TIME_LIMIT", None, float),
@@ -608,6 +609,13 @@ def _deadline(args: argparse.Namespace) -> float | None:
     return time.monotonic() + args.time_limit
 
 
+def _jobs(args: argparse.Namespace) -> int:
+    # below 1 would silently run sequentially
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs (SMH_JOBS) must be at least 1, not {args.jobs}")
+    return args.jobs
+
+
 def _run_pipeline(
     instance: SteinerInstance, args: argparse.Namespace, deadline: float | None
 ) -> tuple[MergeReport, float]:
@@ -618,7 +626,7 @@ def _run_pipeline(
         seed=args.seed,
     )
     t0 = time.monotonic()
-    pool = generate_pool(instance, gcfg, workers=args.jobs, deadline=deadline)
+    pool = generate_pool(instance, gcfg, workers=_jobs(args), deadline=deadline)
     gen_seconds = time.monotonic() - t0
     report = run_smh(
         instance, pool, _merge_config(args),
@@ -646,7 +654,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     deadline = _deadline(args)
     t0 = time.monotonic()
-    pool = generate_pool(instance, gcfg, workers=args.jobs, deadline=deadline)
+    pool = generate_pool(instance, gcfg, workers=_jobs(args), deadline=deadline)
     seconds = time.monotonic() - t0
     text = write_pool(pool)
     if args.output:
@@ -661,7 +669,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_merge(args: argparse.Namespace) -> int:
     instance = parse_stp_file(args.instance)
-    pool = read_pool(Path(args.pool_file).read_text(), instance)
+    pool = read_pool(Path(args.pool_file).read_text(encoding="utf-8"), instance)
     report = run_smh(
         instance, pool, _merge_config(args),
         state_budget=args.state_budget, deadline=_deadline(args),
@@ -703,7 +711,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_validate_td(args: argparse.Namespace) -> int:
     instance = parse_stp_file(args.instance)
-    td = read_td(Path(args.td_file).read_text())
+    td = read_td(Path(args.td_file).read_text(encoding="utf-8"))
     problems = validate_decomposition(instance.graph, td)
     if not problems:
         sys.stdout.write(
@@ -716,6 +724,7 @@ def cmd_validate_td(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    jobs = _jobs(args)
     directory = Path(args.directory)
     paths = sorted(directory.glob("*.stp"))
     if not paths:
@@ -723,7 +732,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     best = {}
     if args.best_known:
-        best = read_best_known(Path(args.best_known).read_text())
+        best = read_best_known(Path(args.best_known).read_text(encoding="utf-8"))
     deadline = _deadline(args)
 
     def run_one(path: Path):
@@ -737,8 +746,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         return name, record
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_one, paths))
     else:
         results = [run_one(p) for p in paths]
@@ -793,6 +802,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
+        return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"parse error: cannot decode input: {exc}\n")
         return EXIT_PARSE
     except ValidationError as exc:
         sys.stderr.write(f"invalid input: {exc}\n")

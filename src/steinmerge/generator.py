@@ -26,7 +26,7 @@ from .graph import (
     SteinerSolution,
     ValidationError,
     edge_key,
-    minimum_spanning_edges,  # noqa: F401  (perfbench/layers.py wraps this name)
+    minimum_spanning_edges,
     prune,
     solution_violations,
     strip_leaves,
@@ -94,9 +94,6 @@ class SolutionPool:
         ws = self.weights
         return min(range(len(ws)), key=lambda i: (ws[i], i))
 
-    def best(self) -> SteinerSolution:
-        return self.entries[self.best_index()].solution
-
 
 def _perturbed_weights(
     instance: SteinerInstance, strength: float, rng: random.Random
@@ -156,41 +153,23 @@ def _induced_forest(
 ) -> list[int]:
     """Minimum spanning forest of the subgraph induced by ``members``.
 
-    Members are CSR indices and the forest is a list of edge ranks.
-    Kruskal runs over ranks: their (w, u, v) order is strict, so the
-    forest is unique and the same as the one ``minimum_spanning_edges``
-    picks. When ``spare`` is given, every induced edge left out of the
-    forest is appended to it in rank order; otherwise Kruskal stops as
-    soon as the forest spans.
+    Members are CSR indices and the forest is a list of edge ranks. When
+    ``spare`` is given, every induced edge left out of the forest is
+    appended to it in rank order.
     """
     g = instance.graph
     _, _, indptr, nbr, _ = g.csr
     ranks = g.edge_ranks
-    slot, tail, head = ranks.slot, ranks.tail, ranks.head
+    slot = ranks.slot
     induced = sorted(
         slot[i]
         for v in members
         for i in range(indptr[v], indptr[v + 1])
         if nbr[i] > v and nbr[i] in members
     )
-    parent = list(range(len(indptr) - 1))
-    forest: list[int] = []
-    need = len(members) - 1
-    for r in induced:
-        a = tail[r]
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        b = head[r]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            forest.append(r)
-            if len(forest) == need and spare is None:
-                break
-        elif spare is not None:
-            spare.append(r)
-    return forest
+    return minimum_spanning_edges(
+        len(indptr) - 1, ranks.tail, ranks.head, induced, spare, len(members) - 1
+    )
 
 
 def _stripped_tree(
@@ -210,11 +189,11 @@ def _induced_tree(
 ) -> SteinerSolution | None:
     """Pruned MST of the subgraph induced by ``members`` (CSR indices).
 
-    Equals ``prune(instance, minimum_spanning_edges(g, induced_edges))``
-    when that is lighter than ``bound``, and is None otherwise, including
-    when the members do not connect the terminals. The forest goes
-    straight to ``strip_leaves``, because the MST that ``prune`` would
-    take of it first is the forest itself.
+    Equals ``prune(instance, induced_edges)`` when that is lighter than
+    ``bound``, and is None otherwise, including when the members do not
+    connect the terminals. The forest goes straight to ``strip_leaves``,
+    because the MST that ``prune`` would take of it first is the forest
+    itself.
     """
     return _stripped_tree(instance, _induced_forest(instance, members), bound)
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from . import kernels
-
 Edge = tuple[int, int]
 
 STP_MAGIC = "33D32945 STP File, STP Format Version 1.0"
@@ -45,40 +43,6 @@ class InvariantError(SteinerError):
 def edge_key(u: int, v: int) -> Edge:
     """Normalized (small, large) representation of an undirected edge."""
     return (u, v) if u <= v else (v, u)
-
-
-class DisjointSets:
-    """Union-find over arbitrary hashable items, path compression + size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-        self.size: dict = {}
-
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-
-    def find(self, x):
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 @dataclass(frozen=True)
@@ -226,18 +190,6 @@ class WeightedGraph:
             raise ValidationError("extra vertices must belong to the host graph")
         return WeightedGraph(frozenset(verts), wmap)
 
-    def induced_subgraph(self, vertices: Iterable[int]) -> "WeightedGraph":
-        """Vertex-induced subgraph: keeps every edge with both ends inside."""
-        vset = frozenset(vertices)
-        if not vset <= self.vertices:
-            raise ValidationError("induced vertex set must be a subset of the graph")
-        wmap = {}
-        for v in vset:
-            for u in self.adjacency[v]:
-                if u > v and u in vset:
-                    wmap[(v, u)] = self.weights[(v, u)]
-        return WeightedGraph(vset, wmap)
-
     def total_weight(self, edges: Iterable[Edge]) -> int:
         return sum(self.weights[edge_key(u, v)] for u, v in edges)
 
@@ -258,22 +210,6 @@ class EdgeRanks:
     weight: list[int]
     slot: list[int]
     rank: dict[Edge, int]
-
-
-def graph_union(graphs: Sequence[WeightedGraph]) -> WeightedGraph:
-    """Union of vertex and edge sets; weights must agree on shared edges."""
-    if not graphs:
-        raise ValidationError("union of an empty list of graphs")
-    verts: set[int] = set()
-    wmap: dict[Edge, int] = {}
-    for g in graphs:
-        verts |= g.vertices
-        for e, w in g.weights.items():
-            prev = wmap.get(e)
-            if prev is not None and prev != w:
-                raise ValidationError(f"conflicting weights for edge {e}: {prev} vs {w}")
-            wmap[e] = w
-    return WeightedGraph(frozenset(verts), wmap)
 
 
 @dataclass(frozen=True)
@@ -352,14 +288,21 @@ def solution_violations(instance: SteinerInstance, solution: SteinerSolution) ->
         out.append(
             f"edge count {len(solution.edges)} != |V|-1 = {len(verts) - 1} (not a tree)"
         )
-    dsu = DisjointSets()
-    for v in verts:
-        dsu.add(v)
-    for u, v in solution.edges:
-        if not dsu.union(u, v):
-            out.append(f"edge ({u}, {v}) closes a cycle")
-    roots = {dsu.find(v) for v in verts}
-    if len(roots) > 1:
+    # numbered locally: the host graph's edge ranks cost more than the check
+    edges = solution.canonical_edges()
+    index = {v: i for i, v in enumerate(verts)}
+    spare: list[int] = []
+    forest = minimum_spanning_edges(
+        len(index),
+        [index[u] for u, _ in edges],
+        [index[v] for _, v in edges],
+        range(len(edges)),
+        spare,
+    )
+    for r in spare:
+        u, v = edges[r]
+        out.append(f"edge ({u}, {v}) closes a cycle")
+    if len(forest) < len(verts) - 1:
         out.append("solution is disconnected")
     deg: dict[int, int] = {}
     for u, v in solution.edges:
@@ -369,12 +312,6 @@ def solution_violations(instance: SteinerInstance, solution: SteinerSolution) ->
         if d == 1 and v not in instance.terminals:
             out.append(f"non-terminal leaf {v}")
     return out
-
-
-def assert_valid_solution(instance: SteinerInstance, solution: SteinerSolution) -> None:
-    problems = solution_violations(instance, solution)
-    if problems:
-        raise ValidationError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +468,7 @@ def parse_stp_file(path) -> SteinerInstance:
     from pathlib import Path
 
     p = Path(path)
-    return parse_stp(p.read_text(), name=p.stem)
+    return parse_stp(p.read_text(encoding="utf-8"), name=p.stem)
 
 
 def write_stp(instance: SteinerInstance) -> str:
@@ -557,35 +494,45 @@ def write_stp(instance: SteinerInstance) -> str:
 # elementary algorithms
 
 
-def shortest_paths(
-    graph: WeightedGraph, source: int, weight_map: dict[Edge, float] | None = None
-) -> dict[int, tuple[float, int | None]]:
-    """Single-source shortest paths: vertex -> (distance, predecessor).
+def minimum_spanning_edges(
+    n: int,
+    tail: Sequence[int],
+    head: Sequence[int],
+    ranked: Iterable[int],
+    spare: list[int] | None = None,
+    spanning: int | None = None,
+) -> list[int]:
+    """Kruskal: the spanning forest the edges of ``ranked`` make, in that order.
 
-    Unreachable vertices get distance ``inf`` and predecessor ``None``.
+    Edge ``r`` joins vertices ``tail[r]`` and ``head[r]``, both below ``n``,
+    and the forest comes back as edge numbers. Given edge ranks in
+    ascending order and CSR endpoints, it is the graph's unique minimum
+    spanning forest, since ranks follow the strict (w, u, v) order. The
+    union-find is a list. When ``spare`` is given, every edge left out of
+    the forest is appended to it in order. ``spanning`` is the edge count
+    at which the forest spans its vertices: Kruskal stops there, and the
+    edges not yet seen all go to ``spare``.
     """
-    if source not in graph.vertices:
-        raise ValidationError(f"source {source} is not a vertex")
-    order, index, indptr, nbr, _ = graph.csr
-    wts = graph.csr_weight_list(weight_map)
-    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [index[source]], len(order))
-    return {
-        order[i]: (dist[i], order[pred[i]] if pred[i] >= 0 else None)
-        for i in range(len(order))
-    }
-
-
-def minimum_spanning_edges(graph: WeightedGraph, edges: Iterable[Edge]) -> list[Edge]:
-    """Kruskal over the given edges with host weights; returns a spanning forest."""
-    ranked = sorted((graph.weights[edge_key(u, v)], u, v) for u, v in edges)
-    dsu = DisjointSets()
-    chosen: list[Edge] = []
-    for w, u, v in ranked:
-        dsu.add(u)
-        dsu.add(v)
-        if dsu.union(u, v):
-            chosen.append(edge_key(u, v))
-    return chosen
+    parent = list(range(n))
+    forest: list[int] = []
+    pending = iter(ranked)
+    for r in pending:
+        a = tail[r]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        b = head[r]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            forest.append(r)
+            if len(forest) == spanning:
+                if spare is not None:
+                    spare.extend(pending)
+                break
+        elif spare is not None:
+            spare.append(r)
+    return forest
 
 
 def prune(instance: SteinerInstance, edges: Iterable[Edge]) -> SteinerSolution:
@@ -609,9 +556,10 @@ def prune(instance: SteinerInstance, edges: Iterable[Edge]) -> SteinerSolution:
         raise InfeasibleError("terminals are not connected by the given edges")
 
     ranks = g.edge_ranks
-    stripped = strip_leaves(
-        instance, [ranks.rank[e] for e in minimum_spanning_edges(g, es)]
+    forest = minimum_spanning_edges(
+        len(g.csr[0]), ranks.tail, ranks.head, sorted(ranks.rank[e] for e in es)
     )
+    stripped = strip_leaves(instance, forest)
     if stripped is None:
         raise InfeasibleError("terminals are not connected by the given edges")
     kept, weight = stripped

@@ -188,7 +188,6 @@ class RankIteration:
     value: int | None  # union optimum, or None when the DP hit its budget
     selected: tuple[int, ...]  # pool indices that made the union
     width: int
-    seconds: float
 
 
 @dataclass
@@ -236,7 +235,6 @@ def ranking_procedure(
     for it in range(cfg.rank_iterations):
         if deadline is not None and time.monotonic() > deadline:
             break
-        t0 = time.monotonic()
         rng = random.Random(_derive_seed(cfg.seed, _RANK_SALT + it))
         perm = list(range(len(sols)))
         rng.shuffle(perm)
@@ -250,19 +248,13 @@ def ranking_procedure(
             break
         except CapacityError:
             skipped += 1
-            iterations.append(
-                RankIteration(it, None, chosen, selection.width, time.monotonic() - t0)
-            )
+            iterations.append(RankIteration(it, None, chosen, selection.width))
             continue
         for i in chosen:
             observed[i].append(tree.weight)
         if incumbent is None or tree.weight < incumbent.weight:
             incumbent = tree
-        iterations.append(
-            RankIteration(
-                it, tree.weight, chosen, selection.width, time.monotonic() - t0
-            )
-        )
+        iterations.append(RankIteration(it, tree.weight, chosen, selection.width))
     f_a = {i: Fraction(sum(zs), len(zs)) for i, zs in observed.items()}
     return RankingState(
         z={i: tuple(zs) for i, zs in observed.items()},

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from steinmerge import SteinerInstance, SteinerSolution, WeightedGraph
+from steinmerge import SteinerInstance, SteinerSolution, WeightedGraph, kernels
 
 
 def build_instance(edges, terminals, extra_vertices=(), name="t"):
@@ -74,6 +74,6 @@ def brute_force_weight(instance):
 
 def path_distance(instance, a, b):
     """Shortest-path distance inside the instance graph."""
-    from steinmerge import shortest_paths
-
-    return shortest_paths(instance.graph, a)[b][0]
+    order, index, indptr, nbr, wts = instance.graph.csr
+    dist, _ = kernels.dijkstra_multi(indptr, nbr, wts, [index[a]], len(order))
+    return dist[index[b]]

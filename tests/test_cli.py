@@ -238,6 +238,33 @@ class TestSolveCommand:
         assert main(argv + ["--time-limit", "-1"]) == EXIT_TIMEOUT
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("command", ["solve", "merge", "validate-td", "bench"])
+    def test_non_utf8_input_is_a_parse_error(self, stp, tmp_path, capsys, command):
+        path = stp(four_cycle())
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00not text\n")
+        argv = {
+            "solve": ["solve", str(bad)],
+            "merge": ["merge", path, str(bad)],
+            "validate-td": ["validate-td", path, str(bad)],
+            "bench": ["bench", str(tmp_path), "--best-known", str(bad)],
+        }[command]
+        assert main(argv) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["solve", "generate", "bench"])
+    def test_jobs_below_one_rejected(self, stp, tmp_path, capsys, monkeypatch, command, jobs):
+        path = stp(four_cycle())
+        argv = [command, str(tmp_path) if command == "bench" else path,
+                "--pool", "1", "--grasp-iters", "1"]
+        assert main(argv + ["--jobs", jobs]) == EXIT_PARSE
+        assert "at least 1" in capsys.readouterr().err
+        monkeypatch.setenv("SMH_JOBS", jobs)
+        assert main(argv) == EXIT_PARSE
+
+
 class TestGenerateAndMerge:
     def test_pipeline_via_files(self, stp, tmp_path, capsys):
         path = stp(sparse_instance(7, 30, 5))

@@ -36,7 +36,6 @@ from steinmerge.generator import (
     _preorder,
     _reconnects_below,
 )
-from steinmerge.graph import minimum_spanning_edges
 from steinmerge.synth import (
     dense_instance,
     grid_with_holes,
@@ -200,10 +199,9 @@ def tie_heavy_instance(seed, n_vertices=14, n_edges=30, n_terminals=4):
 
 
 def reference_prune(instance, edges):
-    """``prune`` as a dict-backed pass: MST, terminal check, leaf strip."""
+    """``prune`` as a dict-backed pass: Kruskal, terminal check, leaf strip."""
     g = instance.graph
     terms = instance.terminals
-    forest = minimum_spanning_edges(g, {edge_key(u, v) for u, v in edges})
     root = {}
 
     def find(x):
@@ -212,8 +210,11 @@ def reference_prune(instance, edges):
             x = root[x]
         return x
 
-    for u, v in forest:
-        root[find(u)] = find(v)
+    forest = []
+    for _, u, v in sorted((g.weight(u, v), *edge_key(u, v)) for u, v in edges):
+        if find(u) != find(v):
+            root[find(u)] = find(v)
+            forest.append((u, v))
     if len({find(t) for t in terms}) > 1:
         raise InfeasibleError("terminals are not connected")
     adj = {}

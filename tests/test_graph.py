@@ -13,10 +13,8 @@ from steinmerge import (
     ValidationError,
     WeightedGraph,
     edge_key,
-    graph_union,
     parse_stp,
     prune,
-    shortest_paths,
     solution_violations,
     write_stp,
 )
@@ -97,24 +95,6 @@ class TestWeightedGraph:
         with pytest.raises(ValidationError):
             g.subgraph_of_edges([(0, 5)])
 
-    def test_induced_subgraph(self):
-        g = WeightedGraph.build([0, 1, 2], [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
-        sub = g.induced_subgraph([0, 2])
-        assert sub.weights == {(0, 2): 3}
-
-    def test_graph_union_merges(self):
-        a = WeightedGraph.build([0, 1], [(0, 1, 1)])
-        b = WeightedGraph.build([1, 2], [(1, 2, 2)])
-        u = graph_union([a, b])
-        assert u.vertices == {0, 1, 2}
-        assert u.weights == {(0, 1): 1, (1, 2): 2}
-
-    def test_graph_union_weight_conflict(self):
-        a = WeightedGraph.build([0, 1], [(0, 1, 1)])
-        b = WeightedGraph.build([0, 1], [(0, 1, 2)])
-        with pytest.raises(ValidationError):
-            graph_union([a, b])
-
 
 class TestInstanceAndSolution:
     def test_create_checks_terminals(self):
@@ -142,6 +122,14 @@ class TestInstanceAndSolution:
         )
         sol = solution_of(inst, [(0, 1), (1, 2), (0, 2)])
         assert any("cycle" in v for v in solution_violations(inst, sol))
+        # a cycle plus a separate component has |E| = |V| - 1 like a tree
+        inst = build_instance(
+            [(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (3, 4, 1)], [0, 3, 4]
+        )
+        sol = solution_of(inst, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        problems = solution_violations(inst, sol)
+        assert sum("closes a cycle" in v for v in problems) == 1
+        assert "solution is disconnected" in problems
 
     def test_violations_catch_missing_terminal(self):
         inst = build_instance([(0, 1, 1), (1, 2, 1)], [0, 2])
@@ -260,19 +248,20 @@ END
 
 
 class TestAlgorithms:
-    def test_shortest_paths_line(self):
-        inst = build_instance([(0, 1, 2), (1, 2, 3), (0, 2, 10)], [0])
-        dists = shortest_paths(inst.graph, 0)
-        assert dists[2][0] == 5
-        assert dists[2][1] == 1  # reached through the middle vertex
-        assert dists[0] == (0, None)
-
     def test_mst_prefers_light_edges(self):
         g = WeightedGraph.build(
             [0, 1, 2], [(0, 1, 1), (1, 2, 2), (0, 2, 3)]
         )
-        chosen = minimum_spanning_edges(g, g.edges)
-        assert sorted(chosen) == [(0, 1), (1, 2)]
+        ranks = g.edge_ranks
+        spare = []
+        chosen = minimum_spanning_edges(3, ranks.tail, ranks.head, range(3), spare)
+        assert sorted(ranks.edges[r] for r in chosen) == [(0, 1), (1, 2)]
+        assert [ranks.edges[r] for r in spare] == [(0, 2)]
+        # with the spanning count given, Kruskal stops and the rest is spare
+        spare = []
+        stopped = minimum_spanning_edges(3, ranks.tail, ranks.head, range(3), spare, 2)
+        assert stopped == chosen
+        assert spare == [2]
 
     def test_prune_strips_steiner_leaves(self):
         inst = build_instance(

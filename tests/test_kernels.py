@@ -71,6 +71,15 @@ class TestKernelContracts:
             assert a == ref_canon(labels)
             assert kernels.canon_labels(a) == a
 
+    def test_dijkstra_multi_line(self):
+        # path 0 -2- 1 -3- 2 plus a direct edge 0 -10- 2, in CSR form
+        indptr = [0, 2, 4, 6]
+        nbr = [1, 2, 0, 2, 0, 1]
+        wts = [2, 10, 2, 3, 10, 3]
+        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [0], 3)
+        assert list(dist) == [0, 2, 5]
+        assert list(pred) == [-1, 0, 1]  # 2 is reached through the middle vertex
+
     def test_pipeline_calls_kernels_through_the_module(self, monkeypatch):
         """perfbench traces the pipeline by rebinding these module attributes
         and records ``BACKEND_NAME`` with each result."""

@@ -1,0 +1,44 @@
+"""`perfbench/layers.py` traces by rebinding package names; they must all exist."""
+
+import importlib.util
+from pathlib import Path
+
+import steinmerge
+import steinmerge.cli
+from steinmerge import write_stp
+from steinmerge.synth import sparse_instance
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_solve_records_graph_spans(tmp_path, capsys):
+    layers = load_layers()
+    for module, attr, _ in layers._patch_table(steinmerge):
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    path = tmp_path / "inst.stp"
+    path.write_text(write_stp(sparse_instance(0, 25, 4)))
+    tracer = layers.Tracer()
+    with layers.traced(tracer, steinmerge):
+        code = steinmerge.cli.main(
+            ["solve", str(path), "--pool", "2", "--grasp-iters", "1",
+             "--rank-iters", "1", "--format", "json"]
+        )
+    assert code == steinmerge.cli.EXIT_OK
+    spans = tracer.spans
+    name, parent = layers.NAME, layers.PARENT
+    assert any(s[name] == "graph.prune" for s in spans)
+    mst_parents = {
+        spans[s[parent]][name] if s[parent] >= 0 else None
+        for s in spans
+        if s[name] == "graph.mst"
+    }
+    # Kruskal runs inside prune and, for local search, outside it
+    assert "graph.prune" in mst_parents
+    assert mst_parents - {"graph.prune"}
