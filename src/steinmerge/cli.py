@@ -617,7 +617,10 @@ def _jobs(args: argparse.Namespace) -> int:
 
 
 def _run_pipeline(
-    instance: SteinerInstance, args: argparse.Namespace, deadline: float | None
+    instance: SteinerInstance,
+    args: argparse.Namespace,
+    deadline: float | None,
+    workers: int,
 ) -> tuple[MergeReport, float]:
     gcfg = GeneratorConfig(
         pool_size=args.pool,
@@ -626,7 +629,7 @@ def _run_pipeline(
         seed=args.seed,
     )
     t0 = time.monotonic()
-    pool = generate_pool(instance, gcfg, workers=_jobs(args), deadline=deadline)
+    pool = generate_pool(instance, gcfg, workers=workers, deadline=deadline)
     gen_seconds = time.monotonic() - t0
     report = run_smh(
         instance, pool, _merge_config(args),
@@ -639,7 +642,7 @@ def _run_pipeline(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = parse_stp_file(args.instance)
-    report, gen_seconds = _run_pipeline(instance, args, _deadline(args))
+    report, gen_seconds = _run_pipeline(instance, args, _deadline(args), _jobs(args))
     _emit_report(report, args.format, gen_seconds)
     return _report_exit(report)
 
@@ -740,7 +743,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         name = instance.name or path.stem
         if deadline is not None and time.monotonic() > deadline:
             return name, None
-        report, gen_seconds = _run_pipeline(instance, args, deadline)
+        # the --jobs workers run instances; one more pool of them per
+        # instance would start up to jobs * jobs threads
+        report, gen_seconds = _run_pipeline(instance, args, deadline, 1)
         record = make_bench_record(
             instance, name, report, gen_seconds, best.get(name)
         )

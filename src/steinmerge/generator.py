@@ -12,6 +12,7 @@ import heapq
 import random
 import time
 from bisect import bisect_right
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import inf
@@ -111,13 +112,16 @@ def sph_construct(
     weights: dict[Edge, float] | None,
     start: int,
     rng: random.Random,
-) -> SteinerSolution:
+    deadline: float | None = None,
+) -> SteinerSolution | None:
     """Shortest-path construction heuristic.
 
     Starting from one terminal, repeatedly attach the terminal nearest to
     the current tree (under the given, possibly perturbed, weights) along a
     shortest path; distance ties are broken by ``rng``. The result is pruned
-    and weighted under the instance's original weights.
+    and weighted under the instance's original weights. Returns None when
+    ``deadline`` (a monotonic-clock timestamp) has passed before a terminal
+    is attached.
     """
     terms = instance.terminals
     if start not in terms:
@@ -134,6 +138,8 @@ def sph_construct(
     edges: set[Edge] = set()
     remaining = {index[t] for t in terms} - tree_idx
     while remaining:
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         dist, pred = kernels.dijkstra_multi(indptr, nbr, wlist, sorted(tree_idx), n)
         best = min(dist[t] for t in remaining)
         candidates = sorted(t for t in remaining if dist[t] == best)
@@ -200,12 +206,13 @@ def _induced_tree(
 
 def _preorder(
     edges: Iterable[tuple[int, int]], root: int, n: int
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[list[int], list[int], list[int], dict[int, int]]:
     """Depth-first preorder from ``root`` of the tree with these edges.
 
     Vertices are CSR indices below ``n``. Returns the order, each vertex's
-    position in it (-1 off the tree) and each vertex's subtree size, so
-    the subtree of ``x`` is the slice ``pre[pos[x]:pos[x] + size[x]]``.
+    position in it (-1 off the tree), each vertex's subtree size, so the
+    subtree of ``x`` is the slice ``pre[pos[x]:pos[x] + size[x]]``, and
+    each tree vertex's parent (-1 for the root).
     """
     adj: dict[int, list[int]] = {root: []}
     for a, b in edges:
@@ -226,7 +233,7 @@ def _preorder(
                 stack.append(y)
     for x in reversed(pre[1:]):
         size[up[x]] += size[x]
-    return pre, pos, size
+    return pre, pos, size, up
 
 
 class _DeletionCheck:
@@ -240,6 +247,12 @@ class _DeletionCheck:
     So that forest is the MST minus the edges at ``v``, plus whatever
     Kruskal takes from the left-out edges avoiding ``v`` to join the
     pieces ``v`` leaves behind.
+
+    When the MST spans T and all its leaves are terminals, every such piece
+    holds a terminal: a one-vertex piece is an MST leaf, and a larger one
+    has two leaves of its own, at most one of them ``v``'s neighbour. Then
+    pieces Kruskal cannot join mean disconnected terminals, and the answer
+    is None before any forest is built.
     """
 
     def __init__(self, instance: SteinerInstance, members: set[int]) -> None:
@@ -248,10 +261,15 @@ class _DeletionCheck:
         self.tail, self.head = ranks.tail, ranks.head
         self.spare: list[int] = []
         self.mst = _induced_forest(instance, members, self.spare)
-        self.pre, self.pos, self.size = _preorder(
+        self.pre, self.pos, self.size, _ = _preorder(
             ((self.tail[r], self.head[r]) for r in self.mst),
             min(members),
             len(instance.graph.csr[0]),
+        )
+        degree = Counter(x for r in self.mst for x in (self.tail[r], self.head[r]))
+        terms = instance.terminal_index
+        self.terminal_leaves = len(self.pre) == len(members) and all(
+            d > 1 or x in terms for x, d in degree.items()
         )
 
     def without(self, v: int, bound: float) -> SteinerSolution | None:
@@ -268,10 +286,10 @@ class _DeletionCheck:
             p += size[pre[p]]
         above = len(starts)
         joins = above - (lo == 0)
-        forest = [r for r in self.mst if tail[r] != v and head[r] != v]
         # union-find over the pieces: child subtree k is piece k, the part
         # above v is piece ``above``
         piece = list(range(above + 1))
+        joined = []
         for r in self.spare:
             if not joins:
                 break
@@ -289,53 +307,108 @@ class _DeletionCheck:
                 piece[b] = b = piece[piece[b]]
             if a != b:
                 piece[a] = b
-                forest.append(r)
+                joined.append(r)
                 joins -= 1
+        if joins > 0 and self.terminal_leaves:
+            return None
+        forest = [r for r in self.mst if tail[r] != v and head[r] != v]
+        forest += joined
         return _stripped_tree(self.instance, forest, bound)
 
 
-def _reconnects_below(
-    instance: SteinerInstance,
-    pre: list[int],
-    pos: list[int],
-    lo: int,
-    hi: int,
-    limit: int,
-) -> bool:
-    """Whether a path shorter than ``limit`` rejoins the two halves of a tree.
+class _ExchangeCheck:
+    """Which edges of one tree a path lighter than themselves could replace.
 
-    The tree is the preorder ``pre`` with positions ``pos``; one half is
-    the slice ``pre[lo:hi]``, the other the rest. Distances are symmetric,
-    so the answer equals ``_cheapest_reconnect(...) is not None`` from
-    either half. A bounded Dijkstra from the smaller half answers it: it
-    never relaxes an edge back into its own half, whose vertices all sit
-    at distance 0, and stops at the first vertex of the other half it
-    reaches below ``limit``.
+    Dropping tree edge e splits the tree into two halves; an exchange can
+    pay off only if some path shorter than ``w(e)`` rejoins them. One
+    multi-source Dijkstra answers that for every edge at once. It starts
+    from every tree vertex, enters only non-tree vertices, keeps only
+    distances below the heaviest tree edge, and labels each vertex it
+    reaches with its nearest tree vertex, its owner (Mehlhorn, IPL 27(3),
+    1988). A path below ``w(e)`` joining the halves has an edge (x, y)
+    whose owners lie on opposite sides, and the walk owner(x) to x, y to
+    owner(y) is no longer than that path; any such walk lighter than
+    ``w(e)`` holds such a path in turn. So e is replaceable iff a walk
+    between owners lighter than ``w(e)`` has e on its tree path. The walks
+    are recorded as the search settles each edge's second end, then taken
+    lightest first, and each settles the still unsettled edges on its tree
+    path, found by union-find jumps up the tree. Edge e's own walk weighs
+    exactly ``w(e)`` and never counts.
     """
-    _, _, indptr, nbr, wts = instance.graph.csr
-    inner = hi - lo <= len(pre) - (hi - lo)
-    sources = pre[lo:hi] if inner else pre[:lo] + pre[hi:]
-    dist: dict[int, int] = {}
-    heap = [(0, s) for s in sources]
-    heapq.heapify(heap)
-    while heap:
-        d, x = heapq.heappop(heap)
-        if d > dist.get(x, 0):
-            continue
-        for i in range(indptr[x], indptr[x + 1]):
-            nd = d + wts[i]
-            if nd >= limit:
+
+    def __init__(
+        self, instance: SteinerInstance, edges: list[tuple[int, int]], root: int
+    ) -> None:
+        graph = instance.graph
+        order, _, indptr, nbr, wts = graph.csr
+        n = len(order)
+        pre, pos, self.size, up = _preorder(edges, root, n)
+        self.pre, self.pos = pre, pos
+        # the weight of each non-root tree vertex's edge to its parent
+        limit = {x: graph.weights[edge_key(order[x], order[up[x]])] for x in pre[1:]}
+        heaviest = max(limit.values(), default=0)
+        dist = [heaviest] * n
+        owner = [-1] * n
+        done = [False] * n
+        for s in pre:
+            dist[s] = 0
+            owner[s] = s
+        heap = [(0, s) for s in sorted(pre)]
+        walks = []
+        while heap:
+            d, x = heapq.heappop(heap)
+            if done[x]:
                 continue
-            u = nbr[i]
-            p = pos[u]
-            if p >= 0:
-                if (lo <= p < hi) != inner:
-                    return True
-                continue
-            if nd < dist.get(u, limit):
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return False
+            done[x] = True
+            ox = owner[x]
+            for i in range(indptr[x], indptr[x + 1]):
+                nd = d + wts[i]
+                if nd >= heaviest:
+                    continue
+                y = nbr[i]
+                if done[y]:
+                    if owner[y] != ox:
+                        nd += dist[y]
+                        if nd < heaviest:
+                            walks.append((nd, ox, owner[y]))
+                elif nd < dist[y]:
+                    dist[y] = nd
+                    owner[y] = ox
+                    heapq.heappush(heap, (nd, y))
+        # jump[x] leads up to the nearest ancestor whose parent edge is not
+        # yet settled; of two vertices on one root path, the lower one has
+        # the larger preorder position
+        jump = {x: x for x in pre}
+
+        def top(x: int) -> int:
+            while jump[x] != x:
+                jump[x] = x = jump[jump[x]]
+            return x
+
+        self.replaceable: set[int] = set()
+        unsettled = len(pre) - 1
+        for length, a, b in sorted(walks):
+            if not unsettled:
+                break
+            a = top(a)
+            b = top(b)
+            while a != b:
+                if pos[a] < pos[b]:
+                    a, b = b, a
+                if length < limit[a]:
+                    self.replaceable.add(a)
+                jump[a] = up[a]
+                unsettled -= 1
+                a = top(a)
+
+    def lower(self, a: int, b: int) -> int:
+        """The endpoint of tree edge (a, b) farther from the root."""
+        return a if self.pos[a] > self.pos[b] else b
+
+    def below(self, x: int) -> set[int]:
+        """The vertices of ``x``'s subtree."""
+        lo = self.pos[x]
+        return set(self.pre[lo : lo + self.size[x]])
 
 
 def _cheapest_reconnect(
@@ -399,8 +472,9 @@ def local_search(
     Deletions and exchanges are checked against the current tree rather
     than rebuilt per candidate, with the same outcome: ``_DeletionCheck``
     repairs one MST per pass instead of building the MST of each G[T - v],
-    and ``_reconnects_below`` rules an exchange out before the cheapest-path
-    search runs. ``tree`` must be a tree.
+    and ``_ExchangeCheck`` settles once per pass which edges a lighter path
+    could replace, so the cheapest-path search runs only for those.
+    ``tree`` must be a tree.
     """
     current = tree
     if len(instance.terminals) == 1:
@@ -450,25 +524,26 @@ def local_search(
 
         # edge exchange: drop one tree edge and reconnect the two halves
         # along the cheapest path in the whole graph; a path costing w(e)
-        # or more cannot pay off, so only a path below w(e) is looked for
-        pre, pos, size = _preorder(
-            ((index[a], index[b]) for a, b in current.edges), min(tverts), len(order)
+        # or more cannot pay off, so only edges with a lighter path are tried
+        exchange = _ExchangeCheck(
+            instance, [(index[a], index[b]) for a, b in current.edges], min(tverts)
         )
         tree_edges = list(current.canonical_edges())
+        # shuffled even when nothing is replaceable: the run's later
+        # restarts draw from the same rng
         rng.shuffle(tree_edges)
+        if not exchange.replaceable:
+            return current
         for e in tree_edges:
             if expired():
                 return current
-            # the half below e in the preorder is the deeper endpoint's subtree
             a, b = index[e[0]], index[e[1]]
-            lower = a if pos[a] > pos[b] else b
-            lo = pos[lower]
-            limit = graph.weights[e]
-            if not _reconnects_below(instance, pre, pos, lo, lo + size[lower], limit):
+            lower = exchange.lower(a, b)
+            if lower not in exchange.replaceable:
                 continue
-            below = set(pre[lo : lo + size[lower]])
+            below = exchange.below(lower)
             side = below if lower == a else tverts - below
-            found = _cheapest_reconnect(instance, side, tverts - side, limit)
+            found = _cheapest_reconnect(instance, side, tverts - side, graph.weights[e])
             if found is None:
                 raise InvariantError("a reconnecting path was found, then lost")
             rest = set(current.edges)
@@ -487,7 +562,8 @@ def _one_run(
     cfg: GeneratorConfig,
     run: int,
     deadline: float | None,
-) -> PoolEntry:
+) -> PoolEntry | None:
+    """Run ``run``'s restarts; None if the deadline cut its first one short."""
     run_seed = _derive_seed(cfg.seed, run)
     rng = random.Random(run_seed)
     best: SteinerSolution | None = None
@@ -497,13 +573,14 @@ def _one_run(
             break
         wmap = _perturbed_weights(instance, cfg.perturbation_strength, rng)
         start = rng.choice(sorted(instance.terminals))
-        sol = local_search(
-            instance, sph_construct(instance, wmap, start, rng), rng, deadline
-        )
+        built = sph_construct(instance, wmap, start, rng, deadline)
+        if built is None:
+            break
+        sol = local_search(instance, built, rng, deadline)
         if best is None or sol.weight < best.weight:
             best, best_iteration = sol, it
     if best is None:
-        raise InvariantError("a generator run finished without a tree")
+        return None
     return PoolEntry(best, run_seed, run, best_iteration)
 
 
@@ -518,25 +595,30 @@ def generate_pool(
     A pure function of (instance, cfg): every run draws from its own derived
     seed, so the worker count never changes the result. Duplicate edge sets
     are dropped, keeping the earliest run. ``deadline`` (a monotonic-clock
-    timestamp) cuts the build short but always leaves at least one entry.
+    timestamp) cuts the build short, but run 0 ignores it and always
+    completes, so the pool is never empty; any other run whose first
+    construction the deadline cuts short adds nothing.
     """
     runs = list(range(cfg.pool_size))
+
+    def run_until(r: int) -> PoolEntry | None:
+        return _one_run(instance, cfg, r, None if r == 0 else deadline)
+
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            produced = list(
-                pool.map(lambda r: _one_run(instance, cfg, r, deadline), runs)
-            )
+            produced = list(pool.map(run_until, runs))
     else:
         produced = []
         for r in runs:
-            # the first run always completes so the pool is never empty
             if r > 0 and deadline is not None and time.monotonic() > deadline:
                 break
-            produced.append(_one_run(instance, cfg, r, None if r == 0 else deadline))
+            produced.append(run_until(r))
 
     seen: set[tuple[Edge, ...]] = set()
     entries: list[PoolEntry] = []
     for entry in produced:
+        if entry is None:
+            continue
         key = entry.solution.canonical_edges()
         if key not in seen:
             seen.add(key)

@@ -236,6 +236,7 @@ def test_07_capacity_economics(capsys):
     worst_ratio = 0.0
     missed = 0
     runs = 3
+    seconds = []
     for seed in range(runs):
         inst = dense_instance(seed, 200, 0.12, 40, max_weight=3)
         t0 = time.monotonic()
@@ -259,6 +260,7 @@ def test_07_capacity_economics(capsys):
             or rep.trees_used < len(pool)
         )
         ratio = rep.merge_seconds / gen_seconds
+        seconds.append(f"seed {seed} {gen_seconds:.2f}/{rep.merge_seconds:.3f}s")
         worst_ratio = max(worst_ratio, ratio)
         if not detected or ratio > 0.10 or rep.weight > min(pool.weights):
             missed += 1
@@ -266,7 +268,8 @@ def test_07_capacity_economics(capsys):
     report(
         capsys, 7, "capacity-economics", ok,
         f"{runs} dense runs (|V|=200, 12% density), all detected fallback, "
-        f"worst merge/generation ratio {worst_ratio:.3f}",
+        f"worst merge/generation ratio {worst_ratio:.3f}; "
+        f"generation/merge {', '.join(seconds)}",
     )
 
 

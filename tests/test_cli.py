@@ -15,6 +15,7 @@ from steinmerge import (
     write_stp,
     write_td,
 )
+from steinmerge import cli, generate_pool
 from steinmerge.cli import (
     BENCH_FIELDS,
     BenchRecord,
@@ -471,3 +472,20 @@ class TestBenchCommand:
             for row in text.splitlines()
         ]
         assert strip_times(seq) == strip_times(par)
+
+    def test_parallel_bench_builds_each_pool_with_one_worker(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the --jobs workers already run the instances side by side
+        d, _ = self.fill_dir(tmp_path, n=2)
+        seen = []
+
+        def recording(instance, cfg, workers=None, deadline=None):
+            seen.append(workers)
+            return generate_pool(instance, cfg, workers, deadline)
+
+        monkeypatch.setattr(cli, "generate_pool", recording)
+        code = main(["bench", str(d), "--pool", "2", "--grasp-iters", "1",
+                     "--rank-iters", "1", "--format", "csv", "--jobs", "2"])
+        assert code == EXIT_OK
+        assert seen == [1, 1]

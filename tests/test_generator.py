@@ -4,6 +4,7 @@ import hashlib
 import random
 import time
 from math import inf
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +29,14 @@ from steinmerge import (
     sph_construct,
     write_pool,
 )
+from steinmerge import generator
+from steinmerge.graph import strip_leaves
 from steinmerge.generator import (
     _cheapest_reconnect,
     _DeletionCheck,
     _derive_seed,
+    _ExchangeCheck,
     _induced_tree,
-    _preorder,
-    _reconnects_below,
 )
 from steinmerge.synth import (
     dense_instance,
@@ -367,22 +369,54 @@ class TestCurrentTreeChecks:
         assert check.without(3, inf) == _induced_tree(inst, {0, 1, 2})
         assert check.without(3, inf).weight == 4
 
+    def test_deletion_with_a_steiner_leaf_in_the_mst(self):
+        # the MST of G[T] is the star 0-1, 1-2, 1-3 with Steiner leaf 3, so
+        # deleting 1 leaves piece {3} apart from {0, 2} without losing the
+        # terminals: 0-2 alone still joins them
+        inst = build_instance([(0, 1, 1), (1, 2, 1), (1, 3, 1), (0, 2, 3)], [0, 2])
+        members = {0, 1, 2, 3}
+        check = _DeletionCheck(inst, members)
+        assert not check.terminal_leaves
+        assert check.without(1, inf) == _induced_tree(inst, {0, 2, 3})
+        assert check.without(1, inf).weight == 3
+        assert check.without(3, inf).weight == 2
+
+    def test_unjoinable_pieces_skip_the_leaf_strip(self, monkeypatch):
+        # the cut-vertex instance: every MST leaf is a terminal, and the
+        # pieces deleting 1 leaves cannot be joined
+        inst = build_instance(
+            [(0, 1, 2), (1, 2, 2), (1, 3, 1), (0, 3, 1), (2, 4, 1), (3, 4, 9)],
+            [0, 2],
+        )
+        check = _DeletionCheck(inst, {0, 1, 2, 3})
+        assert check.terminal_leaves
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return strip_leaves(*args)
+
+        monkeypatch.setattr(generator, "strip_leaves", counted)
+        assert check.without(1, inf) is None
+        assert calls == []
+        assert check.without(3, inf).weight == 4
+        assert len(calls) == 1
+
     @given(st.integers(0, 10**6), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_split_check_matches_reconnect(self, seed, data):
+    def test_exchange_check_matches_reconnect(self, seed, data):
         inst = tie_heavy_instance(seed)
         members, edges = random_tree(inst, data)
-        if len(members) < 2:
-            return
-        pre, pos, size = _preorder(edges, min(members), inst.graph.n_vertices)
-        lower = data.draw(st.sampled_from(pre[1:]))
-        lo, hi = pos[lower], pos[lower] + size[lower]
-        below = set(pre[lo:hi])
-        above = members - below
-        limit = data.draw(st.integers(0, 8))
-        got = _reconnects_below(inst, pre, pos, lo, hi, limit)
-        assert got == (_cheapest_reconnect(inst, below, above, limit) is not None)
-        assert got == (_cheapest_reconnect(inst, above, below, limit) is not None)
+        order = inst.graph.csr[0]
+        check = _ExchangeCheck(inst, edges, min(members))
+        for a, b in edges:
+            lower = check.lower(a, b)
+            below = check.below(lower)
+            above = members - below
+            limit = inst.graph.weight(order[a], order[b])
+            expect = _cheapest_reconnect(inst, below, above, limit) is not None
+            assert (_cheapest_reconnect(inst, above, below, limit) is not None) == expect
+            assert (lower in check.replaceable) == expect
 
 
 # sha256 of write_pool(generate_pool(...)); a rewrite of local search must
@@ -425,6 +459,45 @@ def test_golden_pool(family):
     make, cfg, digest = GOLDEN_POOLS[family]
     text = write_pool(generate_pool(make(), cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def fake_clock(monkeypatch, *readings):
+    """Make the generator's clock read ``readings`` in turn, then the last forever."""
+    left = list(readings)
+
+    def monotonic():
+        return left.pop(0) if len(left) > 1 else left[0]
+
+    monkeypatch.setattr(generator, "time", SimpleNamespace(monotonic=monotonic))
+
+
+class TestDeadlines:
+    def test_construction_stops_between_terminals(self, monkeypatch):
+        inst = sparse_instance(3, 40, 6)
+        start = min(inst.terminals)
+        fake_clock(monkeypatch, 0.0, 0.0, 9.0)
+        assert sph_construct(inst, None, start, rng_for(), deadline=5.0) is None
+        fake_clock(monkeypatch, 0.0)
+        whole = sph_construct(inst, None, start, rng_for(), deadline=5.0)
+        assert whole == sph_construct(inst, None, start, rng_for())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_zero_ignores_the_deadline(self, monkeypatch, workers):
+        inst = sparse_instance(3, 40, 6)
+        cfg = GeneratorConfig(pool_size=4, iterations_per_run=2, seed=1)
+        full = generate_pool(inst, cfg)
+        fake_clock(monkeypatch, 9.0)
+        cut = generate_pool(inst, cfg, workers=workers, deadline=5.0)
+        assert cut.entries == full.entries[:1]
+
+    def test_run_cut_before_its_first_tree_adds_nothing(self, monkeypatch):
+        # run 1 starts before the deadline, which passes before its first
+        # construction attaches a terminal; run 2 never starts
+        inst = sparse_instance(3, 40, 6)
+        cfg = GeneratorConfig(pool_size=3, iterations_per_run=2, seed=1)
+        fake_clock(monkeypatch, 0.0, 9.0)
+        pool = generate_pool(inst, cfg, deadline=5.0)
+        assert [e.run for e in pool.entries] == [0]
 
 
 class TestGeneratePool:
