@@ -496,8 +496,8 @@ def _add_merge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--state-budget", type=int,
         default=_env("SMH_STATE_BUDGET", DEFAULT_STATE_BUDGET, int),
-        help="max stored DP states before falling back (default 2^23, "
-        "about 3 GB at roughly 360 bytes per state)",
+        help="max stored DP states before falling back, at least 1 (default "
+        "2^23, about 3 GB at roughly 360 bytes per state)",
     )
     p.add_argument(
         "--no-keep-best", action="store_true",
@@ -616,6 +616,14 @@ def _jobs(args: argparse.Namespace) -> int:
     return args.jobs
 
 
+def _check_state_budget(args: argparse.Namespace) -> None:
+    # below 1 every DP would exceed it, and only after generation ran
+    if args.state_budget < 1:
+        raise ValidationError(
+            f"--state-budget (SMH_STATE_BUDGET) must be at least 1, not {args.state_budget}"
+        )
+
+
 def _run_pipeline(
     instance: SteinerInstance,
     args: argparse.Namespace,
@@ -641,6 +649,7 @@ def _run_pipeline(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _check_state_budget(args)
     instance = parse_stp_file(args.instance)
     report, gen_seconds = _run_pipeline(instance, args, _deadline(args), _jobs(args))
     _emit_report(report, args.format, gen_seconds)
@@ -671,6 +680,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
+    _check_state_budget(args)
     instance = parse_stp_file(args.instance)
     pool = read_pool(Path(args.pool_file).read_text(encoding="utf-8"), instance)
     report = run_smh(
@@ -728,6 +738,7 @@ def cmd_validate_td(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     jobs = _jobs(args)
+    _check_state_budget(args)
     directory = Path(args.directory)
     paths = sorted(directory.glob("*.stp"))
     if not paths:

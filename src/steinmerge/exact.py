@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import heapq
 import time
-from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -68,6 +67,10 @@ def _bell(n: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
+
+
+def _over_budget(state_budget: int) -> CapacityError:
+    return CapacityError(f"dynamic program needs more than {state_budget} states")
 
 
 def _checked_prune(instance: SteinerInstance, edges: set, value: int) -> SteinerSolution:
@@ -135,60 +138,69 @@ def _dp_solve(
     stats: list[tuple[int, str, int, int]] | None,
     deadline: float | None,
 ) -> SteinerSolution:
-    graph = instance.graph
+    weights = instance.graph.weights
     terminals = instance.terminals
     if nice.root_vertex not in terminals:
         raise ValidationError("the decomposition's pinned vertex must be a terminal")
     nodes = nice.nodes
     tables: list[dict | None] = [None] * len(nodes)
     stored = 0
+    # the most states a table over a bag of b vertices can hold; no bag
+    # of a nice decomposition holds more than width + 1 vertices
+    bound = [(1 << b) * _bell(b) for b in range(nice.width + 2)]
 
-    def check(predicted: int) -> None:
-        # bound work as well as memory: refuse a transform whose output
-        # could push the total past the budget, before paying for it
-        if stored + predicted > state_budget:
-            raise CapacityError(
-                f"dynamic program needs more than {state_budget} states"
-            )
-
+    # Before each transform, its output's largest possible size is checked
+    # against the budget, so work is bounded as well as memory; after it,
+    # the total stored, since tables stay alive until reconstruction.
     for idx, nd in enumerate(nodes):
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineError(f"dynamic program stopped at its deadline, node {idx}")
-        if nd.kind == LEAF:
-            table = kernels.dp_leaf()
-        elif nd.kind == INTRODUCE:
+        kind = nd.kind
+        if kind == INTRODUCE_EDGE:
+            u, v = nd.edge
             child = tables[nd.children[0]]
-            check(2 * len(child))
+            if stored + 2 * len(child) > state_budget:
+                raise _over_budget(state_budget)
+            table = kernels.dp_introduce_edge(
+                child, nd.bag.index(u), nd.bag.index(v), weights[edge_key(u, v)]
+            )
+        elif kind == INTRODUCE:
+            child = tables[nd.children[0]]
+            if stored + 2 * len(child) > state_budget:
+                raise _over_budget(state_budget)
             table = kernels.dp_introduce_vertex(
                 child, nd.bag.index(nd.vertex), nd.vertex in terminals
             )
-        elif nd.kind == INTRODUCE_EDGE:
-            u, v = nd.edge
-            child = tables[nd.children[0]]
-            check(2 * len(child))
-            table = kernels.dp_introduce_edge(
-                child, nd.bag.index(u), nd.bag.index(v), graph.weights[edge_key(u, v)]
-            )
-        elif nd.kind == FORGET:
+        elif kind == FORGET:
             c = nd.children[0]
-            check(len(tables[c]))
-            table = kernels.dp_forget(tables[c], nodes[c].bag.index(nd.vertex))
-        elif nd.kind == JOIN:
+            child = tables[c]
+            if stored + len(child) > state_budget:
+                raise _over_budget(state_budget)
+            table = kernels.dp_forget(child, nodes[c].bag.index(nd.vertex))
+        elif kind == JOIN:
             left, right = tables[nd.children[0]], tables[nd.children[1]]
-            per_mask = Counter(key[0] for key in right)
-            check(sum(per_mask.get(key[0], 0) for key in left))
+            # a join pairs the states of both sides that choose the same mask
+            per_mask: dict[int, int] = {}
+            for mask, _ in right:
+                per_mask[mask] = per_mask.get(mask, 0) + 1
+            pairs = 0
+            for mask, _ in left:
+                pairs += per_mask.get(mask, 0)
+            if stored + pairs > state_budget:
+                raise _over_budget(state_budget)
             table = kernels.dp_join(left, right)
+        elif kind == LEAF:
+            table = kernels.dp_leaf()
         else:
-            raise ValidationError(f"unknown node kind {nd.kind!r}")
-        b = len(nd.bag)
-        if len(table) > (1 << b) * _bell(b):
+            raise ValidationError(f"unknown node kind {kind!r}")
+        if len(table) > bound[len(nd.bag)]:
             raise InvariantError("table outgrew the subset*Bell bound")
         tables[idx] = table
         stored += len(table)
-        # tables stay alive until reconstruction, so the budget caps the total
-        check(0)
+        if stored > state_budget:
+            raise _over_budget(state_budget)
         if stats is not None:
-            stats.append((idx, nd.kind, b, len(table)))
+            stats.append((idx, kind, len(nd.bag), len(table)))
 
     root_key = (1, (0,))
     root_table = tables[-1]

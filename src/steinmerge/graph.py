@@ -49,9 +49,9 @@ def edge_key(u: int, v: int) -> Edge:
 class WeightedGraph:
     """Simple undirected graph with nonnegative integer edge weights.
 
-    Immutable after construction; derived views (adjacency, CSR arrays) are
-    cached on first use and safe to share across threads. ``weights`` maps
-    normalized edges to costs and doubles as the edge set.
+    Immutable after construction; derived views (adjacency, bitmasks, CSR
+    arrays) are cached on first use and safe to share across threads.
+    ``weights`` maps normalized edges to costs and doubles as the edge set.
     """
 
     vertices: frozenset[int]
@@ -110,6 +110,22 @@ class WeightedGraph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    @cached_property
+    def adjacency_masks(self) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
+        """Bitmask view: (vertex_order, index_of, masks), shared, not to be mutated.
+
+        ``masks[i]`` has bit j set when ``vertex_order[i]`` and
+        ``vertex_order[j]`` are adjacent.
+        """
+        order = tuple(sorted(self.vertices))
+        index = {v: i for i, v in enumerate(order)}
+        masks = [0] * len(order)
+        for u, v in self.weights:
+            iu, iv = index[u], index[v]
+            masks[iu] |= 1 << iv
+            masks[iv] |= 1 << iu
+        return order, index, masks
 
     @cached_property
     def csr(self) -> tuple[tuple[int, ...], dict[int, int], list[int], list[int], list[int]]:
@@ -172,23 +188,6 @@ class WeightedGraph:
                     seen.add(u)
                     stack.append(u)
         return len(seen) == len(self.vertices)
-
-    def subgraph_of_edges(
-        self, edges: Iterable[Edge], extra_vertices: Iterable[int] = ()
-    ) -> "WeightedGraph":
-        """Edge-induced subgraph, inheriting this graph's weights."""
-        verts = set(extra_vertices)
-        wmap: dict[Edge, int] = {}
-        for u, v in edges:
-            e = edge_key(u, v)
-            if e not in self.weights:
-                raise ValidationError(f"edge {e} is not part of the host graph")
-            wmap[e] = self.weights[e]
-            verts.add(e[0])
-            verts.add(e[1])
-        if not verts <= self.vertices:
-            raise ValidationError("extra vertices must belong to the host graph")
-        return WeightedGraph(frozenset(verts), wmap)
 
     def total_weight(self, edges: Iterable[Edge]) -> int:
         return sum(self.weights[edge_key(u, v)] for u, v in edges)

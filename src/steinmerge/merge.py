@@ -60,12 +60,17 @@ class MergeConfig:
 
 @dataclass(frozen=True)
 class UnionSelection:
-    """Outcome of the greedy union step: who made it in, and their union."""
+    """Outcome of the greedy union step: who made it in, and their union.
+
+    ``checked`` is the union graph the selection's last width check built,
+    or None when a memo answered that check.
+    """
 
     selected: tuple[int, ...]
     edges: frozenset[Edge]
     elimination: EliminationOrder
     instance: SteinerInstance = field(repr=False, compare=False)
+    checked: WeightedGraph | None = field(default=None, repr=False, compare=False)
 
     @property
     def width(self) -> int:
@@ -73,7 +78,9 @@ class UnionSelection:
 
     @cached_property
     def graph(self) -> WeightedGraph:
-        """The union subgraph (``edges`` plus every terminal), built on first read."""
+        """The union subgraph (``edges`` plus every terminal), built at most once."""
+        if self.checked is not None:
+            return self.checked
         return _union_graph(self.instance, self.edges)
 
 
@@ -84,19 +91,31 @@ class UnionMemo:
     ``widths`` maps (tie rule, width cap, union edge set) to the union's
     elimination order, or to None when the capped elimination broke the
     cap; a first tree's key has cap None, since it is eliminated uncapped.
-    ``solves`` maps (union edge set, elimination order, state budget) to the
-    union's optimum or to the CapacityError its DP raised. Both values are
-    functions of their keys: the union graph is the edge set plus the
+    ``unions`` sits in front of ``widths`` for the tentative unions of later
+    trees: it maps (tie rule, width cap, frozenset of the union's trees) to
+    (union edge set, ``widths`` value), so a repeated union of the same
+    trees is answered without building its edge set. ``solves`` maps
+    (union edge set, elimination order, state budget) to the union's
+    optimum or to the CapacityError its DP raised. Every value is a
+    function of its key: the union graph is the edge set plus the
     terminals, and elimination and the DP are deterministic. Only edge
     sets, orders and trees are stored, never graphs.
     """
 
     widths: dict = field(default_factory=dict)
+    unions: dict = field(default_factory=dict)
     solves: dict = field(default_factory=dict)
 
 
-def _union_graph(instance: SteinerInstance, edges) -> WeightedGraph:
-    return instance.graph.subgraph_of_edges(edges, extra_vertices=instance.terminals)
+def _union_graph(instance: SteinerInstance, edges: frozenset[Edge]) -> WeightedGraph:
+    # pool trees were checked against the host when read or generated, so
+    # their edges are normalized host edges and need no second check
+    weights = instance.graph.weights
+    vertices = set(instance.terminals)
+    for u, v in edges:
+        vertices.add(u)
+        vertices.add(v)
+    return WeightedGraph(frozenset(vertices), {e: weights[e] for e in edges})
 
 
 def greedy_steiner_union(
@@ -115,34 +134,50 @@ def greedy_steiner_union(
     at the moment it was tried.
 
     A tentative union already in ``memo`` is answered without building its
-    graph. The selection carries the union's edge set; its graph is built
-    only when something reads it, which ``_solve_union`` does on a miss.
+    graph, and one of the same trees without building its edge set. The
+    selection carries the union's edge set, and the graph its last width
+    check built; ``_solve_union`` builds one only when it has none.
     """
     if not solutions:
         raise ValidationError("cannot select from an empty pool")
-    widths = {} if memo is None else memo.widths
+    if memo is None:
+        memo = UnionMemo()
+    widths, unions = memo.widths, memo.unions
     union_edges = solutions[0].edges
     key = (tie, None, union_edges)
     elim = widths.get(key)
+    graph = None
     if elim is None:
-        elim = widths[key] = greedy_degree(_union_graph(instance, union_edges), tie=tie)
+        graph = _union_graph(instance, union_edges)
+        elim = widths[key] = greedy_degree(graph, tie=tie)
+    trees = frozenset((solutions[0],))
     selected = [0]
     for i in range(1, len(solutions)):
-        edges = union_edges | solutions[i].edges
-        key = (tie, width_cap, edges)
-        if key not in widths:
-            res = greedy_degree_capped(
-                _union_graph(instance, edges), width_cap, tie=tie
-            )
-            widths[key] = (
-                None if res.exceeded else EliminationOrder(res.order, res.width)
-            )
-        if widths[key] is None:
+        tentative = trees | {solutions[i]}
+        front = (tie, width_cap, tentative)
+        known = unions.get(front)
+        built = None
+        if known is None:
+            edges = union_edges | solutions[i].edges
+            key = (tie, width_cap, edges)
+            if key not in widths:
+                built = _union_graph(instance, edges)
+                res = greedy_degree_capped(built, width_cap, tie=tie)
+                widths[key] = (
+                    None if res.exceeded else EliminationOrder(res.order, res.width)
+                )
+            known = unions[front] = (edges, widths[key])
+        edges, found = known
+        if found is None:
             continue
         selected.append(i)
+        trees = tentative
+        # a tree inside the union leaves it, and its graph, as they were
+        if built is not None or len(edges) > len(union_edges):
+            graph = built
         union_edges = edges
-        elim = widths[key]
-    return UnionSelection(tuple(selected), union_edges, elim, instance)
+        elim = found
+    return UnionSelection(tuple(selected), union_edges, elim, instance, graph)
 
 
 def _solve_union(
@@ -154,6 +189,11 @@ def _solve_union(
 ) -> SteinerSolution:
     """Exact solve of the instance restricted to the union subgraph.
 
+    The DP runs over the union's decomposition but against the host
+    instance: it reads only edge weights and terminals, which the union
+    shares with the host, and pruning over the host's edge ranks keeps the
+    same (w, u, v) order, so the tree is the one the union alone would give.
+
     A union already in ``memo`` returns the same tree, or raises a fresh
     CapacityError with the stored message. A deadline stop is not stored.
     """
@@ -163,15 +203,11 @@ def _solve_union(
         raise CapacityError(*known.args)
     if known is not None:
         return known
-    union_instance = SteinerInstance.create(
-        selection.graph, instance.terminals, instance.name
-    )
-    td = decomposition_from_order(selection.graph, selection.elimination)
-    nice = make_nice(selection.graph, td, min(instance.terminals))
+    graph = selection.graph
+    td = decomposition_from_order(graph, selection.elimination)
+    nice = make_nice(graph, td, min(instance.terminals))
     try:
-        tree = dp_solve(
-            union_instance, nice, state_budget=state_budget, deadline=deadline
-        )
+        tree = dp_solve(instance, nice, state_budget=state_budget, deadline=deadline)
     except CapacityError as exc:
         # a copy that was never raised carries no traceback, so no frames
         memo.solves[key] = CapacityError(*exc.args)

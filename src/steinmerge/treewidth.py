@@ -8,8 +8,9 @@ the exact dynamic program.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .graph import (
@@ -48,17 +49,6 @@ class TreeDecomposition:
     width: int
 
 
-def _adjacency_masks(graph: WeightedGraph) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
-    order = tuple(sorted(graph.vertices))
-    index = {v: i for i, v in enumerate(order)}
-    masks = [0] * len(order)
-    for u, v in graph.weights:
-        iu, iv = index[u], index[v]
-        masks[iu] |= 1 << iv
-        masks[iv] |= 1 << iu
-    return order, index, masks
-
-
 def _check_tie(tie: str) -> bool:
     if tie not in ("low", "high"):
         raise ValueError(f"tie rule must be 'low' or 'high', got {tie!r}")
@@ -73,7 +63,7 @@ def greedy_degree(graph: WeightedGraph, tie: str = "low") -> EliminationOrder:
     alternative "high" rule exists so callers can produce a second,
     independently constructed decomposition of the same graph.
     """
-    vs, _, masks = _adjacency_masks(graph)
+    vs, _, masks = graph.adjacency_masks
     width, idx_order = kernels.eliminate(masks, -1, _check_tie(tie))
     if idx_order is None:
         raise InvariantError("uncapped elimination returned no order")
@@ -86,7 +76,7 @@ def greedy_degree_capped(
     """Greedy elimination that aborts as soon as a step would exceed max_width."""
     if max_width < 0:
         raise ValueError("max_width must be nonnegative")
-    vs, _, masks = _adjacency_masks(graph)
+    vs, _, masks = graph.adjacency_masks
     width, idx_order = kernels.eliminate(masks, max_width, _check_tie(tie))
     if idx_order is None:
         return CappedElimination(width, None)
@@ -105,7 +95,7 @@ def decomposition_from_order(
     seq = tuple(order.order) if isinstance(order, EliminationOrder) else tuple(order)
     if len(seq) != graph.n_vertices or set(seq) != set(graph.vertices):
         raise ValidationError("order is not a permutation of the graph's vertices")
-    vs, index, masks = _adjacency_masks(graph)
+    vs, index, masks = graph.adjacency_masks
     idx_seq = [index[v] for v in seq]
     bag_masks = kernels.elimination_bags(masks, idx_seq)
 
@@ -211,8 +201,9 @@ FORGET = "forget"
 JOIN = "join"
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
+    """One node of a nice decomposition; a tuple, cheap to build in bulk."""
+
     kind: str
     bag: tuple[int, ...]  # sorted vertex ids
     children: tuple[int, ...] = ()
@@ -272,61 +263,68 @@ def make_nice(
                 bfs.append(j)
     if len(bfs) != n:
         raise ValidationError("decomposition tree is disconnected")
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
+    children: list[list[int]] = [[] for _ in range(n)]
     for j in bfs[1:]:
         children[parent[j]].append(j)
 
-    # each graph edge goes to the lowest-index node covering both endpoints
-    assigned: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
+    # each graph edge goes to the lowest-index node covering both endpoints,
+    # found among the nodes of whichever endpoint lies in fewer bags
+    holding: dict[int, list[int]] = {}
+    for i, b in enumerate(bags):
+        for v in b:
+            holding.setdefault(v, []).append(i)
+    assigned: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in sorted(graph.weights):
-        for i in range(n):
-            if u in bags[i] and v in bags[i]:
+        hu, hv = holding.get(u, ()), holding.get(v, ())
+        scan, other = (hu, v) if len(hu) <= len(hv) else (hv, u)
+        for i in scan:
+            if other in bags[i]:
                 assigned[i].append((u, v))
                 break
         else:
             raise ValidationError(f"edge ({u}, {v}) is covered by no bag")
 
+    sorted_bags = [tuple(sorted(b)) for b in bags]
     nodes: list[NiceNode] = []
 
-    def emit(kind, bag, ch=(), vertex=-1, edge=None) -> int:
-        nodes.append(NiceNode(kind, tuple(sorted(bag)), tuple(ch), vertex, edge))
-        return len(nodes) - 1
-
-    def adapt(top: int, from_bag: frozenset[int], to_bag: frozenset[int]) -> int:
-        cur, bag = top, set(from_bag)
-        for v in sorted(from_bag - to_bag):
-            bag.discard(v)
-            cur = emit(FORGET, bag, (cur,), vertex=v)
-        for v in sorted(to_bag - from_bag):
-            bag.add(v)
-            cur = emit(INTRODUCE, bag, (cur,), vertex=v)
+    def chain(cur: int, bag: list[int], drop, add) -> int:
+        # forget ``drop``, then introduce ``add``, on top of node ``cur``;
+        # ``bag`` is the sorted bag of ``cur`` and is kept sorted
+        for v in drop:
+            bag.remove(v)
+            nodes.append(NiceNode(FORGET, tuple(bag), (cur,), v))
+            cur = len(nodes) - 1
+        for v in add:
+            insort(bag, v)
+            nodes.append(NiceNode(INTRODUCE, tuple(bag), (cur,), v))
+            cur = len(nodes) - 1
         return cur
 
-    top_of: dict[int, int] = {}
+    top_of = [0] * n
     for i in reversed(bfs):  # children first
+        bag = bags[i]
         kids = children[i]
         if not kids:
-            cur = emit(LEAF, (root_vertex,))
-            bag = {root_vertex}
-            for v in sorted(bags[i] - {root_vertex}):
-                bag.add(v)
-                cur = emit(INTRODUCE, bag, (cur,), vertex=v)
+            nodes.append(NiceNode(LEAF, (root_vertex,)))
+            cur = chain(len(nodes) - 1, [root_vertex], (), sorted(bag - {root_vertex}))
         else:
-            adapted = [adapt(top_of[c], bags[c], bags[i]) for c in kids]
+            adapted = [
+                chain(top_of[c], list(sorted_bags[c]), sorted(bags[c] - bag),
+                      sorted(bag - bags[c]))
+                for c in kids
+            ]
             cur = adapted[0]
             for a in adapted[1:]:
-                cur = emit(JOIN, bags[i], (cur, a))
+                nodes.append(NiceNode(JOIN, sorted_bags[i], (cur, a)))
+                cur = len(nodes) - 1
         for e in assigned[i]:
-            cur = emit(INTRODUCE_EDGE, bags[i], (cur,), edge=e)
+            nodes.append(NiceNode(INTRODUCE_EDGE, sorted_bags[i], (cur,), -1, e))
+            cur = len(nodes) - 1
         top_of[i] = cur
 
-    cur = top_of[0]
-    bag = set(bags[0])
-    for v in sorted(bags[0] - {root_vertex}):
-        bag.discard(v)
-        cur = emit(FORGET, bag, (cur,), vertex=v)
-
-    width = max(len(nd.bag) for nd in nodes) - 1
+    chain(top_of[0], list(sorted_bags[0]), sorted(bags[0] - {root_vertex}), ())
+    # every node's bag lies inside some decomposition bag
+    width = max(len(b) for b in bags) - 1
     return NiceDecomposition(tuple(nodes), root_vertex, width)
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from steinmerge import SteinerInstance, SteinerSolution, WeightedGraph, kernels
+from steinmerge.synth import random_connected_instance
 
 
 def build_instance(edges, terminals, extra_vertices=(), name="t"):
@@ -77,3 +79,14 @@ def path_distance(instance, a, b):
     order, index, indptr, nbr, wts = instance.graph.csr
     dist, _ = kernels.dijkstra_multi(indptr, nbr, wts, [index[a]], len(order))
     return dist[index[b]]
+
+
+def tie_heavy_instance(seed, n_vertices=14, n_edges=30, n_terminals=4):
+    """A random synth graph with weights redrawn from 0..3: many ties, some zeros."""
+    base = random_connected_instance(seed, n_vertices, n_edges, n_terminals)
+    rng = random.Random(seed)
+    graph = WeightedGraph.build(
+        base.graph.vertices,
+        [(u, v, rng.randint(0, 3)) for u, v in sorted(base.graph.weights)],
+    )
+    return SteinerInstance.create(graph, base.terminals)

@@ -266,6 +266,27 @@ class TestInputChecks:
         assert main(argv) == EXIT_PARSE
 
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["solve", "merge", "bench"])
+    def test_state_budget_below_one_rejected(
+        self, stp, tmp_path, capsys, monkeypatch, command, budget
+    ):
+        path = stp(four_cycle())
+        pool = str(tmp_path / "pool.txt")
+        small = ["--pool", "1", "--grasp-iters", "1"]
+        assert main(["generate", path, *small, "-o", pool]) == EXIT_OK
+        argv = {
+            "solve": ["solve", path, *small],
+            "merge": ["merge", path, pool],
+            "bench": ["bench", str(tmp_path), *small],
+        }[command]
+        assert main(argv + ["--state-budget", budget]) == EXIT_PARSE
+        assert "at least 1" in capsys.readouterr().err
+        monkeypatch.setenv("SMH_STATE_BUDGET", budget)
+        assert main(argv) == EXIT_PARSE
+        assert "at least 1" in capsys.readouterr().err
+
+
 class TestGenerateAndMerge:
     def test_pipeline_via_files(self, stp, tmp_path, capsys):
         path = stp(sparse_instance(7, 30, 5))

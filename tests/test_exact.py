@@ -21,8 +21,9 @@ from steinmerge import (
     solution_violations,
     solve_with_decomposition,
 )
-from steinmerge import exact
+from steinmerge import exact, kernels
 from steinmerge.exact import DW_TERMINAL_CAP, _bell
+from steinmerge.treewidth import FORGET, INTRODUCE, INTRODUCE_EDGE, JOIN, LEAF
 from steinmerge.synth import random_connected_instance, sparse_instance
 
 
@@ -191,3 +192,74 @@ class TestDpSolve:
         for idx, kind, bag_size, table_size in stats:
             assert nice.nodes[idx].kind == kind
             assert table_size <= (1 << bag_size) * _bell(bag_size)
+
+
+def reference_budget_needs(instance, nice):
+    """Per node, the smallest state budget that lets the DP get past it.
+
+    Before a transform, stored states plus the most it can emit (twice the
+    child for an introduce, the child for a forget, the mask-matching pairs
+    for a join) must fit; after it, the stored total must.
+    """
+    tables = []
+    stored = 0
+    needs = []
+    for nd in nice.nodes:
+        child = [tables[c] for c in nd.children]
+        if nd.kind == LEAF:
+            predicted, table = 0, kernels.dp_leaf()
+        elif nd.kind == INTRODUCE:
+            predicted = 2 * len(child[0])
+            table = kernels.dp_introduce_vertex(
+                child[0], nd.bag.index(nd.vertex), nd.vertex in instance.terminals
+            )
+        elif nd.kind == INTRODUCE_EDGE:
+            u, v = nd.edge
+            predicted = 2 * len(child[0])
+            table = kernels.dp_introduce_edge(
+                child[0], nd.bag.index(u), nd.bag.index(v), instance.graph.weight(u, v)
+            )
+        elif nd.kind == FORGET:
+            predicted = len(child[0])
+            table = kernels.dp_forget(
+                child[0], nice.nodes[nd.children[0]].bag.index(nd.vertex)
+            )
+        else:
+            left, right = child
+            predicted = sum(1 for a in left for b in right if a[0] == b[0])
+            table = kernels.dp_join(left, right)
+        needs.append(max(stored + predicted, stored + len(table)))
+        stored += len(table)
+        tables.append(table)
+    return needs
+
+
+class TestStateBudgetRules:
+    def test_dp_stops_where_the_rules_say(self):
+        for seed in range(4):
+            inst = random_connected_instance(seed, 12, 22, 4, max_weight=3)
+            td = decomposition_from_order(inst.graph, greedy_degree(inst.graph))
+            nice = make_nice(inst.graph, td, min(inst.terminals))
+            needs = reference_budget_needs(inst, nice)
+            # the first node of each kind to need more than the nodes
+            # before it, tried one state short of its need and at it
+            firsts = {}
+            for idx, nd in enumerate(nice.nodes):
+                if needs[idx] > max(needs[:idx], default=0):
+                    firsts.setdefault(nd.kind, idx)
+            assert JOIN in firsts
+            for idx in firsts.values():
+                for budget in (needs[idx] - 1, needs[idx]):
+                    stop = next((i for i, n in enumerate(needs) if n > budget), None)
+                    stats = []
+                    if stop is None:
+                        dp_solve(inst, nice, state_budget=budget, stats=stats)
+                        assert len(stats) == len(nice.nodes)
+                        continue
+                    with pytest.raises(CapacityError) as info:
+                        dp_solve(inst, nice, state_budget=budget, stats=stats)
+                    assert str(info.value) == (
+                        f"dynamic program needs more than {budget} states"
+                    )
+                    # a node's row is written only once both checks passed
+                    assert len(stats) == stop

@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_instance, four_cycle, solution_of
+from helpers import build_instance, four_cycle, solution_of, tie_heavy_instance
 from steinmerge import (
     GeneratorConfig,
     InfeasibleError,
     ParseError,
-    SteinerInstance,
     ValidationError,
-    WeightedGraph,
     dreyfus_wagner,
     edge_key,
     generate_pool,
@@ -187,17 +185,6 @@ class TestLocalSearch:
         )
         start = solution_of(inst, [(0, 1), (1, 2)])
         assert local_search(inst, start, rng_for()).weight == 3
-
-
-def tie_heavy_instance(seed, n_vertices=14, n_edges=30, n_terminals=4):
-    """A random synth graph with weights redrawn from 0..3: many ties, some zeros."""
-    base = random_connected_instance(seed, n_vertices, n_edges, n_terminals)
-    rng = random.Random(seed)
-    graph = WeightedGraph.build(
-        base.graph.vertices,
-        [(u, v, rng.randint(0, 3)) for u, v in sorted(base.graph.weights)],
-    )
-    return SteinerInstance.create(graph, base.terminals)
 
 
 def reference_prune(instance, edges):

@@ -87,14 +87,6 @@ class TestWeightedGraph:
         g2 = WeightedGraph.build([0, 1], [(0, 1, 1)])
         assert g2.is_connected()
 
-    def test_subgraph_of_edges(self):
-        g = WeightedGraph.build([0, 1, 2], [(0, 1, 1), (1, 2, 2), (0, 2, 3)])
-        sub = g.subgraph_of_edges([(1, 0)])
-        assert sub.vertices == {0, 1}
-        assert sub.weights == {(0, 1): 1}
-        with pytest.raises(ValidationError):
-            g.subgraph_of_edges([(0, 5)])
-
 
 class TestInstanceAndSolution:
     def test_create_checks_terminals(self):

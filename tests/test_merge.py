@@ -1,27 +1,35 @@
 """Union selection, the ranking rounds, and the end-to-end merge pipeline."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import build_instance, solution_of
+from helpers import build_instance, solution_of, tie_heavy_instance
 from steinmerge import (
     CapacityError,
     GeneratorConfig,
     MergeConfig,
+    SteinerInstance,
+    SteinerSolution,
     UnionMemo,
     ValidationError,
+    decomposition_from_order,
     dreyfus_wagner,
     generate_pool,
     greedy_degree,
     greedy_steiner_union,
+    make_nice,
+    prune,
     ranking_procedure,
     run_smh,
 )
 from steinmerge import exact, merge
 from steinmerge.generator import PoolEntry, SolutionPool
 from steinmerge.synth import sparse_instance
+from steinmerge.treewidth import INTRODUCE_EDGE
 
 
 def pool_of(instance, edge_lists):
@@ -274,6 +282,29 @@ def repeating_pool():
     return inst, generate_pool(inst, cfg)
 
 
+def spanning_tree(instance, weights):
+    """Kruskal spanning tree of the instance graph under ``weights``."""
+    root = {v: v for v in instance.graph.vertices}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    edges = []
+    for e in sorted(instance.graph.weights, key=weights.get):
+        a, b = find(e[0]), find(e[1])
+        if a != b:
+            root[a] = b
+            edges.append(e)
+    return edges
+
+
+def nice_edges(nice):
+    """The edge set of the graph a nice decomposition was made from."""
+    return frozenset(nd.edge for nd in nice.nodes if nd.kind == INTRODUCE_EDGE)
+
+
 def count_calls(monkeypatch, name, key):
     """Wrap ``merge.<name>`` so each call appends ``key(args, kwargs)``."""
     seen = []
@@ -291,8 +322,7 @@ class TestUnionMemo:
     def test_one_solve_and_one_width_check_per_distinct_key(self, monkeypatch):
         inst, pool = repeating_pool()
         solves = count_calls(
-            monkeypatch, "dp_solve",
-            lambda a, k: (frozenset(a[0].graph.weights), a[1].nodes),
+            monkeypatch, "dp_solve", lambda a, k: (nice_edges(a[1]), a[1].nodes)
         )
         checks = count_calls(
             monkeypatch, "greedy_degree_capped",
@@ -303,6 +333,7 @@ class TestUnionMemo:
         distinct = {it.selected for it in report.ranking.iterations}
         assert len(report.ranking.iterations) == 20
         assert len(distinct) < 20
+        assert solves and checks
         # a union's (edge set, decomposition) is solved once per run_smh
         assert len(solves) == len(set(solves))
         assert len(solves) <= len(distinct) + 1
@@ -316,15 +347,36 @@ class TestUnionMemo:
 
     def test_union_graph_is_built_only_to_check_or_solve(self, monkeypatch):
         inst, pool = repeating_pool()
-        builds = count_calls(monkeypatch, "_union_graph", lambda a, k: a[1])
-        uses = [
-            count_calls(monkeypatch, name, lambda a, k: None)
-            for name in ("greedy_degree", "greedy_degree_capped", "dp_solve")
-        ]
+        events = []
+        for name, tag, key in (
+            ("greedy_steiner_union", "round", lambda a, k: None),
+            ("_union_graph", "build", lambda a, k: a[1]),
+            ("greedy_degree", "check", lambda a, k: None),
+            ("greedy_degree_capped", "check", lambda a, k: None),
+            ("dp_solve", "solve", lambda a, k: nice_edges(a[1])),
+        ):
+            count_calls(monkeypatch, name, lambda a, k, tag=tag, key=key: events.append(
+                (tag, key(a, k))))
         report = run_smh(inst, pool, MergeConfig(final_width=2, rank_width=2, seed=3))
         assert len(report.ranking.iterations) == 20
-        # memo hits read only the selection's edge set, never its graph
-        assert len(builds) == sum(map(len, uses))
+        count = Counter(tag for tag, _ in events)
+        # every width check builds its union; a solve reuses the graph its
+        # round's last accepted check built, and builds one only when a
+        # memo hit answered that check
+        assert count["check"] > 0
+        assert count["check"] <= count["build"] < count["check"] + count["solve"]
+        in_round = []
+        solved_after_build = 0
+        for tag, key in events:
+            if tag == "round":
+                in_round = []
+            elif tag == "build":
+                in_round.append(key)
+            elif tag == "solve":
+                # a solved union's graph is built at most once in its round
+                assert in_round.count(key) <= 1
+                solved_after_build += in_round.count(key)
+        assert solved_after_build > 0
 
     def test_memo_changes_no_result(self):
         inst, pool = repeating_pool()
@@ -335,6 +387,45 @@ class TestUnionMemo:
             for cap in (1, 2, 3):
                 plain = greedy_steiner_union(inst, trees, cap)
                 assert greedy_steiner_union(inst, trees, cap, memo=memo) == plain
+
+    def test_repeated_union_of_the_same_trees_builds_no_edge_set(self):
+        inst, pool = repeating_pool()
+        unions = []
+
+        class CountingEdges(frozenset):
+            def __or__(self, other):
+                unions.append(None)
+                return CountingEdges(frozenset.__or__(self, other))
+
+        trees = [SteinerSolution(CountingEdges(s.edges), s.weight) for s in pool.solutions]
+        memo = UnionMemo()
+        first = greedy_steiner_union(inst, trees, 2, memo=memo)
+        built = len(unions)
+        assert built == len(trees) - 1
+        # every tentative union of a repeat is answered by its set of
+        # trees, before any edge set is built
+        again = greedy_steiner_union(inst, trees, 2, memo=memo)
+        assert len(unions) == built
+        assert again == first
+        assert again == greedy_steiner_union(inst, trees, 2)
+
+    def test_host_and_union_instance_solve_alike(self):
+        # zero weights and ties: the host's edge ranks and the union's
+        # must order the union's edges the same way for prune to agree
+        for seed in range(40):
+            inst = tie_heavy_instance(seed, 12, 26, 4)
+            rng = random.Random(seed)
+            trees = []
+            for _ in range(rng.randint(1, 3)):
+                weights = {e: rng.random() for e in inst.graph.weights}
+                trees.append(prune(inst, spanning_tree(inst, weights)))
+            sel = greedy_steiner_union(inst, trees, 6)
+            td = decomposition_from_order(sel.graph, sel.elimination)
+            nice = make_nice(sel.graph, td, min(inst.terminals))
+            union_instance = SteinerInstance.create(sel.graph, inst.terminals)
+            on_host = exact.dp_solve(inst, nice)
+            assert on_host == exact.dp_solve(union_instance, nice)
+            assert on_host == merge._solve_union(inst, sel, 1 << 20, UnionMemo())
 
     def test_repeated_capacity_miss_is_skipped_every_round(self, monkeypatch):
         inst, pool = repeating_pool()

@@ -27,7 +27,10 @@ from steinmerge.treewidth import (
     FORGET,
     INTRODUCE,
     INTRODUCE_EDGE,
+    JOIN,
     LEAF,
+    NiceDecomposition,
+    NiceNode,
     TreeDecomposition,
 )
 
@@ -242,3 +245,105 @@ class TestTdFormat:
         assert ok == []
         lying = read_td("s td 1 3 2\nb 1 1 2\n")
         assert any("width field" in v for v in validate_decomposition(g, lying))
+
+
+def reference_make_nice(graph, td, root_vertex):
+    """``make_nice`` as first written: a sorted copy of the bag per node and,
+    per graph edge, a scan of the bags in index order."""
+    bags = [frozenset(b) | {root_vertex} for b in td.bags]
+    n = len(bags)
+    adj = {i: [] for i in range(n)}
+    for i, j in td.tree_edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = [-1] * n
+    bfs = [0]
+    seen = {0}
+    for i in bfs:
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                parent[j] = i
+                bfs.append(j)
+    children = {i: [] for i in range(n)}
+    for j in bfs[1:]:
+        children[parent[j]].append(j)
+    assigned = {i: [] for i in range(n)}
+    for u, v in sorted(graph.weights):
+        for i in range(n):
+            if u in bags[i] and v in bags[i]:
+                assigned[i].append((u, v))
+                break
+    nodes = []
+
+    def emit(kind, bag, ch=(), vertex=-1, edge=None):
+        nodes.append(NiceNode(kind, tuple(sorted(bag)), tuple(ch), vertex, edge))
+        return len(nodes) - 1
+
+    def adapt(top, from_bag, to_bag):
+        cur, bag = top, set(from_bag)
+        for v in sorted(from_bag - to_bag):
+            bag.discard(v)
+            cur = emit(FORGET, bag, (cur,), vertex=v)
+        for v in sorted(to_bag - from_bag):
+            bag.add(v)
+            cur = emit(INTRODUCE, bag, (cur,), vertex=v)
+        return cur
+
+    top_of = {}
+    for i in reversed(bfs):
+        kids = children[i]
+        if not kids:
+            cur = emit(LEAF, (root_vertex,))
+            bag = {root_vertex}
+            for v in sorted(bags[i] - {root_vertex}):
+                bag.add(v)
+                cur = emit(INTRODUCE, bag, (cur,), vertex=v)
+        else:
+            adapted = [adapt(top_of[c], bags[c], bags[i]) for c in kids]
+            cur = adapted[0]
+            for a in adapted[1:]:
+                cur = emit(JOIN, bags[i], (cur, a))
+        for e in assigned[i]:
+            cur = emit(INTRODUCE_EDGE, bags[i], (cur,), edge=e)
+        top_of[i] = cur
+    cur = top_of[0]
+    bag = set(bags[0])
+    for v in sorted(bags[0] - {root_vertex}):
+        bag.discard(v)
+        cur = emit(FORGET, bag, (cur,), vertex=v)
+    width = max(len(nd.bag) for nd in nodes) - 1
+    return NiceDecomposition(tuple(nodes), root_vertex, width)
+
+
+def relabelled(td, perm):
+    """The same decomposition with bag i renumbered to perm[i]."""
+    bags = [None] * len(td.bags)
+    for i, b in enumerate(td.bags):
+        bags[perm[i]] = b
+    edges = tuple((perm[i], perm[j]) for i, j in td.tree_edges)
+    return TreeDecomposition(tuple(bags), edges, td.width)
+
+
+class TestNiceMatchesReference:
+    @given(
+        st.integers(0, 100_000),
+        st.integers(1, 18),
+        st.sampled_from(["low", "high"]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_same_node_sequence(self, seed, n, tie, data):
+        extra = data.draw(st.integers(0, 2 * n))
+        inst = random_connected_instance(seed, n, n - 1 + extra, 1)
+        g = inst.graph
+        td = decomposition_from_order(g, greedy_degree(g, tie))
+        # a renumbering moves node 0, the tree's root, and changes which
+        # node is the lowest-index one covering an edge
+        perm = data.draw(st.permutations(range(len(td.bags))))
+        td = relabelled(td, perm)
+        root = data.draw(st.sampled_from(sorted(g.vertices)))
+        nice = make_nice(g, td, root)
+        assert nice == reference_make_nice(g, td, root)
+        assert validate_nice(g, nice) == []
+        assert all(type(nd) is NiceNode for nd in nice.nodes)
