@@ -417,31 +417,10 @@ def _cheapest_reconnect(
     """Cheapest path from ``side`` to ``other`` (CSR indices) under ``limit``.
 
     A multi-source Dijkstra that never keeps a distance of ``limit`` or
-    more. Every vertex closer than ``limit`` ends with the distance and
-    predecessor the unbounded search gives it, since relaxations that
-    reach ``limit`` can never improve on such a vertex. Returns None when
-    no vertex of ``other`` is that close.
+    more. Returns None when no vertex of ``other`` is that close.
     """
-    graph = instance.graph
-    order, _, indptr, nbr, wts = graph.csr
-    dist = [limit] * len(order)
-    pred = [-1] * len(order)
-    heap = []
-    for s in side:
-        dist[s] = 0
-        heap.append((0, s))
-    heapq.heapify(heap)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for i in range(indptr[v], indptr[v + 1]):
-            u = nbr[i]
-            nd = d + wts[i]
-            if nd < dist[u]:
-                dist[u] = nd
-                pred[u] = v
-                heapq.heappush(heap, (nd, u))
+    order, _, indptr, nbr, wts = instance.graph.csr
+    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, side, len(order), limit)
     best_v = min(sorted(other), key=dist.__getitem__)
     if dist[best_v] >= limit:
         return None

@@ -11,7 +11,7 @@ files are rejected so that all weight comparisons stay exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -105,12 +105,6 @@ class WeightedGraph:
             nbrs[v].append(u)
         return {v: tuple(sorted(a)) for v, a in nbrs.items()}
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def adjacency_masks(self) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
         """Bitmask view: (vertex_order, index_of, masks), shared, not to be mutated.
@@ -145,22 +139,16 @@ class WeightedGraph:
     @cached_property
     def edge_ranks(self) -> "EdgeRanks":
         """Edges numbered by their position in Kruskal's (w, u, v) order."""
-        order, index, indptr, nbr, _ = self.csr
+        index = self.csr[1]
         ranked = sorted((w, u, v) for (u, v), w in self.weights.items())
         edges = tuple((u, v) for _, u, v in ranked)
-        rank = {e: r for r, e in enumerate(edges)}
-        slot = [
-            rank[edge_key(order[v], order[nbr[i]])]
-            for v in range(len(order))
-            for i in range(indptr[v], indptr[v + 1])
-        ]
         return EdgeRanks(
             edges,
             [index[u] for u, _ in edges],
             [index[v] for _, v in edges],
             [w for w, _, _ in ranked],
-            slot,
-            rank,
+            {e: r for r, e in enumerate(edges)},
+            self.csr,
         )
 
     def csr_weight_list(self, weight_map: dict[Edge, float] | None) -> list:
@@ -199,16 +187,27 @@ class EdgeRanks:
 
     Rank ``r`` is an edge's position in that order: ``edges[r]`` is the edge,
     ``tail[r] < head[r]`` its endpoints' CSR indices and ``weight[r]`` its
-    cost. ``slot[i]`` is the rank of CSR slot ``i``'s edge and ``rank`` maps
-    an edge back to its rank.
+    cost. ``rank`` maps an edge back to its rank, and ``csr`` is the
+    graph's CSR view.
     """
 
     edges: tuple[Edge, ...]
     tail: list[int]
     head: list[int]
     weight: list[int]
-    slot: list[int]
     rank: dict[Edge, int]
+    csr: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def slot(self) -> list[int]:
+        """``slot[i]`` is the rank of CSR slot ``i``'s edge; only local search reads it."""
+        order, _, indptr, nbr, _ = self.csr
+        rank = self.rank
+        return [
+            rank[edge_key(order[v], order[nbr[i]])]
+            for v in range(len(order))
+            for i in range(indptr[v], indptr[v + 1])
+        ]
 
 
 @dataclass(frozen=True)

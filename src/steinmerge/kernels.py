@@ -101,14 +101,16 @@ def elimination_bags(masks, order):
 # shortest paths
 
 
-def dijkstra_multi(indptr, nbrs, wts, sources, n):
+def dijkstra_multi(indptr, nbrs, wts, sources, n, limit=inf):
     """Multi-source Dijkstra over CSR arrays; returns (dist, pred) lists.
 
-    pred[v] is -1 for sources and unreached vertices; unreached distances
-    stay inf. Ties resolve deterministically (first strict improvement wins,
-    heap breaks equal distances by vertex index).
+    Distances of ``limit`` or more are never kept: such vertices, like
+    unreached ones, end at ``limit`` with pred -1, as sources do with 0.
+    Every vertex closer than ``limit`` gets the distance and predecessor
+    the unbounded search gives it. Ties resolve deterministically (first
+    strict improvement wins, heap breaks equal distances by vertex index).
     """
-    dist = [inf] * n
+    dist = [limit] * n
     pred = [-1] * n
     heap = []
     for s in sources:

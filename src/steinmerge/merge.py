@@ -88,18 +88,21 @@ class UnionSelection:
 class UnionMemo:
     """Width checks and exact solves already done, keyed by what decides them.
 
-    ``widths`` maps (tie rule, width cap, union edge set) to the union's
-    elimination order, or to None when the capped elimination broke the
-    cap; a first tree's key has cap None, since it is eliminated uncapped.
-    ``unions`` sits in front of ``widths`` for the tentative unions of later
-    trees: it maps (tie rule, width cap, frozenset of the union's trees) to
-    (union edge set, ``widths`` value), so a repeated union of the same
-    trees is answered without building its edge set. ``solves`` maps
-    (union edge set, elimination order, state budget) to the union's
-    optimum or to the CapacityError its DP raised. Every value is a
-    function of its key: the union graph is the edge set plus the
-    terminals, and elimination and the DP are deterministic. Only edge
-    sets, orders and trees are stored, never graphs.
+    ``widths`` maps a union edge set to one verdict that answers every cap.
+    Greedy elimination pops the same sequence at any cap and stops only at
+    the first degree above it, so an elimination order of width w accepts
+    the union at each cap of w or more and rejects it below; a capped
+    elimination that broke its cap stores the degree d that broke it,
+    which rejects every cap below d. A cap of d or more eliminates again
+    and replaces the entry. ``unions`` sits in front of ``widths``: it maps
+    the frozenset of a union's trees to the union's edge set, so a repeated
+    union of the same trees is answered without building its edge set.
+    ``solves`` maps (union edge set, state budget) to the union's optimum
+    or to the CapacityError its DP raised; the elimination order is a
+    function of the edge set. Every value is a function of its key: the
+    union graph is the edge set plus the terminals, and elimination and
+    the DP are deterministic. Only edge sets, orders and trees are stored,
+    never graphs.
     """
 
     widths: dict = field(default_factory=dict)
@@ -118,11 +121,33 @@ def _union_graph(instance: SteinerInstance, edges: frozenset[Edge]) -> WeightedG
     return WeightedGraph(frozenset(vertices), {e: weights[e] for e in edges})
 
 
+def _width_check(
+    instance: SteinerInstance, widths: dict, edges: frozenset[Edge], cap: int | None
+) -> tuple[EliminationOrder | None, WeightedGraph | None]:
+    """The union's elimination order if its width is within ``cap``, else None.
+
+    ``cap`` None eliminates uncapped and always accepts. Returns as well
+    the union graph built to decide, or None when ``widths`` answered.
+    """
+    found = widths.get(edges)
+    graph = None
+    if found is None or (isinstance(found, int) and (cap is None or cap >= found)):
+        graph = _union_graph(instance, edges)
+        if cap is None:
+            found = greedy_degree(graph)
+        else:
+            res = greedy_degree_capped(graph, cap)
+            found = res.width if res.exceeded else EliminationOrder(res.order, res.width)
+        widths[edges] = found
+    if isinstance(found, int) or (cap is not None and found.width > cap):
+        return None, graph
+    return found, graph
+
+
 def greedy_steiner_union(
     instance: SteinerInstance,
     solutions: Sequence[SteinerSolution],
     width_cap: int,
-    tie: str = "low",
     memo: UnionMemo | None = None,
 ) -> UnionSelection:
     """Greedily fold solutions into a union while its width stays in bounds.
@@ -143,31 +168,20 @@ def greedy_steiner_union(
     if memo is None:
         memo = UnionMemo()
     widths, unions = memo.widths, memo.unions
-    union_edges = solutions[0].edges
-    key = (tie, None, union_edges)
-    elim = widths.get(key)
-    graph = None
-    if elim is None:
-        graph = _union_graph(instance, union_edges)
-        elim = widths[key] = greedy_degree(graph, tie=tie)
-    trees = frozenset((solutions[0],))
-    selected = [0]
-    for i in range(1, len(solutions)):
-        tentative = trees | {solutions[i]}
-        front = (tie, width_cap, tentative)
-        known = unions.get(front)
-        built = None
-        if known is None:
-            edges = union_edges | solutions[i].edges
-            key = (tie, width_cap, edges)
-            if key not in widths:
-                built = _union_graph(instance, edges)
-                res = greedy_degree_capped(built, width_cap, tie=tie)
-                widths[key] = (
-                    None if res.exceeded else EliminationOrder(res.order, res.width)
-                )
-            known = unions[front] = (edges, widths[key])
-        edges, found = known
+    trees: frozenset[SteinerSolution] = frozenset()
+    union_edges: frozenset[Edge] = frozenset()
+    elim = graph = None
+    selected: list[int] = []
+    for i, tree in enumerate(solutions):
+        tentative = trees | {tree}
+        edges = unions.get(tentative)
+        if edges is None:
+            edges = unions[tentative] = (
+                union_edges | tree.edges if selected else tree.edges
+            )
+        found, built = _width_check(
+            instance, widths, edges, width_cap if selected else None
+        )
         if found is None:
             continue
         selected.append(i)
@@ -197,7 +211,7 @@ def _solve_union(
     A union already in ``memo`` returns the same tree, or raises a fresh
     CapacityError with the stored message. A deadline stop is not stored.
     """
-    key = (selection.edges, selection.elimination.order, state_budget)
+    key = (selection.edges, state_budget)
     known = memo.solves.get(key)
     if isinstance(known, CapacityError):
         raise CapacityError(*known.args)

@@ -224,10 +224,6 @@ class NiceDecomposition:
     root_vertex: int
     width: int
 
-    @property
-    def root(self) -> int:
-        return len(self.nodes) - 1
-
 
 def make_nice(
     graph: WeightedGraph, td: TreeDecomposition, root_vertex: int

@@ -78,8 +78,7 @@ class TestWeightedGraph:
 
     def test_adjacency_sorted(self):
         g = WeightedGraph.build([0, 1, 2, 3], [(3, 1, 1), (1, 0, 1), (1, 2, 1)])
-        assert g.neighbors(1) == (0, 2, 3)
-        assert g.degree(1) == 3
+        assert g.adjacency[1] == (0, 2, 3)
 
     def test_connectivity(self):
         g = WeightedGraph.build([0, 1, 2, 3], [(0, 1, 1), (2, 3, 1)])

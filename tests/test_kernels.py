@@ -80,6 +80,18 @@ class TestKernelContracts:
         assert list(dist) == [0, 2, 5]
         assert list(pred) == [-1, 0, 1]  # 2 is reached through the middle vertex
 
+    def test_dijkstra_multi_keeps_no_distance_at_the_limit(self):
+        indptr = [0, 2, 4, 6]
+        nbr = [1, 2, 0, 2, 0, 1]
+        wts = [2, 10, 2, 3, 10, 3]
+        # vertex 2 lies at 5: at a limit of 5 or less it stays at the limit
+        for limit in (3, 5):
+            dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [0], 3, limit)
+            assert dist == [0, 2, limit]
+            assert pred == [-1, 0, -1]
+        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [0], 3, 6)
+        assert (dist, pred) == ([0, 2, 5], [-1, 0, 1])
+
     def test_pipeline_calls_kernels_through_the_module(self, monkeypatch):
         """perfbench traces the pipeline by rebinding these module attributes
         and records ``BACKEND_NAME`` with each result."""

@@ -83,7 +83,7 @@ class TestGreedyUnion:
         inst = star_instance()
         tree = solution_of(inst, [(0, 3), (1, 3), (2, 3)])
         # width cap below 1 still admits the seed tree
-        sel = greedy_steiner_union(inst, [tree], 1)
+        sel = greedy_steiner_union(inst, [tree], 0)
         assert sel.selected == (0,)
 
     def test_cap_blocks_widening_union(self):
@@ -387,6 +387,43 @@ class TestUnionMemo:
             for cap in (1, 2, 3):
                 plain = greedy_steiner_union(inst, trees, cap)
                 assert greedy_steiner_union(inst, trees, cap, memo=memo) == plain
+
+    def test_accepted_union_answers_every_cap(self, monkeypatch):
+        inst = k4_instance()
+        t1 = solution_of(inst, [(0, 1), (1, 2), (2, 3)])
+        t2 = solution_of(inst, [(0, 2), (0, 3), (1, 3)])
+        caps = (3, 5, 4, 2, 1, 3)
+        plain = [greedy_steiner_union(inst, [t1, t2], cap) for cap in caps]
+        checks = count_calls(monkeypatch, "greedy_degree_capped", lambda a, k: a[1])
+        memo = UnionMemo()
+        got = [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps]
+        assert got == plain
+        # K4 is accepted at cap 3 with width 3; that order answers the
+        # caps above and rejects the caps below
+        assert checks == [3]
+        assert [sel.selected for sel in got] == [(0, 1)] * 3 + [(0,)] * 2 + [(0, 1)]
+
+    def test_rejected_union_answers_every_cap_below_its_breaking_degree(
+        self, monkeypatch
+    ):
+        inst = k4_instance()
+        t1 = solution_of(inst, [(0, 1), (1, 2), (2, 3)])
+        t2 = solution_of(inst, [(0, 2), (0, 3), (1, 3)])
+        union = t1.edges | t2.edges
+        caps = (1, 0, 2, 1, 3, 2)
+        plain = [greedy_steiner_union(inst, [t1, t2], cap) for cap in caps]
+        checks = count_calls(monkeypatch, "greedy_degree_capped", lambda a, k: a[1])
+        memo = UnionMemo()
+        got = [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps[:4]]
+        # every vertex of K4 has degree 3, so cap 1 breaks at degree 3 and
+        # that answers caps 0 and 2 as well
+        assert memo.widths[union] == 3
+        assert checks == [1]
+        # cap 3 reaches the breaking degree: one more elimination, accepted
+        got += [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps[4:]]
+        assert checks == [1, 3]
+        assert got == plain
+        assert [sel.selected for sel in got] == [(0,)] * 4 + [(0, 1), (0,)]
 
     def test_repeated_union_of_the_same_trees_builds_no_edge_set(self):
         inst, pool = repeating_pool()

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import steinmerge
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "steinmerge").glob("*.py"))
 
 
@@ -19,3 +21,10 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+def test_every_export_resolves():
+    # a deleted function must leave __all__ with it
+    missing = [name for name in steinmerge.__all__ if not hasattr(steinmerge, name)]
+    assert missing == []
+    assert len(steinmerge.__all__) == len(set(steinmerge.__all__))
