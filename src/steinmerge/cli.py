@@ -13,7 +13,8 @@ the same seed emit byte-identical stdout.
 
 Exit codes: 0 success, 1 invalid decomposition (validate-td), 2 usage,
 3 parse or validation failure (input that is not UTF-8 text included), 4
-infeasible, 5 capacity fallback, 6 timeout.
+infeasible, 5 capacity fallback, 6 timeout (bench: any instance skipped or
+cut short). --jobs sets the worker processes, at most one per CPU.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .exact import DEFAULT_STATE_BUDGET, DW_TERMINAL_CAP, CapacityError, dreyfus_wagner
-from .generator import GeneratorConfig, generate_pool, read_pool, write_pool
+from .generator import GeneratorConfig, generate_pool, parallel_map, read_pool, write_pool
 from .graph import (
     InfeasibleError,
     ParseError,
@@ -509,7 +510,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=_env("SMH_SEED", 0, int))
     p.add_argument(
         "--jobs", type=int, default=_env("SMH_JOBS", 1, int),
-        help="worker threads, at least 1 (pool runs, or bench instances)",
+        help="worker processes, at least 1 and at most one per CPU "
+        "(pool runs, or bench instances)",
     )
     p.add_argument(
         "--time-limit", type=float, default=_env("SMH_TIME_LIMIT", None, float),
@@ -624,20 +626,23 @@ def _check_state_budget(args: argparse.Namespace) -> None:
         )
 
 
+def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
+    return GeneratorConfig(
+        pool_size=args.pool,
+        iterations_per_run=args.grasp_iters,
+        perturbation_strength=args.perturb,
+        seed=args.seed,
+    )
+
+
 def _run_pipeline(
     instance: SteinerInstance,
     args: argparse.Namespace,
     deadline: float | None,
     workers: int,
 ) -> tuple[MergeReport, float]:
-    gcfg = GeneratorConfig(
-        pool_size=args.pool,
-        iterations_per_run=args.grasp_iters,
-        perturbation_strength=args.perturb,
-        seed=args.seed,
-    )
     t0 = time.monotonic()
-    pool = generate_pool(instance, gcfg, workers=workers, deadline=deadline)
+    pool = generate_pool(instance, _generator_config(args), workers, deadline)
     gen_seconds = time.monotonic() - t0
     report = run_smh(
         instance, pool, _merge_config(args),
@@ -658,15 +663,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     instance = parse_stp_file(args.instance)
-    gcfg = GeneratorConfig(
-        pool_size=args.pool,
-        iterations_per_run=args.grasp_iters,
-        perturbation_strength=args.perturb,
-        seed=args.seed,
-    )
     deadline = _deadline(args)
     t0 = time.monotonic()
-    pool = generate_pool(instance, gcfg, workers=_jobs(args), deadline=deadline)
+    pool = generate_pool(instance, _generator_config(args), _jobs(args), deadline)
     seconds = time.monotonic() - t0
     text = write_pool(pool)
     if args.output:
@@ -736,6 +735,20 @@ def cmd_validate_td(args: argparse.Namespace) -> int:
     return 1
 
 
+def _bench_one(
+    args: argparse.Namespace, deadline: float | None, best: dict[str, int], path: Path
+) -> tuple[str, BenchRecord | None, bool]:
+    """One bench row: (name, record or None if skipped, whether time ran out)."""
+    instance = parse_stp_file(path)
+    name = instance.name or path.stem
+    if deadline is not None and time.monotonic() > deadline:
+        return name, None, True
+    # one worker: a pool of --jobs per instance would start up to jobs * jobs
+    report, gen_seconds = _run_pipeline(instance, args, deadline, 1)
+    record = make_bench_record(instance, name, report, gen_seconds, best.get(name))
+    return name, record, report.timed_out
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     jobs = _jobs(args)
     _check_state_budget(args)
@@ -747,29 +760,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     best = {}
     if args.best_known:
         best = read_best_known(Path(args.best_known).read_text(encoding="utf-8"))
-    deadline = _deadline(args)
-
-    def run_one(path: Path):
-        instance = parse_stp_file(path)
-        name = instance.name or path.stem
-        if deadline is not None and time.monotonic() > deadline:
-            return name, None
-        # the --jobs workers run instances; one more pool of them per
-        # instance would start up to jobs * jobs threads
-        report, gen_seconds = _run_pipeline(instance, args, deadline, 1)
-        record = make_bench_record(
-            instance, name, report, gen_seconds, best.get(name)
-        )
-        return name, record
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, paths))
-    else:
-        results = [run_one(p) for p in paths]
+    results = parallel_map(partial(_bench_one, args, _deadline(args), best), paths, jobs)
 
     records = []
-    for name, record in results:
+    for name, record, _ in results:
         if record is None:
             sys.stderr.write(f"# {name}: skipped (time limit)\n")
             continue
@@ -792,7 +786,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         parts = [f"{k} {_fmt2(v) if isinstance(v, (float, Fraction)) else v}"
                  for k, v in s.items()]
         sys.stderr.write("# " + "  ".join(parts) + "\n")
-    if any(r is None for _, r in results):
+    if any(timed_out for _, _, timed_out in results):
         return EXIT_TIMEOUT
     return EXIT_OK
 

@@ -2,21 +2,22 @@
 
 Each run perturbs the edge weights, grows a tree with the shortest-path
 construction heuristic from a random terminal, then descends with a local
-search. Runs use independently derived seeds so a concurrent pool build is
-bit-identical to a sequential one.
+search. Runs use independently derived seeds, so a pool built by worker
+processes is bit-identical to a sequential one.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import inf
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import kernels
 from .graph import (
@@ -34,6 +35,21 @@ from .graph import (
 )
 
 _M64 = (1 << 64) - 1
+
+
+def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``list(map(fn, items))``, in worker processes when more than one runs.
+
+    Workers are capped at one per item and one per CPU. ``fn`` must pickle:
+    a module-level function or a ``functools.partial`` of one.
+    """
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return list(map(fn, items))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _derive_seed(seed: int, idx: int) -> int:
@@ -166,7 +182,7 @@ def _induced_forest(
     g = instance.graph
     _, _, indptr, nbr, _ = g.csr
     ranks = g.edge_ranks
-    slot = ranks.slot
+    slot = g.slot_ranks
     induced = sorted(
         slot[i]
         for v in members
@@ -264,7 +280,7 @@ class _DeletionCheck:
         self.pre, self.pos, self.size, _ = _preorder(
             ((self.tail[r], self.head[r]) for r in self.mst),
             min(members),
-            len(instance.graph.csr[0]),
+            instance.graph.n_vertices,
         )
         degree = Counter(x for r in self.mst for x in (self.tail[r], self.head[r]))
         terms = instance.terminal_index
@@ -539,16 +555,20 @@ def local_search(
 def _one_run(
     instance: SteinerInstance,
     cfg: GeneratorConfig,
-    run: int,
     deadline: float | None,
+    run: int,
 ) -> PoolEntry | None:
-    """Run ``run``'s restarts; None if the deadline cut its first one short."""
+    """Run ``run``'s restarts; None if the deadline cut its first one short.
+
+    Run 0 ignores the deadline, so a pool is never empty.
+    """
+    deadline = None if run == 0 else deadline
     run_seed = _derive_seed(cfg.seed, run)
     rng = random.Random(run_seed)
     best: SteinerSolution | None = None
     best_iteration = 0
     for it in range(cfg.iterations_per_run):
-        if best is not None and deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             break
         wmap = _perturbed_weights(instance, cfg.perturbation_strength, rng)
         start = rng.choice(sorted(instance.terminals))
@@ -566,7 +586,7 @@ def _one_run(
 def generate_pool(
     instance: SteinerInstance,
     cfg: GeneratorConfig,
-    workers: int | None = None,
+    workers: int = 1,
     deadline: float | None = None,
 ) -> SolutionPool:
     """Produce up to ``cfg.pool_size`` distinct locally optimal trees.
@@ -578,31 +598,14 @@ def generate_pool(
     completes, so the pool is never empty; any other run whose first
     construction the deadline cuts short adds nothing.
     """
-    runs = list(range(cfg.pool_size))
-
-    def run_until(r: int) -> PoolEntry | None:
-        return _one_run(instance, cfg, r, None if r == 0 else deadline)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            produced = list(pool.map(run_until, runs))
-    else:
-        produced = []
-        for r in runs:
-            if r > 0 and deadline is not None and time.monotonic() > deadline:
-                break
-            produced.append(run_until(r))
-
-    seen: set[tuple[Edge, ...]] = set()
-    entries: list[PoolEntry] = []
+    produced = parallel_map(
+        partial(_one_run, instance, cfg, deadline), range(cfg.pool_size), workers
+    )
+    first: dict[tuple[Edge, ...], PoolEntry] = {}
     for entry in produced:
-        if entry is None:
-            continue
-        key = entry.solution.canonical_edges()
-        if key not in seen:
-            seen.add(key)
-            entries.append(entry)
-    return SolutionPool(entries)
+        if entry is not None:
+            first.setdefault(entry.solution.canonical_edges(), entry)
+    return SolutionPool(list(first.values()))
 
 
 # ---------------------------------------------------------------------------

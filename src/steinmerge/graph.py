@@ -11,7 +11,7 @@ files are rejected so that all weight comparisons stay exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -49,8 +49,8 @@ def edge_key(u: int, v: int) -> Edge:
 class WeightedGraph:
     """Simple undirected graph with nonnegative integer edge weights.
 
-    Immutable after construction; derived views (adjacency, bitmasks, CSR
-    arrays) are cached on first use and safe to share across threads.
+    Immutable after construction; derived views (adjacency, vertex
+    numbering, bitmasks, CSR arrays) are cached on first use.
     ``weights`` maps normalized edges to costs and doubles as the edge set.
     """
 
@@ -106,14 +106,19 @@ class WeightedGraph:
         return {v: tuple(sorted(a)) for v, a in nbrs.items()}
 
     @cached_property
+    def numbering(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """(vertex_order, index_of): the one compact numbering all index views share."""
+        order = tuple(sorted(self.vertices))
+        return order, {v: i for i, v in enumerate(order)}
+
+    @cached_property
     def adjacency_masks(self) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
         """Bitmask view: (vertex_order, index_of, masks), shared, not to be mutated.
 
         ``masks[i]`` has bit j set when ``vertex_order[i]`` and
         ``vertex_order[j]`` are adjacent.
         """
-        order = tuple(sorted(self.vertices))
-        index = {v: i for i, v in enumerate(order)}
+        order, index = self.numbering
         masks = [0] * len(order)
         for u, v in self.weights:
             iu, iv = index[u], index[v]
@@ -124,8 +129,7 @@ class WeightedGraph:
     @cached_property
     def csr(self) -> tuple[tuple[int, ...], dict[int, int], list[int], list[int], list[int]]:
         """Compact-index CSR view: (vertex_order, index_of, indptr, nbr, weight)."""
-        order = tuple(sorted(self.vertices))
-        index = {v: i for i, v in enumerate(order)}
+        order, index = self.numbering
         indptr = [0]
         nbr: list[int] = []
         wts: list[int] = []
@@ -139,7 +143,7 @@ class WeightedGraph:
     @cached_property
     def edge_ranks(self) -> "EdgeRanks":
         """Edges numbered by their position in Kruskal's (w, u, v) order."""
-        index = self.csr[1]
+        index = self.numbering[1]
         ranked = sorted((w, u, v) for (u, v), w in self.weights.items())
         edges = tuple((u, v) for _, u, v in ranked)
         return EdgeRanks(
@@ -148,8 +152,18 @@ class WeightedGraph:
             [index[v] for _, v in edges],
             [w for w, _, _ in ranked],
             {e: r for r, e in enumerate(edges)},
-            self.csr,
         )
+
+    @cached_property
+    def slot_ranks(self) -> list[int]:
+        """The edge rank of each CSR slot; only local search reads it."""
+        order, _, indptr, nbr, _ = self.csr
+        rank = self.edge_ranks.rank
+        return [
+            rank[edge_key(order[v], order[nbr[i]])]
+            for v in range(len(order))
+            for i in range(indptr[v], indptr[v + 1])
+        ]
 
     def csr_weight_list(self, weight_map: dict[Edge, float] | None) -> list:
         """Per-CSR-slot weight list; ``weight_map`` overrides the graph weights."""
@@ -186,9 +200,8 @@ class EdgeRanks:
     """A graph's edges in the strict (weight, u, v) order Kruskal sorts by.
 
     Rank ``r`` is an edge's position in that order: ``edges[r]`` is the edge,
-    ``tail[r] < head[r]`` its endpoints' CSR indices and ``weight[r]`` its
-    cost. ``rank`` maps an edge back to its rank, and ``csr`` is the
-    graph's CSR view.
+    ``tail[r] < head[r]`` its endpoints' indices in the graph's numbering
+    and ``weight[r]`` its cost, and ``rank`` maps an edge back to its rank.
     """
 
     edges: tuple[Edge, ...]
@@ -196,18 +209,6 @@ class EdgeRanks:
     head: list[int]
     weight: list[int]
     rank: dict[Edge, int]
-    csr: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def slot(self) -> list[int]:
-        """``slot[i]`` is the rank of CSR slot ``i``'s edge; only local search reads it."""
-        order, _, indptr, nbr, _ = self.csr
-        rank = self.rank
-        return [
-            rank[edge_key(order[v], order[nbr[i]])]
-            for v in range(len(order))
-            for i in range(indptr[v], indptr[v + 1])
-        ]
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,8 @@ class SteinerInstance:
 
     @cached_property
     def terminal_index(self) -> frozenset[int]:
-        """CSR indices of the terminals."""
-        index = self.graph.csr[1]
+        """The terminals' indices in the graph's numbering."""
+        index = self.graph.numbering[1]
         return frozenset(index[t] for t in self.terminals)
 
 
@@ -555,7 +556,7 @@ def prune(instance: SteinerInstance, edges: Iterable[Edge]) -> SteinerSolution:
 
     ranks = g.edge_ranks
     forest = minimum_spanning_edges(
-        len(g.csr[0]), ranks.tail, ranks.head, sorted(ranks.rank[e] for e in es)
+        g.n_vertices, ranks.tail, ranks.head, sorted(ranks.rank[e] for e in es)
     )
     stripped = strip_leaves(instance, forest)
     if stripped is None:
@@ -578,7 +579,7 @@ def strip_leaves(
     ranks = instance.graph.edge_ranks
     tail, head, weight = ranks.tail, ranks.head, ranks.weight
     terms = instance.terminal_index
-    n = len(instance.graph.csr[0])
+    n = instance.graph.n_vertices
     deg = [0] * n
     # xor of the ranks of each vertex's remaining edges: a leaf's one edge
     incident = [0] * n

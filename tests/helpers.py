@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import random
 from itertools import combinations
 
@@ -90,3 +91,29 @@ def tie_heavy_instance(seed, n_vertices=14, n_edges=30, n_terminals=4):
         [(u, v, rng.randint(0, 3)) for u, v in sorted(base.graph.weights)],
     )
     return SteinerInstance.create(graph, base.terminals)
+
+
+def in_process_pool(monkeypatch):
+    """Swap ``parallel_map``'s process pool for one that runs tasks here.
+
+    Returns the list of ``max_workers`` values each pool was built with, so
+    a test can check the worker count without starting a process.
+    """
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    # parallel_map imports the name from the package each time it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return built

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,7 +35,7 @@ from steinmerge.cli import (
 )
 from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance
 
-from helpers import four_cycle
+from helpers import four_cycle, in_process_pool
 
 
 @pytest.fixture()
@@ -497,16 +499,48 @@ class TestBenchCommand:
     def test_parallel_bench_builds_each_pool_with_one_worker(
         self, tmp_path, capsys, monkeypatch
     ):
-        # the --jobs workers already run the instances side by side
+        # the --jobs workers already run the instances side by side; the
+        # pool runs them in this process, where the recording can see them
         d, _ = self.fill_dir(tmp_path, n=2)
+        built = in_process_pool(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         seen = []
 
-        def recording(instance, cfg, workers=None, deadline=None):
+        def recording(instance, cfg, workers=1, deadline=None):
             seen.append(workers)
             return generate_pool(instance, cfg, workers, deadline)
 
         monkeypatch.setattr(cli, "generate_pool", recording)
         code = main(["bench", str(d), "--pool", "2", "--grasp-iters", "1",
-                     "--rank-iters", "1", "--format", "csv", "--jobs", "2"])
+                     "--rank-iters", "1", "--format", "csv", "--jobs", "3"])
         assert code == EXIT_OK
+        assert built == [2]  # 3 jobs, clamped to the 2 instances
         assert seen == [1, 1]
+
+    @pytest.mark.parametrize("command", ["bench", "solve", "generate"])
+    def test_one_job_builds_no_process_pool(self, tmp_path, capsys, monkeypatch, command):
+        d, _ = self.fill_dir(tmp_path, n=2)
+        built = in_process_pool(monkeypatch)
+        target = str(d) if command == "bench" else str(d / "case00.stp")
+        argv = [command, target, "--pool", "4", "--grasp-iters", "1", "--jobs", "1"]
+        if command != "generate":
+            argv += ["--rank-iters", "1", "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        assert built == []
+
+    def test_report_that_timed_out_exits_timeout(self, tmp_path, capsys, monkeypatch):
+        # the limit passes while the instance runs, not before it starts:
+        # its row is reported, and bench exits 6 as solve does
+        d, _ = self.fill_dir(tmp_path, n=1)
+        readings = [0.0, 0.0]  # the deadline is set; the instance starts
+
+        def monotonic():
+            return readings.pop(0) if readings else 9.0
+
+        monkeypatch.setattr(time, "monotonic", monotonic)
+        code = main(["bench", str(d), "--pool", "2", "--grasp-iters", "1",
+                     "--rank-iters", "1", "--time-limit", "5", "--format", "csv"])
+        out = capsys.readouterr()
+        assert code == EXIT_TIMEOUT
+        assert "skipped" not in out.err
+        assert len(read_bench_csv(out.out)) == 1

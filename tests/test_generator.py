@@ -1,6 +1,7 @@
 """Pool generation: construction heuristic, local search, runs, pool files."""
 
 import hashlib
+import os
 import random
 import time
 from math import inf
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_instance, four_cycle, solution_of, tie_heavy_instance
+from helpers import (
+    build_instance,
+    four_cycle,
+    in_process_pool,
+    solution_of,
+    tie_heavy_instance,
+)
 from steinmerge import (
     GeneratorConfig,
     InfeasibleError,
@@ -508,6 +515,20 @@ class TestGeneratePool:
         assert [e.solution.canonical_edges() for e in seq.entries] == [
             e.solution.canonical_edges() for e in par.entries
         ]
+
+    @pytest.mark.parametrize("cpus", [None, 3, 64])
+    def test_worker_count_is_clamped(self, monkeypatch, cpus):
+        # a huge count asks for no more processes than runs and CPUs
+        inst = sparse_instance(2, 35, 6)
+        cfg = GeneratorConfig(pool_size=16, iterations_per_run=1, seed=4)
+        seq = generate_pool(inst, cfg)
+        built = in_process_pool(monkeypatch)
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        par = generate_pool(inst, cfg, workers=10**6)
+        expect = min(16, os.cpu_count() or 1)
+        assert built == ([expect] if expect > 1 else [])
+        assert par.entries == seq.entries
 
     def test_duplicates_collapse(self):
         # a tree instance admits exactly one Steiner tree per terminal set

@@ -22,9 +22,13 @@ from steinmerge import (
     greedy_degree,
     greedy_steiner_union,
     make_nice,
+    parse_stp,
     prune,
     ranking_procedure,
+    read_pool,
     run_smh,
+    write_pool,
+    write_stp,
 )
 from steinmerge import exact, merge
 from steinmerge.generator import PoolEntry, SolutionPool
@@ -205,6 +209,19 @@ class TestRunSmh:
         report = run_smh(inst, pool, MergeConfig(rank_iterations=2))
         assert report.weight == pool.weights[0]
         assert report.trees_used == 1
+
+    def test_merge_of_a_parsed_instance_builds_no_csr(self):
+        # merging prunes over edge ranks, which need the vertex numbering
+        # alone; only generation and the oracle read the CSR arrays
+        base = sparse_instance(5, 120, 20, 4.0)
+        cfg = GeneratorConfig(pool_size=6, iterations_per_run=1, perturbation_strength=0.7)
+        text = write_pool(generate_pool(base, cfg))
+        inst = parse_stp(write_stp(base))
+        mcfg = MergeConfig(final_width=2, rank_width=2)
+        report = run_smh(inst, read_pool(text, inst), mcfg)
+        assert "edge_ranks" in inst.graph.__dict__
+        assert "csr" not in inst.graph.__dict__
+        assert report.solution == run_smh(base, read_pool(text, base), mcfg).solution
 
     def test_never_worse_than_pool(self):
         for seed in range(8):

@@ -23,6 +23,39 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
 
 
+# only parallel_map imports an executor, and only above one worker, so
+# importing the package or running --jobs 1 loads no worker machinery
+CONCURRENCY = ("concurrent.futures", "multiprocessing", "threading")
+
+
+def _import_time_modules(tree):
+    """Modules a file imports when it is imported, not when a function runs."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_concurrency_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = sorted(
+        {
+            name
+            for name in _import_time_modules(tree)
+            if any(name == m or name.startswith(m + ".") for m in CONCURRENCY)
+        }
+    )
+    assert found == [], f"{path.name} imports {found} at module level"
+
+
 def test_every_export_resolves():
     # a deleted function must leave __all__ with it
     missing = [name for name in steinmerge.__all__ if not hasattr(steinmerge, name)]
