@@ -13,8 +13,9 @@ the same seed emit byte-identical stdout.
 
 Exit codes: 0 success, 1 invalid decomposition (validate-td), 2 usage,
 3 parse or validation failure (input that is not UTF-8 text included), 4
-infeasible, 5 capacity fallback, 6 timeout (bench: any instance skipped or
-cut short). --jobs sets the worker processes, at most one per CPU.
+infeasible, 5 capacity fallback, 6 timeout (bench: the most severe code of
+its instances, a skipped one counting as 6). --jobs sets the worker
+processes, at most one per CPU.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -106,28 +106,84 @@ def _fmt2(x) -> str:
     return f"{x:.2f}"
 
 
-def _fmt3(x) -> str:
-    return "" if x is None else f"{x:.3f}"
-
-
 # ---------------------------------------------------------------------------
-# report rendering
+# report rows and the machine-format writers
+
+# one row per merge report; `solve` and `merge` print it as csv
+REPORT_COLUMNS = [
+    "instance",
+    "weight",
+    "source",
+    "trees_used",
+    "union_width",
+    "pool_size",
+    "pool_best",
+    "capacity_fallback",
+    "timed_out",
+]
+
+# a bench row: the report row, then the instance's size and its gaps to a
+# best-known value (pool_best is the pool-only value, weight the merged one)
+BENCH_COLUMNS = REPORT_COLUMNS + [
+    "terminals",
+    "edges",
+    "best_known",
+    "grasp_gap",
+    "smh_gap",
+    "improvement",
+]
 
 
-def _report_payload(report: MergeReport) -> dict:
-    """Deterministic (time-free) view of a merge report."""
+def _cell(value) -> str:
+    """One row value as csv and tables print it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, Fraction):
+        return _fmt2(value)
+    if isinstance(value, list):
+        return " ".join(f"{u}-{v}" for u, v in value)
+    return str(value)
+
+
+def csv_text(columns: list[str], rows: list[dict]) -> str:
+    """Header plus one line per row; every csv this program prints."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([_cell(row[c]) for c in columns])
+    return buf.getvalue()
+
+
+def json_text(payload) -> str:
+    """Sorted, indented JSON; gaps print as their two-decimal strings."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=_fmt2) + "\n"
+
+
+def _report_row(report: MergeReport) -> dict:
     return {
         "instance": report.instance,
-        "pool_size": report.pool_size,
-        "pool_weights": list(report.pool_weights),
         "weight": report.weight,
         "source": report.source,
         "trees_used": report.trees_used,
         "union_width": report.union_width,
+        "pool_size": report.pool_size,
+        "pool_best": min(report.pool_weights),
         "capacity_fallback": report.capacity_fallback,
         "timed_out": report.timed_out,
-        "skipped_iterations": report.ranking.skipped,
-        "iterations": [
+    }
+
+
+def _report_payload(report: MergeReport) -> dict:
+    """Deterministic (time-free) view of a merge report."""
+    payload = _report_row(report)
+    del payload["pool_best"]  # the payload lists every pool weight
+    payload.update(
+        pool_weights=list(report.pool_weights),
+        skipped_iterations=report.ranking.skipped,
+        iterations=[
             {
                 "index": it.index,
                 "value": it.value,
@@ -136,43 +192,12 @@ def _report_payload(report: MergeReport) -> dict:
             }
             for it in report.ranking.iterations
         ],
-        "edges": [[u + 1, v + 1] for u, v in report.solution.canonical_edges()],
-    }
+        edges=[[u + 1, v + 1] for u, v in report.solution.canonical_edges()],
+    )
+    return payload
 
 
-def _render_report(report: MergeReport, fmt: str, gen_seconds: float | None) -> str:
-    if fmt == "json":
-        return json.dumps(_report_payload(report), sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            [
-                "instance",
-                "weight",
-                "source",
-                "trees_used",
-                "union_width",
-                "pool_size",
-                "pool_best",
-                "capacity_fallback",
-                "timed_out",
-            ]
-        )
-        w.writerow(
-            [
-                report.instance,
-                report.weight,
-                report.source,
-                report.trees_used,
-                report.union_width,
-                report.pool_size,
-                min(report.pool_weights),
-                int(report.capacity_fallback),
-                int(report.timed_out),
-            ]
-        )
-        return buf.getvalue()
+def _report_table(report: MergeReport, gen_seconds: float | None) -> str:
     lines = [
         f"instance      {report.instance or '(unnamed)'}",
         f"pool          {report.pool_size} trees, best {min(report.pool_weights)}"
@@ -195,165 +220,84 @@ def _render_report(report: MergeReport, fmt: str, gen_seconds: float | None) -> 
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(report: MergeReport, fmt: str, gen_seconds: float | None) -> None:
-    sys.stdout.write(_render_report(report, fmt, gen_seconds))
-    if fmt != "table":
-        gen = f" generation {gen_seconds:.3f}s" if gen_seconds is not None else ""
-        sys.stderr.write(f"#{gen} merge {report.merge_seconds:.3f}s\n")
-
-
-def _report_exit(report: MergeReport) -> int:
-    if report.timed_out:
+def _report_exit(row: dict) -> int:
+    if row["timed_out"]:
         return EXIT_TIMEOUT
-    if report.capacity_fallback:
+    if row["capacity_fallback"]:
         return EXIT_CAPACITY
     return EXIT_OK
 
 
+def _emit_report(report: MergeReport, fmt: str, gen_seconds: float | None) -> int:
+    """Print the report in ``fmt``, timings on stderr; return its exit code."""
+    row = _report_row(report)
+    if fmt == "json":
+        sys.stdout.write(json_text(_report_payload(report)))
+    elif fmt == "csv":
+        sys.stdout.write(csv_text(REPORT_COLUMNS, [row]))
+    else:
+        sys.stdout.write(_report_table(report, gen_seconds))
+    if fmt != "table":
+        gen = f" generation {gen_seconds:.3f}s" if gen_seconds is not None else ""
+        sys.stderr.write(f"#{gen} merge {report.merge_seconds:.3f}s\n")
+    return _report_exit(row)
+
+
 # ---------------------------------------------------------------------------
-# benchmark records
+# benchmark rows
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """One benchmark row: pool-only result vs merged result on one instance."""
-
-    instance: str
-    terminals: int
-    edges: int
-    best_known: int | None
-    grasp_value: int
-    smh_value: int
-    grasp_gap: Fraction | None
-    smh_gap: Fraction | None
-    improvement: Fraction | None
-    grasp_time: float
-    smh_time: float
-    rel_time: float | None
-    trees_used: int
-
-
-BENCH_FIELDS = [
-    "instance",
-    "terminals",
-    "edges",
-    "best_known",
-    "grasp_value",
-    "smh_value",
-    "grasp_gap",
-    "smh_gap",
-    "improvement",
-    "grasp_time",
-    "smh_time",
-    "rel_time",
-    "trees_used",
-]
-
-
-def make_bench_record(
-    instance: SteinerInstance,
-    name: str,
-    report: MergeReport,
-    grasp_time: float,
-    best_known: int | None,
-) -> BenchRecord:
-    grasp_value = min(report.pool_weights)
-    smh_value = report.weight
+def _bench_row(report: MergeReport, name: str, instance: SteinerInstance,
+               best_known: int | None) -> dict:
+    row = _report_row(report)
+    row["instance"] = name
     grasp_gap = smh_gap = improvement = None
     if best_known is not None:
-        grasp_gap = compute_gap(grasp_value, best_known)
-        smh_gap = compute_gap(smh_value, best_known)
+        grasp_gap = compute_gap(row["pool_best"], best_known)
+        smh_gap = compute_gap(row["weight"], best_known)
         if grasp_gap > 0:
             improvement = 100 * (grasp_gap - smh_gap) / grasp_gap
-    smh_time = report.merge_seconds
-    rel_time = smh_time / grasp_time if grasp_time > 0 else None
-    return BenchRecord(
-        instance=name,
+    row.update(
         terminals=instance.n_terminals,
         edges=instance.graph.n_edges,
         best_known=best_known,
-        grasp_value=grasp_value,
-        smh_value=smh_value,
         grasp_gap=grasp_gap,
         smh_gap=smh_gap,
         improvement=improvement,
-        grasp_time=grasp_time,
-        smh_time=smh_time,
-        rel_time=rel_time,
-        trees_used=report.trees_used,
     )
+    return row
 
 
-def write_bench_csv(records: list[BenchRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(BENCH_FIELDS)
-    for r in records:
-        w.writerow(
-            [
-                r.instance,
-                r.terminals,
-                r.edges,
-                "" if r.best_known is None else r.best_known,
-                r.grasp_value,
-                r.smh_value,
-                _fmt2(r.grasp_gap),
-                _fmt2(r.smh_gap),
-                _fmt2(r.improvement),
-                _fmt3(r.grasp_time),
-                _fmt3(r.smh_time),
-                _fmt2(r.rel_time),
-                r.trees_used,
-            ]
-        )
-    return buf.getvalue()
+def _read_cell(column: str, text: str):
+    if column in ("instance", "source"):
+        return text
+    if text == "":
+        return None
+    if column in ("grasp_gap", "smh_gap", "improvement"):
+        return Fraction(text)
+    if column in ("capacity_fallback", "timed_out"):
+        return text == "1"
+    return int(text)
 
 
-def read_bench_csv(text: str) -> list[BenchRecord]:
-    """Parse bench CSV back into records (2-decimal fields stay 2-decimal)."""
+def read_bench_csv(text: str) -> list[dict]:
+    """Parse bench CSV back into rows (2-decimal gaps stay 2-decimal)."""
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != BENCH_FIELDS:
+    if reader.fieldnames != BENCH_COLUMNS:
         raise ParseError("unexpected bench CSV header")
-    out = []
-    for row in reader:
-        frac = lambda s: None if s == "" else Fraction(s)
-        out.append(
-            BenchRecord(
-                instance=row["instance"],
-                terminals=int(row["terminals"]),
-                edges=int(row["edges"]),
-                best_known=None if row["best_known"] == "" else int(row["best_known"]),
-                grasp_value=int(row["grasp_value"]),
-                smh_value=int(row["smh_value"]),
-                grasp_gap=frac(row["grasp_gap"]),
-                smh_gap=frac(row["smh_gap"]),
-                improvement=frac(row["improvement"]),
-                grasp_time=float(row["grasp_time"]),
-                smh_time=float(row["smh_time"]),
-                rel_time=None if row["rel_time"] == "" else float(row["rel_time"]),
-                trees_used=int(row["trees_used"]),
-            )
-        )
-    return out
+    return [{c: _read_cell(c, v) for c, v in row.items()} for row in reader]
 
 
-def bench_summary(records: list[BenchRecord]) -> dict:
+def bench_summary(rows: list[dict]) -> dict:
     """Aggregates recomputed from the rows: means and best-value counts."""
-    gaps = [(r.grasp_gap, r.smh_gap) for r in records if r.grasp_gap is not None]
-    imps = [r.improvement for r in records if r.improvement is not None]
-    rels = [r.rel_time for r in records if r.rel_time is not None]
+    gaps = [(r["grasp_gap"], r["smh_gap"]) for r in rows if r["grasp_gap"] is not None]
+    imps = [r["improvement"] for r in rows if r["improvement"] is not None]
     summary = {
-        "instances": len(records),
-        "smh_better": sum(1 for r in records if r.smh_value < r.grasp_value),
-        "matched_best": sum(
-            1
-            for r in records
-            if r.best_known is not None and r.smh_value == r.best_known
-        ),
+        "instances": len(rows),
+        "smh_better": sum(1 for r in rows if r["weight"] < r["pool_best"]),
+        "matched_best": sum(1 for r in rows if r["weight"] == r["best_known"]),
         "new_best": sum(
-            1
-            for r in records
-            if r.best_known is not None and r.smh_value < r.best_known
+            1 for r in rows if r["best_known"] is not None and r["weight"] < r["best_known"]
         ),
     }
     if gaps:
@@ -361,47 +305,37 @@ def bench_summary(records: list[BenchRecord]) -> dict:
         summary["mean_smh_gap"] = sum(g for _, g in gaps) / len(gaps)
     if imps:
         summary["mean_improvement"] = sum(imps) / len(imps)
-    if rels:
-        summary["mean_rel_time"] = sum(rels) / len(rels)
     return summary
 
 
-def _render_bench_table(records: list[BenchRecord]) -> str:
+def _rel_time(gen_seconds: float, merge_seconds: float) -> float | None:
+    return merge_seconds / gen_seconds if gen_seconds > 0 else None
+
+
+def _bench_table(ran: list[tuple[dict, float, float]], s: dict) -> str:
+    """Rows with their generation and merge seconds inline, then the summary ``s``."""
     headers = [
-        "Instance", "|Q|", "|E|", "Best", "GRASP", "SMH",
-        "GapG%", "GapS%", "Impr%", "tG", "tS", "Rel", "Trees",
+        "Instance", "|Q|", "|E|", "Best", "GRASP", "SMH", "GapG%", "GapS%", "Impr%",
+        "tG", "tS", "Rel", "Trees", "Fallback", "Timeout",
     ]
     rows = []
-    for r in records:
-        flag = "*" if r.smh_gap is not None and r.smh_gap < 0 else ""
+    for r, gen_seconds, merge_seconds in ran:
+        flag = "*" if r["smh_gap"] is not None and r["smh_gap"] < 0 else ""
         rows.append(
-            [
-                r.instance,
-                str(r.terminals),
-                str(r.edges),
-                "" if r.best_known is None else str(r.best_known),
-                str(r.grasp_value),
-                str(r.smh_value) + flag,
-                _fmt2(r.grasp_gap),
-                _fmt2(r.smh_gap),
-                _fmt2(r.improvement),
-                _fmt3(r.grasp_time),
-                _fmt3(r.smh_time),
-                _fmt2(r.rel_time),
-                str(r.trees_used),
-            ]
+            [_cell(r[c]) for c in ("instance", "terminals", "edges", "best_known", "pool_best")]
+            + [_cell(r["weight"]) + flag]
+            + [_cell(r[c]) for c in ("grasp_gap", "smh_gap", "improvement")]
+            + [f"{gen_seconds:.3f}", f"{merge_seconds:.3f}"]
+            + [_fmt2(_rel_time(gen_seconds, merge_seconds))]
+            + [_cell(r[c]) for c in ("trees_used", "capacity_fallback", "timed_out")]
         )
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
+    widths = [max([len(h)] + [len(row[i]) for row in rows]) for i, h in enumerate(headers)]
     def fmt_row(cells):
         first = cells[0].ljust(widths[0])
         rest = [c.rjust(widths[i + 1]) for i, c in enumerate(cells[1:])]
         return "  ".join([first] + rest)
     lines = [fmt_row(headers)]
     lines.extend(fmt_row(row) for row in rows)
-    s = bench_summary(records)
     lines.append("")
     lines.append(
         f"instances {s['instances']}  smh-better {s['smh_better']}"
@@ -417,29 +351,6 @@ def _render_bench_table(records: list[BenchRecord]) -> str:
     if "mean_rel_time" in s:
         lines.append(f"mean relative merge time {_fmt2(s['mean_rel_time'])}")
     return "\n".join(lines) + "\n"
-
-
-def _bench_json_payload(records: list[BenchRecord]) -> list[dict]:
-    out = []
-    for r in records:
-        out.append(
-            {
-                "instance": r.instance,
-                "terminals": r.terminals,
-                "edges": r.edges,
-                "best_known": r.best_known,
-                "grasp_value": r.grasp_value,
-                "smh_value": r.smh_value,
-                "grasp_gap": None if r.grasp_gap is None else _fmt2(r.grasp_gap),
-                "smh_gap": None if r.smh_gap is None else _fmt2(r.smh_gap),
-                "improvement": None if r.improvement is None else _fmt2(r.improvement),
-                "grasp_time": round(r.grasp_time, 3),
-                "smh_time": round(r.smh_time, 3),
-                "rel_time": None if r.rel_time is None else round(r.rel_time, 2),
-                "trees_used": r.trees_used,
-            }
-        )
-    return out
 
 
 def read_best_known(text: str) -> dict[str, int]:
@@ -657,8 +568,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _check_state_budget(args)
     instance = parse_stp_file(args.instance)
     report, gen_seconds = _run_pipeline(instance, args, _deadline(args), _jobs(args))
-    _emit_report(report, args.format, gen_seconds)
-    return _report_exit(report)
+    return _emit_report(report, args.format, gen_seconds)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -686,8 +596,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
         instance, pool, _merge_config(args),
         state_budget=args.state_budget, deadline=_deadline(args),
     )
-    _emit_report(report, args.format, None)
-    return _report_exit(report)
+    return _emit_report(report, args.format, None)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -695,29 +604,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     solution = dreyfus_wagner(instance, terminal_cap=args.oracle_cap)
     seconds = time.monotonic() - t0
-    edges = [[u + 1, v + 1] for u, v in solution.canonical_edges()]
-    if args.format == "json":
-        payload = {
-            "instance": instance.name,
-            "weight": solution.weight,
-            "edges": edges,
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        sys.stderr.write(f"# oracle {seconds:.3f}s\n")
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["instance", "weight", "edges"])
-        w.writerow(
-            [instance.name, solution.weight, " ".join(f"{u}-{v}" for u, v in edges)]
-        )
-        sys.stdout.write(buf.getvalue())
-        sys.stderr.write(f"# oracle {seconds:.3f}s\n")
-    else:
+    row = {
+        "instance": instance.name,
+        "weight": solution.weight,
+        "edges": [[u + 1, v + 1] for u, v in solution.canonical_edges()],
+    }
+    if args.format == "table":
         sys.stdout.write(f"instance  {instance.name or '(unnamed)'}\n")
         sys.stdout.write(f"weight    {solution.weight}\n")
-        sys.stdout.write(f"edges     {' '.join(f'{u}-{v}' for u, v in edges)}\n")
+        sys.stdout.write(f"edges     {_cell(row['edges'])}\n")
         sys.stdout.write(f"time      {seconds:.3f}s\n")
+        return EXIT_OK
+    sys.stdout.write(json_text(row) if args.format == "json" else csv_text(list(row), [row]))
+    sys.stderr.write(f"# oracle {seconds:.3f}s\n")
     return EXIT_OK
 
 
@@ -737,16 +636,16 @@ def cmd_validate_td(args: argparse.Namespace) -> int:
 
 def _bench_one(
     args: argparse.Namespace, deadline: float | None, best: dict[str, int], path: Path
-) -> tuple[str, BenchRecord | None, bool]:
-    """One bench row: (name, record or None if skipped, whether time ran out)."""
+) -> tuple[str, dict | None, float, float]:
+    """One instance: (name, bench row or None if skipped, generation and merge seconds)."""
     instance = parse_stp_file(path)
     name = instance.name or path.stem
     if deadline is not None and time.monotonic() > deadline:
-        return name, None, True
+        return name, None, 0.0, 0.0
     # one worker: a pool of --jobs per instance would start up to jobs * jobs
     report, gen_seconds = _run_pipeline(instance, args, deadline, 1)
-    record = make_bench_record(instance, name, report, gen_seconds, best.get(name))
-    return name, record, report.timed_out
+    row = _bench_row(report, name, instance, best.get(name))
+    return name, row, gen_seconds, report.merge_seconds
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -762,33 +661,45 @@ def cmd_bench(args: argparse.Namespace) -> int:
         best = read_best_known(Path(args.best_known).read_text(encoding="utf-8"))
     results = parallel_map(partial(_bench_one, args, _deadline(args), best), paths, jobs)
 
-    records = []
-    for name, record, _ in results:
-        if record is None:
+    machine = args.format != "table"
+    ran = []
+    for name, row, gen_seconds, merge_seconds in results:
+        if row is None:
             sys.stderr.write(f"# {name}: skipped (time limit)\n")
             continue
-        records.append(record)
+        ran.append((row, gen_seconds, merge_seconds))
+        if machine:
+            rel = _fmt2(_rel_time(gen_seconds, merge_seconds))
+            sys.stderr.write(
+                f"# {name}: generation {gen_seconds:.3f}s merge {merge_seconds:.3f}s"
+                f" relative {rel}\n"
+            )
+    # the most severe instance code, a skipped instance counting as timed out:
+    # EXIT_TIMEOUT > EXIT_CAPACITY > EXIT_OK, so 6 comes before 5
+    code = max(EXIT_TIMEOUT if row is None else _report_exit(row) for _, row, _, _ in results)
     if args.drop_solved:
-        records = [r for r in records if r.grasp_gap is None or r.grasp_gap != 0]
+        ran = [t for t in ran if t[0]["grasp_gap"] != 0]
 
+    rows = [row for row, _, _ in ran]
+    summary = bench_summary(rows)
+    rels = [r for r in (_rel_time(g, m) for _, g, m in ran) if r is not None]
+    if rels:
+        summary["mean_rel_time"] = sum(rels) / len(rels)
     if args.format == "json":
-        text = json.dumps(_bench_json_payload(records), indent=2) + "\n"
-    elif args.format == "table":
-        text = _render_bench_table(records)
+        text = json_text(rows)
+    elif args.format == "csv":
+        text = csv_text(BENCH_COLUMNS, rows)
     else:
-        text = write_bench_csv(records)
+        text = _bench_table(ran, summary)
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-    if args.format != "table":
-        s = bench_summary(records)
+    if machine:
         parts = [f"{k} {_fmt2(v) if isinstance(v, (float, Fraction)) else v}"
-                 for k, v in s.items()]
+                 for k, v in summary.items()]
         sys.stderr.write("# " + "  ".join(parts) + "\n")
-    if any(timed_out for _, _, timed_out in results):
-        return EXIT_TIMEOUT
-    return EXIT_OK
+    return code
 
 
 _COMMANDS = {

@@ -318,7 +318,7 @@ def test_09_external_benchmark(capsys, tmp_path):
         argv += ["--best-known", best]
     code = main(argv)
     records = read_bench_csv(out_path.read_text())
-    gaps = [(r.grasp_gap, r.smh_gap) for r in records if r.grasp_gap is not None]
+    gaps = [(r["grasp_gap"], r["smh_gap"]) for r in records if r["grasp_gap"] is not None]
     if gaps:
         mean_grasp = sum(g for g, _ in gaps) / len(gaps)
         mean_smh = sum(g for _, g in gaps) / len(gaps)

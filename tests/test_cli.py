@@ -19,8 +19,7 @@ from steinmerge import (
 )
 from steinmerge import cli, generate_pool
 from steinmerge.cli import (
-    BENCH_FIELDS,
-    BenchRecord,
+    BENCH_COLUMNS,
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_PARSE,
@@ -28,10 +27,10 @@ from steinmerge.cli import (
     EXIT_USAGE,
     bench_summary,
     compute_gap,
+    csv_text,
     main,
     read_bench_csv,
     read_best_known,
-    write_bench_csv,
 )
 from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance
 
@@ -69,56 +68,54 @@ class TestComputeGap:
 
 
 class TestBenchCsv:
-    def make_record(self, **over):
-        base = dict(
+    def make_row(self, **over):
+        row = dict(
             instance="x",
+            weight=104,
+            source="final-dp",
+            trees_used=3,
+            union_width=2,
+            pool_size=4,
+            pool_best=110,
+            capacity_fallback=False,
+            timed_out=False,
             terminals=4,
             edges=9,
             best_known=100,
-            grasp_value=110,
-            smh_value=104,
             grasp_gap=Fraction(10),
             smh_gap=Fraction(4),
             improvement=Fraction(60),
-            grasp_time=1.25,
-            smh_time=0.125,
-            rel_time=0.1,
-            trees_used=3,
         )
-        base.update(over)
-        return BenchRecord(**base)
+        row.update(over)
+        return row
 
     def test_roundtrip(self):
-        records = [
-            self.make_record(),
-            self.make_record(
+        rows = [
+            self.make_row(),
+            self.make_row(
                 instance="y", best_known=None, grasp_gap=None, smh_gap=None,
-                improvement=None, rel_time=None,
+                improvement=None, capacity_fallback=True,
             ),
         ]
-        again = read_bench_csv(write_bench_csv(records))
-        assert [r.instance for r in again] == ["x", "y"]
-        assert again[0].smh_gap == Fraction(4)
-        assert again[1].best_known is None
-        assert again[1].rel_time is None
-        assert again[0].trees_used == 3
+        again = read_bench_csv(csv_text(BENCH_COLUMNS, rows))
+        assert again == rows
 
     def test_header_checked(self):
         with pytest.raises(ParseError):
             read_bench_csv("a,b,c\n1,2,3\n")
 
     def test_two_decimal_gaps(self):
-        text = write_bench_csv([self.make_record(smh_gap=Fraction(1, 3))])
+        text = csv_text(BENCH_COLUMNS, [self.make_row(smh_gap=Fraction(1, 3))])
         row = text.splitlines()[1].split(",")
-        assert row[BENCH_FIELDS.index("smh_gap")] == "0.33"
+        assert row[BENCH_COLUMNS.index("smh_gap")] == "0.33"
 
     def test_summary_counts(self):
-        records = [
-            self.make_record(),
-            self.make_record(instance="y", smh_value=100, smh_gap=Fraction(0)),
-            self.make_record(instance="z", smh_value=99, smh_gap=Fraction(-1)),
+        rows = [
+            self.make_row(),
+            self.make_row(instance="y", weight=100, smh_gap=Fraction(0)),
+            self.make_row(instance="z", weight=99, smh_gap=Fraction(-1)),
         ]
-        s = bench_summary(records)
+        s = bench_summary(rows)
         assert s["instances"] == 3
         assert s["smh_better"] == 3
         assert s["matched_best"] == 1
@@ -398,11 +395,29 @@ GOLDEN_CASES = {
 }
 
 
+# sha256 of `--format csv` stdout, captured on the code before every
+# machine format went through one csv writer; `merge` and `solve` print the
+# same row, so each case has one digest for both
+GOLDEN_CSV = {
+    "sparse": "a3794cde9e706a380b6f3b0b1ed2279d34422a48aa7f615505b644a74927e6e1",
+    "holed-grid": "37a83f879bf79b744eea927ddc376492a99d80bd5a4d78d522824d3b430b9515",
+    "dense-budget-64": "a598e9e9026e1cac681b51b3d3d59761d01e1daedb6397019a37b6785fd94eb3",
+}
+
+# sha256 of `oracle` stdout on sparse_instance(5, 30, 6), captured with GOLDEN_CSV
+GOLDEN_ORACLE = {
+    "json": "345fa894c1915465d3e8a3d61211571bcee25c48d6aa231d38998812ffef8567",
+    "csv": "2d6e5947d951a8c9e3c5ba380a0653fd0c636c009c43e1d2e3646061651c6382",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestGoldenOutput:
-    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    @pytest.mark.parametrize("command", ["merge", "solve"])
-    def test_json_digest(self, stp, tmp_path, capsys, case, command):
-        build, pool_flags, flags, digest = GOLDEN_CASES[case]
+    def run_case(self, stp, tmp_path, capsys, case, command, fmt):
+        build, pool_flags, flags, _ = GOLDEN_CASES[case]
         path = stp(build())
         if command == "merge":
             pool_path = tmp_path / "pool.txt"
@@ -413,10 +428,32 @@ class TestGoldenOutput:
         else:
             argv = ["solve", path, *pool_flags]
         capsys.readouterr()
-        code = main([*argv, "--format", "json", "--seed", "3", *flags])
-        out = capsys.readouterr().out
+        code = main([*argv, "--format", fmt, "--seed", "3", *flags])
         assert code == (EXIT_CAPACITY if case == "dense-budget-64" else EXIT_OK)
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    @pytest.mark.parametrize("command", ["merge", "solve"])
+    def test_json_digest(self, stp, tmp_path, capsys, case, command):
+        out = self.run_case(stp, tmp_path, capsys, case, command, "json")
+        assert sha256(out) == GOLDEN_CASES[case][3]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    @pytest.mark.parametrize("command", ["merge", "solve"])
+    def test_csv_digest(self, stp, tmp_path, capsys, case, command):
+        out = self.run_case(stp, tmp_path, capsys, case, command, "csv")
+        assert sha256(out) == GOLDEN_CSV[case]
+
+    @pytest.mark.parametrize("fmt", sorted(GOLDEN_ORACLE))
+    def test_oracle_digest(self, stp, capsys, fmt):
+        code = main(["oracle", stp(sparse_instance(5, 30, 6)), "--format", fmt])
+        assert code == EXIT_OK
+        assert sha256(capsys.readouterr().out) == GOLDEN_ORACLE[fmt]
+
+
+# a dense instance whose final union exceeds this state budget
+FALLBACK_FLAGS = ("--pool", "4", "--grasp-iters", "1", "--rank-iters", "2",
+                  "--state-budget", "8")
 
 
 class TestBenchCommand:
@@ -442,12 +479,12 @@ class TestBenchCommand:
                      "--rank-iters", "1", "--best-known", str(best_path),
                      "--format", "csv", "-o", str(out_path)])
         assert code == EXIT_OK
-        records = read_bench_csv(out_path.read_text())
-        assert [r.instance for r in records] == [n for n, _ in names]
-        for r in records:
-            assert r.best_known is not None
-            assert r.smh_gap is not None and r.smh_gap >= 0
-            assert r.smh_value <= r.grasp_value
+        rows = read_bench_csv(out_path.read_text())
+        assert [r["instance"] for r in rows] == [n for n, _ in names]
+        for r in rows:
+            assert r["best_known"] is not None
+            assert r["smh_gap"] is not None and r["smh_gap"] >= 0
+            assert r["weight"] <= r["pool_best"]
 
     def test_drop_solved(self, tmp_path, capsys):
         d, names = self.fill_dir(tmp_path)
@@ -464,8 +501,8 @@ class TestBenchCommand:
         all_rows = read_bench_csv(capsys.readouterr().out)
         main(argv + ["--drop-solved"])
         kept = read_bench_csv(capsys.readouterr().out)
-        dropped = {r.instance for r in all_rows if r.grasp_gap == 0}
-        assert {r.instance for r in kept} == {r.instance for r in all_rows} - dropped
+        dropped = {r["instance"] for r in all_rows if r["grasp_gap"] == 0}
+        assert {r["instance"] for r in kept} == {r["instance"] for r in all_rows} - dropped
 
     def test_empty_directory(self, tmp_path, capsys):
         d = tmp_path / "empty"
@@ -482,19 +519,21 @@ class TestBenchCommand:
         assert "skipped" in out.err
 
     def test_jobs_match_sequential(self, tmp_path, capsys):
+        # machine formats carry no timing field, so two same-seed runs, and
+        # a run on worker processes, print the same bytes
         d, _ = self.fill_dir(tmp_path)
-        argv = ["bench", str(d), "--pool", "2", "--grasp-iters", "1",
-                "--rank-iters", "1", "--format", "csv", "--seed", "5"]
-        main(argv)
-        seq = capsys.readouterr().out
-        main(argv + ["--jobs", "3"])
-        par = capsys.readouterr().out
-        strip_times = lambda text: [
-            [c for i, c in enumerate(row.split(","))
-             if BENCH_FIELDS[i] not in ("grasp_time", "smh_time", "rel_time")]
-            for row in text.splitlines()
-        ]
-        assert strip_times(seq) == strip_times(par)
+        for fmt in ("csv", "json"):
+            argv = ["bench", str(d), "--pool", "2", "--grasp-iters", "1",
+                    "--rank-iters", "1", "--format", fmt, "--seed", "5"]
+            outs = []
+            for jobs in ("1", "1", "3"):
+                assert main(argv + ["--jobs", jobs]) == EXIT_OK
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1] == outs[2]
+            if fmt == "csv":
+                assert outs[0].splitlines()[0].split(",") == BENCH_COLUMNS
+            else:
+                assert {k for row in json.loads(outs[0]) for k in row} == set(BENCH_COLUMNS)
 
     def test_parallel_bench_builds_each_pool_with_one_worker(
         self, tmp_path, capsys, monkeypatch
@@ -543,4 +582,41 @@ class TestBenchCommand:
         out = capsys.readouterr()
         assert code == EXIT_TIMEOUT
         assert "skipped" not in out.err
-        assert len(read_bench_csv(out.out)) == 1
+        (row,) = read_bench_csv(out.out)
+        assert row["timed_out"]
+
+    def test_capacity_fallback_exits_capacity(self, tmp_path, capsys):
+        # solve exits 5 on this file; bench must too, and its row shows why
+        d = tmp_path / "bench"
+        d.mkdir()
+        (d / "dense.stp").write_text(write_stp(dense_instance(3, 40, 0.2, 10, max_weight=3)))
+        code = main(["bench", str(d), *FALLBACK_FLAGS, "--format", "csv"])
+        (row,) = read_bench_csv(capsys.readouterr().out)
+        assert code == EXIT_CAPACITY
+        assert row["capacity_fallback"] and not row["timed_out"]
+
+    def test_timeout_outranks_fallback(self, tmp_path, capsys, monkeypatch):
+        # one instance falls back, then the clock passes the limit while the
+        # other runs: the most severe code, 6, wins over 5
+        d = tmp_path / "bench"
+        d.mkdir()
+        fallback = dense_instance(3, 40, 0.2, 10, max_weight=3)
+        late = sparse_instance(20, 25, 4)
+        (d / "a.stp").write_text(write_stp(fallback))
+        (d / "b.stp").write_text(write_stp(late))
+        now = [0.0]
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+
+        def generating(instance, cfg, workers=1, deadline=None):
+            if instance.name == late.name:
+                now[0] = 9.0
+            return generate_pool(instance, cfg, workers, deadline)
+
+        monkeypatch.setattr(cli, "generate_pool", generating)
+        code = main(["bench", str(d), *FALLBACK_FLAGS, "--time-limit", "5",
+                     "--format", "csv"])
+        rows = read_bench_csv(capsys.readouterr().out)
+        assert code == EXIT_TIMEOUT
+        assert [(r["capacity_fallback"], r["timed_out"]) for r in rows] == [
+            (True, False), (False, True),
+        ]

@@ -61,3 +61,32 @@ def test_every_export_resolves():
     missing = [name for name in steinmerge.__all__ if not hasattr(steinmerge, name)]
     assert missing == []
     assert len(steinmerge.__all__) == len(set(steinmerge.__all__))
+
+
+# every machine format goes through one csv writer and one json writer, so
+# no command prints its own variant of a row
+RENDERERS = {("json", "dumps"): "json_text", ("csv", "writer"): "csv_text"}
+
+
+def _calls_by_function(node, name="<module>"):
+    """(enclosing function's name, call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield name, child
+        yield from _calls_by_function(child, name)
+
+
+def test_machine_formats_written_in_one_place():
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    strays = [
+        f"{name}:{call.lineno}"
+        for name, call in _calls_by_function(tree)
+        if isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and RENDERERS.get((call.func.value.id, call.func.attr), name) != name
+    ]
+    assert strays == []
