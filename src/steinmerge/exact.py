@@ -271,17 +271,17 @@ def dreyfus_wagner(
         return SteinerSolution(frozenset(), 0)
 
     graph = instance.graph
-    order, index, indptr, nbr, wts = graph.csr
-    n = len(order)
+    indptr, nbr, wts = graph.csr
+    n = graph.n_vertices
     base = q[:-1]
-    root = index[q[-1]]
+    root = q[-1]
     full = (1 << len(base)) - 1
     inf = float("inf")
 
     tpred: list[list[int]] = []
     dp: dict[int, list] = {}
     for i, t in enumerate(base):
-        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [index[t]], n)
+        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [t], n)
         dp[1 << i] = dist
         tpred.append(pred)
 
@@ -325,11 +325,11 @@ def dreyfus_wagner(
         mask, v = stack.pop()
         if mask & (mask - 1) == 0:
             i = mask.bit_length() - 1
-            src = index[base[i]]
+            src = base[i]
             cur = v
             while cur != src:
                 p = tpred[i][cur]
-                edges.add(edge_key(order[cur], order[p]))
+                edges.add(edge_key(cur, p))
                 cur = p
             continue
         tag = back[mask][v]
@@ -339,7 +339,7 @@ def dreyfus_wagner(
             stack.append((mask ^ sub, v))
         else:
             u = tag[1]
-            edges.add(edge_key(order[v], order[u]))
+            edges.add(edge_key(v, u))
             stack.append((mask, u))
 
     return _checked_prune(instance, edges, value)

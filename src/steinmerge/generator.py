@@ -146,27 +146,27 @@ def sph_construct(
         return SteinerSolution(frozenset(), 0)
 
     graph = instance.graph
-    order, index, indptr, nbr, _ = graph.csr
+    indptr, nbr, _ = graph.csr
     wlist = graph.csr_weight_list(weights)
-    n = len(order)
+    n = graph.n_vertices
 
-    tree_idx = {index[start]}
+    tree = {start}
     edges: set[Edge] = set()
-    remaining = {index[t] for t in terms} - tree_idx
+    remaining = terms - tree
     while remaining:
         if deadline is not None and time.monotonic() > deadline:
             return None
-        dist, pred = kernels.dijkstra_multi(indptr, nbr, wlist, sorted(tree_idx), n)
+        dist, pred = kernels.dijkstra_multi(indptr, nbr, wlist, sorted(tree), n)
         best = min(dist[t] for t in remaining)
         candidates = sorted(t for t in remaining if dist[t] == best)
         target = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
         cur = target
-        while cur not in tree_idx:
+        while cur not in tree:
             p = pred[cur]
-            edges.add(edge_key(order[cur], order[p]))
-            tree_idx.add(cur)
+            edges.add(edge_key(cur, p))
+            tree.add(cur)
             cur = p
-        remaining -= tree_idx
+        remaining -= tree
     return prune(instance, edges)
 
 
@@ -175,12 +175,11 @@ def _induced_forest(
 ) -> list[int]:
     """Minimum spanning forest of the subgraph induced by ``members``.
 
-    Members are CSR indices and the forest is a list of edge ranks. When
-    ``spare`` is given, every induced edge left out of the forest is
-    appended to it in rank order.
+    The forest is a list of edge ranks. When ``spare`` is given, every
+    induced edge left out of the forest is appended to it in rank order.
     """
     g = instance.graph
-    _, _, indptr, nbr, _ = g.csr
+    indptr, nbr, _ = g.csr
     ranks = g.edge_ranks
     slot = g.slot_ranks
     induced = sorted(
@@ -209,7 +208,7 @@ def _stripped_tree(
 def _induced_tree(
     instance: SteinerInstance, members: set[int], bound: float = inf
 ) -> SteinerSolution | None:
-    """Pruned MST of the subgraph induced by ``members`` (CSR indices).
+    """Pruned MST of the subgraph induced by ``members``.
 
     Equals ``prune(instance, induced_edges)`` when that is lighter than
     ``bound``, and is None otherwise, including when the members do not
@@ -225,7 +224,7 @@ def _preorder(
 ) -> tuple[list[int], list[int], list[int], dict[int, int]]:
     """Depth-first preorder from ``root`` of the tree with these edges.
 
-    Vertices are CSR indices below ``n``. Returns the order, each vertex's
+    Vertices are ids below ``n``. Returns the order, each vertex's
     position in it (-1 off the tree), each vertex's subtree size, so the
     subtree of ``x`` is the slice ``pre[pos[x]:pos[x] + size[x]]``, and
     each tree vertex's parent (-1 for the root).
@@ -283,7 +282,7 @@ class _DeletionCheck:
             instance.graph.n_vertices,
         )
         degree = Counter(x for r in self.mst for x in (self.tail[r], self.head[r]))
-        terms = instance.terminal_index
+        terms = instance.terminals
         self.terminal_leaves = len(self.pre) == len(members) and all(
             d > 1 or x in terms for x, d in degree.items()
         )
@@ -353,15 +352,15 @@ class _ExchangeCheck:
     """
 
     def __init__(
-        self, instance: SteinerInstance, edges: list[tuple[int, int]], root: int
+        self, instance: SteinerInstance, edges: Iterable[Edge], root: int
     ) -> None:
         graph = instance.graph
-        order, _, indptr, nbr, wts = graph.csr
-        n = len(order)
+        indptr, nbr, wts = graph.csr
+        n = graph.n_vertices
         pre, pos, self.size, up = _preorder(edges, root, n)
         self.pre, self.pos = pre, pos
         # the weight of each non-root tree vertex's edge to its parent
-        limit = {x: graph.weights[edge_key(order[x], order[up[x]])] for x in pre[1:]}
+        limit = {x: graph.weights[edge_key(x, up[x])] for x in pre[1:]}
         heaviest = max(limit.values(), default=0)
         dist = [heaviest] * n
         owner = [-1] * n
@@ -430,13 +429,14 @@ class _ExchangeCheck:
 def _cheapest_reconnect(
     instance: SteinerInstance, side: set[int], other: set[int], limit: int
 ) -> tuple[int, list[Edge]] | None:
-    """Cheapest path from ``side`` to ``other`` (CSR indices) under ``limit``.
+    """Cheapest path from ``side`` to ``other`` under ``limit``.
 
     A multi-source Dijkstra that never keeps a distance of ``limit`` or
     more. Returns None when no vertex of ``other`` is that close.
     """
-    order, _, indptr, nbr, wts = instance.graph.csr
-    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, side, len(order), limit)
+    indptr, nbr, wts = instance.graph.csr
+    n = instance.graph.n_vertices
+    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, side, n, limit)
     best_v = min(sorted(other), key=dist.__getitem__)
     if dist[best_v] >= limit:
         return None
@@ -444,7 +444,7 @@ def _cheapest_reconnect(
     cur = best_v
     while pred[cur] >= 0:
         p = pred[cur]
-        path.append(edge_key(order[cur], order[p]))
+        path.append(edge_key(cur, p))
         cur = p
     return dist[best_v], path
 
@@ -475,19 +475,19 @@ def local_search(
     if len(instance.terminals) == 1:
         return current
     graph = instance.graph
-    order, index, indptr, nbr, _ = graph.csr
-    terms = instance.terminal_index
+    indptr, nbr, _ = graph.csr
+    terms = instance.terminals
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
     while True:
-        tverts = {index[v] for v in current.vertices}
+        tverts = current.vertices
         # insertion: only vertices with two tree neighbors can pay off,
         # anything attached by a single edge is pruned right back off
         candidates = [
             v
-            for v in range(len(order))
+            for v in range(graph.n_vertices)
             if v not in tverts
             and sum(nbr[i] in tverts for i in range(indptr[v], indptr[v + 1])) >= 2
         ]
@@ -520,9 +520,7 @@ def local_search(
         # edge exchange: drop one tree edge and reconnect the two halves
         # along the cheapest path in the whole graph; a path costing w(e)
         # or more cannot pay off, so only edges with a lighter path are tried
-        exchange = _ExchangeCheck(
-            instance, [(index[a], index[b]) for a, b in current.edges], min(tverts)
-        )
+        exchange = _ExchangeCheck(instance, current.edges, min(tverts))
         tree_edges = list(current.canonical_edges())
         # shuffled even when nothing is replaceable: the run's later
         # restarts draw from the same rng
@@ -532,7 +530,7 @@ def local_search(
         for e in tree_edges:
             if expired():
                 return current
-            a, b = index[e[0]], index[e[1]]
+            a, b = e
             lower = exchange.lower(a, b)
             if lower not in exchange.replaceable:
                 continue

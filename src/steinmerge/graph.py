@@ -49,9 +49,11 @@ def edge_key(u: int, v: int) -> Edge:
 class WeightedGraph:
     """Simple undirected graph with nonnegative integer edge weights.
 
-    Immutable after construction; derived views (adjacency, vertex
-    numbering, bitmasks, CSR arrays) are cached on first use.
-    ``weights`` maps normalized edges to costs and doubles as the edge set.
+    Immutable after construction; derived views (adjacency, bitmasks, CSR
+    arrays, edge ranks) are cached on first use. ``weights`` maps
+    normalized edges to costs and doubles as the edge set. A vertex id is
+    its own index in every array view: an instance's vertices are 0..n-1,
+    and a union subgraph keeps its host's ids.
     """
 
     vertices: frozenset[int]
@@ -106,50 +108,40 @@ class WeightedGraph:
         return {v: tuple(sorted(a)) for v, a in nbrs.items()}
 
     @cached_property
-    def numbering(self) -> tuple[tuple[int, ...], dict[int, int]]:
-        """(vertex_order, index_of): the one compact numbering all index views share."""
-        order = tuple(sorted(self.vertices))
-        return order, {v: i for i, v in enumerate(order)}
+    def adjacency_masks(self) -> list[int]:
+        """Bitmask view, shared, not to be mutated.
 
-    @cached_property
-    def adjacency_masks(self) -> tuple[tuple[int, ...], dict[int, int], list[int]]:
-        """Bitmask view: (vertex_order, index_of, masks), shared, not to be mutated.
-
-        ``masks[i]`` has bit j set when ``vertex_order[i]`` and
-        ``vertex_order[j]`` are adjacent.
+        ``masks[v]`` has bit u set when u and v are adjacent; an id below
+        the largest that is not a vertex has mask 0.
         """
-        order, index = self.numbering
-        masks = [0] * len(order)
+        masks = [0] * (max(self.vertices, default=-1) + 1)
         for u, v in self.weights:
-            iu, iv = index[u], index[v]
-            masks[iu] |= 1 << iv
-            masks[iv] |= 1 << iu
-        return order, index, masks
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return masks
 
     @cached_property
-    def csr(self) -> tuple[tuple[int, ...], dict[int, int], list[int], list[int], list[int]]:
-        """Compact-index CSR view: (vertex_order, index_of, indptr, nbr, weight)."""
-        order, index = self.numbering
+    def csr(self) -> tuple[list[int], list[int], list[int]]:
+        """CSR view of a graph on 0..n-1: (indptr, nbr, weight)."""
         indptr = [0]
         nbr: list[int] = []
         wts: list[int] = []
-        for v in order:
+        for v in range(self.n_vertices):
             for u in self.adjacency[v]:
-                nbr.append(index[u])
+                nbr.append(u)
                 wts.append(self.weights[edge_key(u, v)])
             indptr.append(len(nbr))
-        return order, index, indptr, nbr, wts
+        return indptr, nbr, wts
 
     @cached_property
     def edge_ranks(self) -> "EdgeRanks":
         """Edges numbered by their position in Kruskal's (w, u, v) order."""
-        index = self.numbering[1]
         ranked = sorted((w, u, v) for (u, v), w in self.weights.items())
         edges = tuple((u, v) for _, u, v in ranked)
         return EdgeRanks(
             edges,
-            [index[u] for u, _ in edges],
-            [index[v] for _, v in edges],
+            [u for _, u, _ in ranked],
+            [v for _, _, v in ranked],
             [w for w, _, _ in ranked],
             {e: r for r, e in enumerate(edges)},
         )
@@ -157,25 +149,16 @@ class WeightedGraph:
     @cached_property
     def slot_ranks(self) -> list[int]:
         """The edge rank of each CSR slot; only local search reads it."""
-        order, _, indptr, nbr, _ = self.csr
         rank = self.edge_ranks.rank
-        return [
-            rank[edge_key(order[v], order[nbr[i]])]
-            for v in range(len(order))
-            for i in range(indptr[v], indptr[v + 1])
-        ]
+        adj = self.adjacency
+        return [rank[edge_key(v, u)] for v in range(self.n_vertices) for u in adj[v]]
 
     def csr_weight_list(self, weight_map: dict[Edge, float] | None) -> list:
         """Per-CSR-slot weight list; ``weight_map`` overrides the graph weights."""
-        _, _, _, _, wts = self.csr
         if weight_map is None:
-            return wts
-        order = self.csr[0]
-        out = []
-        for v in order:
-            for u in self.adjacency[v]:
-                out.append(weight_map[edge_key(u, v)])
-        return out
+            return self.csr[2]
+        adj = self.adjacency
+        return [weight_map[edge_key(v, u)] for v in range(self.n_vertices) for u in adj[v]]
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -200,8 +183,8 @@ class EdgeRanks:
     """A graph's edges in the strict (weight, u, v) order Kruskal sorts by.
 
     Rank ``r`` is an edge's position in that order: ``edges[r]`` is the edge,
-    ``tail[r] < head[r]`` its endpoints' indices in the graph's numbering
-    and ``weight[r]`` its cost, and ``rank`` maps an edge back to its rank.
+    ``tail[r] < head[r]`` its endpoints and ``weight[r]`` its cost, and
+    ``rank`` maps an edge back to its rank.
     """
 
     edges: tuple[Edge, ...]
@@ -226,6 +209,8 @@ class SteinerInstance:
             raise ValidationError("instance needs at least one terminal")
         if not tset <= graph.vertices:
             raise ValidationError("terminals must be vertices of the graph")
+        if graph.vertices != frozenset(range(graph.n_vertices)):
+            raise ValidationError("instance vertices must be exactly 0..n-1")
         if not graph.is_connected():
             raise ValidationError("instance graph is not connected")
         return SteinerInstance(graph, tset, name)
@@ -233,12 +218,6 @@ class SteinerInstance:
     @property
     def n_terminals(self) -> int:
         return len(self.terminals)
-
-    @cached_property
-    def terminal_index(self) -> frozenset[int]:
-        """The terminals' indices in the graph's numbering."""
-        index = self.graph.numbering[1]
-        return frozenset(index[t] for t in self.terminals)
 
 
 @dataclass(frozen=True)
@@ -287,14 +266,14 @@ def solution_violations(instance: SteinerInstance, solution: SteinerSolution) ->
         out.append(
             f"edge count {len(solution.edges)} != |V|-1 = {len(verts) - 1} (not a tree)"
         )
-    # numbered locally: the host graph's edge ranks cost more than the check
+    # Kruskal in canonical order: the host graph's edge ranks cost more
+    # than the check
     edges = solution.canonical_edges()
-    index = {v: i for i, v in enumerate(verts)}
     spare: list[int] = []
     forest = minimum_spanning_edges(
-        len(index),
-        [index[u] for u, _ in edges],
-        [index[v] for _, v in edges],
+        g.n_vertices,
+        [u for u, _ in edges],
+        [v for _, v in edges],
         range(len(edges)),
         spare,
     )
@@ -474,8 +453,6 @@ def write_stp(instance: SteinerInstance) -> str:
     """Serialize an instance back to STP Format Version 1.0 (1-based ids)."""
     g = instance.graph
     n = g.n_vertices
-    if g.vertices != frozenset(range(n)):
-        raise ValidationError("only dense 0-based instances can be serialized")
     out = [STP_MAGIC, ""]
     if instance.name:
         out += ["SECTION Comment", f'Name    "{instance.name}"', "END", ""]
@@ -505,7 +482,7 @@ def minimum_spanning_edges(
 
     Edge ``r`` joins vertices ``tail[r]`` and ``head[r]``, both below ``n``,
     and the forest comes back as edge numbers. Given edge ranks in
-    ascending order and CSR endpoints, it is the graph's unique minimum
+    ascending order and their endpoints, it is the graph's unique minimum
     spanning forest, since ranks follow the strict (w, u, v) order. The
     union-find is a list. When ``spare`` is given, every edge left out of
     the forest is appended to it in order. ``spanning`` is the edge count
@@ -578,7 +555,7 @@ def strip_leaves(
     """
     ranks = instance.graph.edge_ranks
     tail, head, weight = ranks.tail, ranks.head, ranks.weight
-    terms = instance.terminal_index
+    terms = instance.terminals
     n = instance.graph.n_vertices
     deg = [0] * n
     # xor of the ranks of each vertex's remaining edges: a leaf's one edge

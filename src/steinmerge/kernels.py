@@ -7,8 +7,8 @@ can rebind them for the length of a run.
 Dynamic-program tables map a state key to (value, backref). A key is
 (mask, labels): ``mask`` marks the bag positions chosen into the partial
 solution, ``labels`` assigns a block id to each chosen position in ascending
-position order, renumbered so block ids appear in first-occurrence order.
-That renumbering makes the key canonical, so equal partial solutions always
+position order, relabelled so block ids appear in first-occurrence order.
+That relabelling makes the key canonical, so equal partial solutions always
 collide and the minimum is kept.
 """
 
@@ -28,28 +28,28 @@ BACKEND_NAME = "python"
 # greedy minimum-degree elimination
 
 
-def eliminate(masks, cap, tie_high=False):
-    """Greedy minimum-degree elimination over bitmask adjacency.
+def eliminate(masks, vertices, cap, tie_high=False):
+    """Greedy minimum-degree elimination of ``vertices`` over bitmask adjacency.
 
-    masks[i] is the neighbor bitmask of vertex i (the caller's list is not
-    mutated). Ties on degree go to the lowest index, or the highest when
-    tie_high is set. cap < 0 disables the width cap.
+    masks[v] is the neighbor bitmask of vertex v (the caller's list is not
+    mutated); every neighbor must be among ``vertices``. Ties on degree go
+    to the lowest vertex, or the highest when tie_high is set. cap < 0
+    disables the width cap.
 
     Returns (width, order). When some elimination would exceed cap the scan
     aborts and returns (exceeding_degree, None).
     """
-    n = len(masks)
     adj = list(masks)
     deg = [m.bit_count() for m in adj]
     if tie_high:
-        heap = [(deg[v], -v) for v in range(n)]
+        heap = [(deg[v], -v) for v in vertices]
     else:
-        heap = [(deg[v], v) for v in range(n)]
+        heap = [(deg[v], v) for v in vertices]
     heapq.heapify(heap)
-    removed = [False] * n
+    removed = [False] * len(adj)
     order = []
     width = 0
-    alive = n
+    alive = len(heap)
     while alive:
         d, key = heapq.heappop(heap)
         v = -key if tie_high else key
@@ -247,7 +247,7 @@ def dp_forget(table, pos):
 
 @lru_cache(maxsize=1 << 16)
 def _join_relabel(c, ends):
-    """Block renumbering after tying left blocks pairwise, or None if unchanged.
+    """Block relabelling after tying left blocks pairwise, or None if unchanged.
 
     ``ends`` lists left block ids two by two; each pair lies in one right
     block. The result maps every old block id below ``c`` to its canonical
@@ -272,7 +272,7 @@ def _join_relabel(c, ends):
     if not merged:
         return None
     # a merged block first occurs where its lowest member block does, so
-    # numbering the roots in block order gives first-occurrence order
+    # labelling the roots in block order gives first-occurrence order
     ids = []
     n = 0
     for b in range(c):

@@ -63,11 +63,12 @@ def greedy_degree(graph: WeightedGraph, tie: str = "low") -> EliminationOrder:
     alternative "high" rule exists so callers can produce a second,
     independently constructed decomposition of the same graph.
     """
-    vs, _, masks = graph.adjacency_masks
-    width, idx_order = kernels.eliminate(masks, -1, _check_tie(tie))
-    if idx_order is None:
+    width, order = kernels.eliminate(
+        graph.adjacency_masks, graph.vertices, -1, _check_tie(tie)
+    )
+    if order is None:
         raise InvariantError("uncapped elimination returned no order")
-    return EliminationOrder(tuple(vs[i] for i in idx_order), width)
+    return EliminationOrder(tuple(order), width)
 
 
 def greedy_degree_capped(
@@ -76,11 +77,10 @@ def greedy_degree_capped(
     """Greedy elimination that aborts as soon as a step would exceed max_width."""
     if max_width < 0:
         raise ValueError("max_width must be nonnegative")
-    vs, _, masks = graph.adjacency_masks
-    width, idx_order = kernels.eliminate(masks, max_width, _check_tie(tie))
-    if idx_order is None:
-        return CappedElimination(width, None)
-    return CappedElimination(width, tuple(vs[i] for i in idx_order))
+    width, order = kernels.eliminate(
+        graph.adjacency_masks, graph.vertices, max_width, _check_tie(tie)
+    )
+    return CappedElimination(width, None if order is None else tuple(order))
 
 
 def decomposition_from_order(
@@ -95,9 +95,7 @@ def decomposition_from_order(
     seq = tuple(order.order) if isinstance(order, EliminationOrder) else tuple(order)
     if len(seq) != graph.n_vertices or set(seq) != set(graph.vertices):
         raise ValidationError("order is not a permutation of the graph's vertices")
-    vs, index, masks = graph.adjacency_masks
-    idx_seq = [index[v] for v in seq]
-    bag_masks = kernels.elimination_bags(masks, idx_seq)
+    bag_masks = kernels.elimination_bags(graph.adjacency_masks, seq)
 
     position = {v: p for p, v in enumerate(seq)}
     bags: list[frozenset[int]] = []
@@ -108,7 +106,7 @@ def decomposition_from_order(
         m = bm
         while m:
             low = m & -m
-            members.append(vs[low.bit_length() - 1])
+            members.append(low.bit_length() - 1)
             m ^= low
         bags.append(frozenset(members))
         higher = [u for u in members if u != seq[p]]
@@ -122,6 +120,27 @@ def decomposition_from_order(
         edges.append((a, b))
     width = max((len(b) for b in bags), default=1) - 1
     return TreeDecomposition(tuple(bags), tuple(edges), width)
+
+
+def _holding(bags: Sequence[frozenset[int]]) -> dict[int, list[int]]:
+    """Each vertex's bag indices, ascending."""
+    holding: dict[int, list[int]] = {}
+    for i, b in enumerate(bags):
+        for v in b:
+            holding.setdefault(v, []).append(i)
+    return holding
+
+
+def _covering_bag(
+    bags: Sequence[frozenset[int]], holding: dict[int, list[int]], u: int, v: int
+) -> int | None:
+    """The lowest index of a bag holding both u and v, or None.
+
+    Only the bags of whichever endpoint lies in fewer bags are scanned.
+    """
+    hu, hv = holding.get(u, ()), holding.get(v, ())
+    scan, other = (hu, v) if len(hu) <= len(hv) else (hv, u)
+    return next((i for i in scan if other in bags[i]), None)
 
 
 def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[str]:
@@ -154,9 +173,9 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
     if len(seen) != n:
         out.append("decomposition tree is disconnected")
 
-    covered = set()
-    for b in td.bags:
-        covered |= b
+    # conditions 2 and 3 scan only the bags that hold a vertex, not all bags
+    holding = _holding(td.bags)
+    covered = set(holding)
     if covered != graph.vertices:
         missing = sorted(graph.vertices - covered)
         extra = sorted(covered - graph.vertices)
@@ -166,11 +185,11 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
             out.append(f"condition 1: bags mention non-vertices: {extra}")
 
     for u, v in sorted(graph.weights):
-        if not any(u in b and v in b for b in td.bags):
+        if _covering_bag(td.bags, holding, u, v) is None:
             out.append(f"condition 2: edge ({u}, {v}) not inside any bag")
 
     for v in sorted(graph.vertices):
-        nodes = [i for i in range(n) if v in td.bags[i]]
+        nodes = holding.get(v)
         if not nodes:
             continue
         reach = {nodes[0]}
@@ -263,22 +282,14 @@ def make_nice(
     for j in bfs[1:]:
         children[parent[j]].append(j)
 
-    # each graph edge goes to the lowest-index node covering both endpoints,
-    # found among the nodes of whichever endpoint lies in fewer bags
-    holding: dict[int, list[int]] = {}
-    for i, b in enumerate(bags):
-        for v in b:
-            holding.setdefault(v, []).append(i)
+    # each graph edge goes to the lowest-index node covering both endpoints
+    holding = _holding(bags)
     assigned: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in sorted(graph.weights):
-        hu, hv = holding.get(u, ()), holding.get(v, ())
-        scan, other = (hu, v) if len(hu) <= len(hv) else (hv, u)
-        for i in scan:
-            if other in bags[i]:
-                assigned[i].append((u, v))
-                break
-        else:
+        i = _covering_bag(bags, holding, u, v)
+        if i is None:
             raise ValidationError(f"edge ({u}, {v}) is covered by no bag")
+        assigned[i].append((u, v))
 
     sorted_bags = [tuple(sorted(b)) for b in bags]
     nodes: list[NiceNode] = []

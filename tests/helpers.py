@@ -77,9 +77,9 @@ def brute_force_weight(instance):
 
 def path_distance(instance, a, b):
     """Shortest-path distance inside the instance graph."""
-    order, index, indptr, nbr, wts = instance.graph.csr
-    dist, _ = kernels.dijkstra_multi(indptr, nbr, wts, [index[a]], len(order))
-    return dist[index[b]]
+    indptr, nbr, wts = instance.graph.csr
+    dist, _ = kernels.dijkstra_multi(indptr, nbr, wts, [a], instance.graph.n_vertices)
+    return dist[b]
 
 
 def tie_heavy_instance(seed, n_vertices=14, n_edges=30, n_terminals=4):

@@ -174,16 +174,16 @@ class TestLocalSearch:
     def test_exchange_path_is_searched_from_the_first_endpoint(self):
         # dropping (1, 2) leaves halves {0, 1} and {2, 3}, and two paths of
         # cost 3 rejoin them; searched from 1's half, the tie goes to the
-        # lower vertex 2 of the other half, so 1-7-8-2 comes in. Searched
-        # from 2's half it would be 3-6-5-0, and the result would weigh 3
+        # lower vertex 2 of the other half, so 1-6-7-2 comes in. Searched
+        # from 2's half it would be 3-5-4-0, and the result would weigh 3
         inst = build_instance(
-            [(0, 1, 1), (1, 2, 10), (2, 3, 1), (0, 5, 1), (5, 6, 1), (6, 3, 1),
-             (1, 7, 1), (7, 8, 1), (8, 2, 1)],
+            [(0, 1, 1), (1, 2, 10), (2, 3, 1), (0, 4, 1), (4, 5, 1), (5, 3, 1),
+             (1, 6, 1), (6, 7, 1), (7, 2, 1)],
             [0, 3],
         )
         start = solution_of(inst, [(0, 1), (1, 2), (2, 3)])
         out = local_search(inst, start, rng_for())
-        assert out == solution_of(inst, [(0, 1), (1, 7), (7, 8), (2, 8), (2, 3)])
+        assert out == solution_of(inst, [(0, 1), (1, 6), (6, 7), (2, 7), (2, 3)])
 
     def test_inserts_profitable_steiner_vertex(self):
         # star center 3 beats the rim path connecting the three terminals
@@ -242,15 +242,16 @@ def reference_induced_tree(instance, vertices):
 
 def reference_reconnect(instance, side, other):
     """Cheapest side-to-other path from an unbounded ``dijkstra_multi`` run."""
-    order, _, indptr, nbr, wts = instance.graph.csr
-    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, sorted(side), len(order))
+    indptr, nbr, wts = instance.graph.csr
+    n = instance.graph.n_vertices
+    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, sorted(side), n)
     best = min(sorted(other), key=dist.__getitem__)
     if dist[best] == inf:
         return None
     path = []
     cur = best
     while pred[cur] >= 0:
-        path.append(edge_key(order[cur], order[pred[cur]]))
+        path.append(edge_key(cur, pred[cur]))
         cur = pred[cur]
     return dist[best], path
 
@@ -266,11 +267,10 @@ class TestIndexSpaceMoves:
         vertices = data.draw(st.sets(st.sampled_from(sorted(g.vertices))))
         if data.draw(st.booleans()):
             vertices |= inst.terminals
-        members = {g.csr[1][v] for v in vertices}
         ref = reference_induced_tree(inst, vertices)
-        assert _induced_tree(inst, members) == ref
+        assert _induced_tree(inst, vertices) == ref
         bound = data.draw(st.integers(0, 3 * g.n_vertices))
-        got = _induced_tree(inst, members, bound)
+        got = _induced_tree(inst, vertices, bound)
         assert (got is None) == (ref is None or ref.weight >= bound)
         if got is not None:
             assert got == ref
@@ -308,18 +308,18 @@ class TestIndexSpaceMoves:
 
 
 def random_tree(instance, data):
-    """CSR indices and edges of a random subtree of the instance graph.
+    """Vertices and edges of a random subtree of the instance graph.
 
     Grows from a random vertex by random tree-to-outside edges, for a drawn
     number of steps or until it spans the terminals.
     """
-    _, index, indptr, nbr, _ = instance.graph.csr
+    indptr, nbr, _ = instance.graph.csr
     n = len(indptr) - 1
     members = {data.draw(st.integers(0, n - 1))}
     edges = []
     steps = data.draw(st.integers(1, n - 1))
     spanning = data.draw(st.booleans())
-    terms = instance.terminal_index
+    terms = instance.terminals
     while (not terms <= members) if spanning else steps > 0:
         frontier = sorted(
             (x, nbr[i])
@@ -346,7 +346,7 @@ class TestCurrentTreeChecks:
         members, _ = random_tree(inst, data)
         check = _DeletionCheck(inst, members)
         bound = data.draw(st.one_of(st.just(inf), st.integers(0, 30)))
-        for v in sorted(members - inst.terminal_index):
+        for v in sorted(members - inst.terminals):
             assert check.without(v, bound) == _induced_tree(inst, members - {v}, bound)
 
     def test_deletion_of_a_cut_vertex(self):
@@ -401,13 +401,12 @@ class TestCurrentTreeChecks:
     def test_exchange_check_matches_reconnect(self, seed, data):
         inst = tie_heavy_instance(seed)
         members, edges = random_tree(inst, data)
-        order = inst.graph.csr[0]
         check = _ExchangeCheck(inst, edges, min(members))
         for a, b in edges:
             lower = check.lower(a, b)
             below = check.below(lower)
             above = members - below
-            limit = inst.graph.weight(order[a], order[b])
+            limit = inst.graph.weight(a, b)
             expect = _cheapest_reconnect(inst, below, above, limit) is not None
             assert (_cheapest_reconnect(inst, above, below, limit) is not None) == expect
             assert (lower in check.replaceable) == expect

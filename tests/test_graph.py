@@ -95,6 +95,13 @@ class TestInstanceAndSolution:
         with pytest.raises(ValidationError):
             SteinerInstance.create(g, [5])
 
+    @pytest.mark.parametrize("vertices", [(0, 2), (1, 2)])
+    def test_create_requires_vertices_zero_to_n_minus_one(self, vertices):
+        # a vertex id is its own index in every array view
+        g = WeightedGraph.build(vertices, [(*vertices, 1)])
+        with pytest.raises(ValidationError, match="0..n-1"):
+            SteinerInstance.create(g, vertices)
+
     def test_create_checks_connected(self):
         g = WeightedGraph.build([0, 1, 2], [(0, 1, 1)])
         with pytest.raises(ValidationError):

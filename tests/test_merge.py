@@ -16,6 +16,7 @@ from steinmerge import (
     SteinerSolution,
     UnionMemo,
     ValidationError,
+    WeightedGraph,
     decomposition_from_order,
     dreyfus_wagner,
     generate_pool,
@@ -211,8 +212,8 @@ class TestRunSmh:
         assert report.trees_used == 1
 
     def test_merge_of_a_parsed_instance_builds_no_csr(self):
-        # merging prunes over edge ranks, which need the vertex numbering
-        # alone; only generation and the oracle read the CSR arrays
+        # merging prunes over edge ranks, which need the edges alone; only
+        # generation and the oracle read the CSR arrays
         base = sparse_instance(5, 120, 20, 4.0)
         cfg = GeneratorConfig(pool_size=6, iterations_per_run=1, perturbation_strength=0.7)
         text = write_pool(generate_pool(base, cfg))
@@ -476,9 +477,25 @@ class TestUnionMemo:
             sel = greedy_steiner_union(inst, trees, 6)
             td = decomposition_from_order(sel.graph, sel.elimination)
             nice = make_nice(sel.graph, td, min(inst.terminals))
-            union_instance = SteinerInstance.create(sel.graph, inst.terminals)
             on_host = exact.dp_solve(inst, nice)
-            assert on_host == exact.dp_solve(union_instance, nice)
+            # the union as an instance of its own, relabelled monotonically
+            # onto 0..k-1, decomposed by the same order mapped across
+            ids = sorted(sel.graph.vertices)
+            label = {v: i for i, v in enumerate(ids)}
+            union_graph = WeightedGraph.build(
+                range(len(ids)),
+                [(label[u], label[v], w) for (u, v), w in sel.graph.weights.items()],
+            )
+            union_instance = SteinerInstance.create(
+                union_graph, [label[t] for t in inst.terminals]
+            )
+            union_td = decomposition_from_order(
+                union_graph, [label[v] for v in sel.elimination.order]
+            )
+            union_nice = make_nice(union_graph, union_td, label[min(inst.terminals)])
+            on_union = exact.dp_solve(union_instance, union_nice)
+            back = [(ids[a], ids[b]) for a, b in on_union.edges]
+            assert on_host == SteinerSolution.from_edges(inst.graph, back)
             assert on_host == merge._solve_union(inst, sel, 1 << 20, UnionMemo())
 
     def test_repeated_capacity_miss_is_skipped_every_round(self, monkeypatch):

@@ -90,3 +90,25 @@ def test_machine_formats_written_in_one_place():
         and RENDERERS.get((call.func.value.id, call.func.attr), name) != name
     ]
     assert strays == []
+
+
+def _kernel_imports(tree):
+    """Names imported from the kernels module, however it is spelled."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.module in ("kernels", "steinmerge.kernels"):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_kernels_called_through_the_module(path):
+    # a tracer rebinds kernels.<name> for a run; a callable imported by
+    # name keeps the unwrapped function and its calls go unseen
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = sorted(
+        name
+        for name in _kernel_imports(tree)
+        if name == "*" or callable(getattr(steinmerge.kernels, name, None))
+    )
+    assert found == [], f"{path.name} imports {found} from kernels by name"

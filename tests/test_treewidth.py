@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_instance
+from helpers import build_instance, tie_heavy_instance
 from steinmerge import (
     ParseError,
     ValidationError,
@@ -25,6 +25,7 @@ from steinmerge.synth import (
 )
 from steinmerge.treewidth import (
     FORGET,
+    EliminationOrder,
     INTRODUCE,
     INTRODUCE_EDGE,
     JOIN,
@@ -141,6 +142,144 @@ class TestDecomposition:
         for tie in ("low", "high"):
             td = decomposition_from_order(inst.graph, greedy_degree(inst.graph, tie))
             assert validate_decomposition(inst.graph, td) == []
+
+
+def reference_validate_decomposition(graph, td):
+    """``validate_decomposition`` as first written: conditions 2 and 3 scan
+    every bag for each edge and each vertex."""
+    out = []
+    n = len(td.bags)
+    if n == 0:
+        return ["decomposition has no bags"]
+    adj = {i: [] for i in range(n)}
+    for i, j in td.tree_edges:
+        if not (0 <= i < n and 0 <= j < n):
+            out.append(f"tree edge ({i}, {j}) references a missing node")
+            continue
+        adj[i].append(j)
+        adj[j].append(i)
+    if len(td.tree_edges) != n - 1:
+        out.append(f"{len(td.tree_edges)} tree edges for {n} nodes (not a tree)")
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in adj[i]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    if len(seen) != n:
+        out.append("decomposition tree is disconnected")
+    covered = set()
+    for b in td.bags:
+        covered |= b
+    if covered != graph.vertices:
+        missing = sorted(graph.vertices - covered)
+        extra = sorted(covered - graph.vertices)
+        if missing:
+            out.append(f"condition 1: vertices in no bag: {missing}")
+        if extra:
+            out.append(f"condition 1: bags mention non-vertices: {extra}")
+    for u, v in sorted(graph.weights):
+        if not any(u in b and v in b for b in td.bags):
+            out.append(f"condition 2: edge ({u}, {v}) not inside any bag")
+    for v in sorted(graph.vertices):
+        nodes = [i for i in range(n) if v in td.bags[i]]
+        if not nodes:
+            continue
+        reach = {nodes[0]}
+        stack = [nodes[0]]
+        node_set = set(nodes)
+        while stack:
+            i = stack.pop()
+            for j in adj[i]:
+                if j in node_set and j not in reach:
+                    reach.add(j)
+                    stack.append(j)
+        if len(reach) != len(nodes):
+            out.append(f"condition 3: bags containing vertex {v} are not connected")
+    true_width = max(len(b) for b in td.bags) - 1
+    if td.width != true_width:
+        out.append(f"width field {td.width} != largest bag size minus one {true_width}")
+    return out
+
+
+class TestValidatorMatchesReference:
+    @given(
+        st.integers(0, 100_000),
+        st.integers(1, 16),
+        st.lists(st.sampled_from(["vertex", "tree-edge", "split"]), max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_messages(self, seed, n, corruptions, data):
+        extra = data.draw(st.integers(0, 2 * n))
+        g = random_connected_instance(seed, n, n - 1 + extra, 1).graph
+        td = decomposition_from_order(g, greedy_degree(g))
+        bags, edges = list(td.bags), list(td.tree_edges)
+        for kind in corruptions:
+            if kind == "vertex":
+                # drop one vertex from one bag
+                i = data.draw(st.integers(0, len(bags) - 1))
+                if bags[i]:
+                    bags[i] = bags[i] - {data.draw(st.sampled_from(sorted(bags[i])))}
+            elif kind == "tree-edge":
+                if edges:
+                    del edges[data.draw(st.integers(0, len(edges) - 1))]
+            else:
+                # a new leaf bag holding v, hung off a bag that does not
+                v = data.draw(st.sampled_from(sorted(g.vertices)))
+                hosts = [i for i, b in enumerate(bags) if v not in b]
+                if hosts:
+                    edges.append((data.draw(st.sampled_from(hosts)), len(bags)))
+                    bags.append(frozenset([v]))
+        broken = TreeDecomposition(tuple(bags), tuple(edges), td.width)
+        got = validate_decomposition(g, broken)
+        assert got == reference_validate_decomposition(g, broken)
+        if not corruptions:
+            assert got == []
+
+
+def compacted(graph):
+    """The graph relabelled monotonically onto 0..k-1, and its ids by label."""
+    ids = sorted(graph.vertices)
+    label = {v: i for i, v in enumerate(ids)}
+    dense = WeightedGraph.build(
+        range(len(ids)), [(label[u], label[v], w) for (u, v), w in graph.weights.items()]
+    )
+    return dense, ids
+
+
+class TestSubgraphWithHoles:
+    """A subgraph keeps its host's ids; eliminating it must agree with
+    eliminating its compaction onto 0..k-1, mapped back."""
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_as_on_the_compaction(self, seed, data):
+        g = tie_heavy_instance(seed).graph
+        keep = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), min_size=1))
+        sub = WeightedGraph.build(
+            keep, [(u, v, w) for (u, v), w in g.weights.items() if u in keep and v in keep]
+        )
+        dense, ids = compacted(sub)
+
+        def back(order):
+            return None if order is None else tuple(ids[i] for i in order)
+
+        for tie in ("low", "high"):
+            got = greedy_degree(sub, tie)
+            want = greedy_degree(dense, tie)
+            assert got == EliminationOrder(back(want.order), want.width)
+            for cap in range(1, 5):
+                capped = greedy_degree_capped(sub, cap, tie)
+                expect = greedy_degree_capped(dense, cap, tie)
+                assert (capped.width, capped.order) == (expect.width, back(expect.order))
+            td = decomposition_from_order(sub, got)
+            want_td = decomposition_from_order(dense, want)
+            assert td.bags == tuple(frozenset(back(b)) for b in want_td.bags)
+            assert (td.tree_edges, td.width) == (want_td.tree_edges, want_td.width)
+            assert validate_decomposition(sub, td) == []
 
 
 class TestNiceForm:
