@@ -108,17 +108,22 @@ class WeightedGraph:
         return {v: tuple(sorted(a)) for v, a in nbrs.items()}
 
     @cached_property
-    def adjacency_masks(self) -> list[int]:
-        """Bitmask view, shared, not to be mutated.
+    def adjacency_masks(self) -> tuple[tuple[int, ...], list[int]]:
+        """Bitmask view over positions: (vertices ascending, masks), shared, not to be mutated.
 
-        ``masks[v]`` has bit u set when u and v are adjacent; an id below
-        the largest that is not a vertex has mask 0.
+        ``masks[i]`` has bit j set when the i-th and j-th smallest vertices
+        are adjacent. Positions keep a union subgraph's masks as wide as the
+        union, not its host, and follow id order, so a degree tie broken by
+        position falls as the same tie broken by id.
         """
-        masks = [0] * (max(self.vertices, default=-1) + 1)
+        vs = tuple(sorted(self.vertices))
+        pos = {v: i for i, v in enumerate(vs)}
+        masks = [0] * len(vs)
         for u, v in self.weights:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
+            i, j = pos[u], pos[v]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return vs, masks
 
     @cached_property
     def csr(self) -> tuple[list[int], list[int], list[int]]:

@@ -28,28 +28,28 @@ BACKEND_NAME = "python"
 # greedy minimum-degree elimination
 
 
-def eliminate(masks, vertices, cap, tie_high=False):
-    """Greedy minimum-degree elimination of ``vertices`` over bitmask adjacency.
+def eliminate(masks, cap, tie_high=False):
+    """Greedy minimum-degree elimination over bitmask adjacency.
 
-    masks[v] is the neighbor bitmask of vertex v (the caller's list is not
-    mutated); every neighbor must be among ``vertices``. Ties on degree go
-    to the lowest vertex, or the highest when tie_high is set. cap < 0
-    disables the width cap.
+    masks[i] is the neighbor bitmask of vertex i (the caller's list is not
+    mutated). Ties on degree go to the lowest vertex, or the highest when
+    tie_high is set. cap < 0 disables the width cap.
 
     Returns (width, order). When some elimination would exceed cap the scan
     aborts and returns (exceeding_degree, None).
     """
+    n = len(masks)
     adj = list(masks)
     deg = [m.bit_count() for m in adj]
     if tie_high:
-        heap = [(deg[v], -v) for v in vertices]
+        heap = [(deg[v], -v) for v in range(n)]
     else:
-        heap = [(deg[v], v) for v in vertices]
+        heap = [(deg[v], v) for v in range(n)]
     heapq.heapify(heap)
-    removed = [False] * len(adj)
+    removed = [False] * n
     order = []
     width = 0
-    alive = len(heap)
+    alive = n
     while alive:
         d, key = heapq.heappop(heap)
         v = -key if tie_high else key

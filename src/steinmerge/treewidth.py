@@ -63,12 +63,11 @@ def greedy_degree(graph: WeightedGraph, tie: str = "low") -> EliminationOrder:
     alternative "high" rule exists so callers can produce a second,
     independently constructed decomposition of the same graph.
     """
-    width, order = kernels.eliminate(
-        graph.adjacency_masks, graph.vertices, -1, _check_tie(tie)
-    )
-    if order is None:
+    vs, masks = graph.adjacency_masks
+    width, at = kernels.eliminate(masks, -1, _check_tie(tie))
+    if at is None:
         raise InvariantError("uncapped elimination returned no order")
-    return EliminationOrder(tuple(order), width)
+    return EliminationOrder(tuple(vs[i] for i in at), width)
 
 
 def greedy_degree_capped(
@@ -77,10 +76,9 @@ def greedy_degree_capped(
     """Greedy elimination that aborts as soon as a step would exceed max_width."""
     if max_width < 0:
         raise ValueError("max_width must be nonnegative")
-    width, order = kernels.eliminate(
-        graph.adjacency_masks, graph.vertices, max_width, _check_tie(tie)
-    )
-    return CappedElimination(width, None if order is None else tuple(order))
+    vs, masks = graph.adjacency_masks
+    width, at = kernels.eliminate(masks, max_width, _check_tie(tie))
+    return CappedElimination(width, None if at is None else tuple(vs[i] for i in at))
 
 
 def decomposition_from_order(
@@ -95,7 +93,9 @@ def decomposition_from_order(
     seq = tuple(order.order) if isinstance(order, EliminationOrder) else tuple(order)
     if len(seq) != graph.n_vertices or set(seq) != set(graph.vertices):
         raise ValidationError("order is not a permutation of the graph's vertices")
-    bag_masks = kernels.elimination_bags(graph.adjacency_masks, seq)
+    vs, masks = graph.adjacency_masks
+    at = {v: i for i, v in enumerate(vs)}
+    bag_masks = kernels.elimination_bags(masks, [at[v] for v in seq])
 
     position = {v: p for p, v in enumerate(seq)}
     bags: list[frozenset[int]] = []
@@ -106,7 +106,7 @@ def decomposition_from_order(
         m = bm
         while m:
             low = m & -m
-            members.append(low.bit_length() - 1)
+            members.append(vs[low.bit_length() - 1])
             m ^= low
         bags.append(frozenset(members))
         higher = [u for u in members if u != seq[p]]

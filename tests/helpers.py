@@ -18,6 +18,16 @@ def build_instance(edges, terminals, extra_vertices=(), name="t"):
     return SteinerInstance.create(graph, terminals, name)
 
 
+def compacted(graph):
+    """The graph relabelled monotonically onto 0..k-1, and its ids by label."""
+    ids = sorted(graph.vertices)
+    label = {v: i for i, v in enumerate(ids)}
+    dense = WeightedGraph.build(
+        range(len(ids)), [(label[u], label[v], w) for (u, v), w in graph.weights.items()]
+    )
+    return dense, ids
+
+
 def solution_of(instance, edges):
     return SteinerSolution.from_edges(instance.graph, edges)
 

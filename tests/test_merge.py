@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import build_instance, solution_of, tie_heavy_instance
+from helpers import build_instance, compacted, solution_of, tie_heavy_instance
 from steinmerge import (
     CapacityError,
     GeneratorConfig,
@@ -16,7 +16,6 @@ from steinmerge import (
     SteinerSolution,
     UnionMemo,
     ValidationError,
-    WeightedGraph,
     decomposition_from_order,
     dreyfus_wagner,
     generate_pool,
@@ -480,12 +479,8 @@ class TestUnionMemo:
             on_host = exact.dp_solve(inst, nice)
             # the union as an instance of its own, relabelled monotonically
             # onto 0..k-1, decomposed by the same order mapped across
-            ids = sorted(sel.graph.vertices)
+            union_graph, ids = compacted(sel.graph)
             label = {v: i for i, v in enumerate(ids)}
-            union_graph = WeightedGraph.build(
-                range(len(ids)),
-                [(label[u], label[v], w) for (u, v), w in sel.graph.weights.items()],
-            )
             union_instance = SteinerInstance.create(
                 union_graph, [label[t] for t in inst.terminals]
             )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_instance, tie_heavy_instance
+from helpers import build_instance, compacted, tie_heavy_instance
 from steinmerge import (
     ParseError,
     ValidationError,
@@ -240,16 +240,6 @@ class TestValidatorMatchesReference:
             assert got == []
 
 
-def compacted(graph):
-    """The graph relabelled monotonically onto 0..k-1, and its ids by label."""
-    ids = sorted(graph.vertices)
-    label = {v: i for i, v in enumerate(ids)}
-    dense = WeightedGraph.build(
-        range(len(ids)), [(label[u], label[v], w) for (u, v), w in graph.weights.items()]
-    )
-    return dense, ids
-
-
 class TestSubgraphWithHoles:
     """A subgraph keeps its host's ids; eliminating it must agree with
     eliminating its compaction onto 0..k-1, mapped back."""
@@ -263,6 +253,8 @@ class TestSubgraphWithHoles:
             keep, [(u, v, w) for (u, v), w in g.weights.items() if u in keep and v in keep]
         )
         dense, ids = compacted(sub)
+        # the elimination bitmasks are as wide as the subgraph, not its host
+        assert sub.adjacency_masks == (tuple(ids), dense.adjacency_masks[1])
 
         def back(order):
             return None if order is None else tuple(ids[i] for i in order)
