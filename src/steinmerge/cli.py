@@ -7,9 +7,11 @@ in, merged tree out), oracle (small exact solve), validate-td
 Every protocol flag can also be set through an environment variable with
 the SMH_ prefix (SMH_POOL, SMH_GRASP_ITERS, SMH_PERTURB, SMH_MAX_WIDTH,
 SMH_RANK_WIDTH, SMH_RANK_ITERS, SMH_SEED, SMH_ORACLE_CAP, SMH_TIME_LIMIT,
-SMH_FORMAT, SMH_JOBS, SMH_STATE_BUDGET); explicit flags win. Machine
-formats (json, csv) keep wall-clock times on stderr so repeated runs with
-the same seed emit byte-identical stdout.
+SMH_FORMAT, SMH_JOBS, SMH_STATE_BUDGET); explicit flags win. A variable
+is read only by the commands that take its flag, so a bad value fails only
+those commands (exit 2): SMH_ORACLE_CAP=abc stops `oracle`, not `merge`.
+Machine formats (json, csv) keep wall-clock times on stderr so repeated
+runs with the same seed emit byte-identical stdout.
 
 Exit codes: 0 success, 1 invalid decomposition (validate-td), 2 usage,
 3 parse or validation failure (input that is not UTF-8 text included), 4
@@ -438,34 +440,30 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="steinmerge",
-        description="Steiner tree heuristics with exact width-bounded merging.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="generate a pool and merge it")
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance", help="STP instance file")
     _add_generator_flags(p)
     _add_merge_flags(p)
     _add_common_flags(p)
     _add_format_flag(p)
 
-    p = sub.add_parser("generate", help="produce a pool file of locally optimal trees")
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("--output", "-o", help="pool file path (default stdout)")
     _add_generator_flags(p)
     _add_common_flags(p)
 
-    p = sub.add_parser("merge", help="merge an existing pool file")
+
+def _merge_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("pool_file")
     _add_merge_flags(p)
     _add_common_flags(p)
     _add_format_flag(p)
 
-    p = sub.add_parser("oracle", help="exact solve via the terminal-subset algorithm")
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument(
         "--oracle-cap", type=int, default=_env("SMH_ORACLE_CAP", DW_TERMINAL_CAP, int),
@@ -473,11 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format_flag(p)
 
-    p = sub.add_parser("validate-td", help="check a .td decomposition file")
+
+def _validate_td_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("td_file")
 
-    p = sub.add_parser("bench", help="run the pipeline over a directory of instances")
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("directory")
     p.add_argument("--best-known", help="side file of `name,value` reference weights")
     p.add_argument("--output", "-o", help="write the report here instead of stdout")
@@ -490,6 +490,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     _add_format_flag(p)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser, or with all of them for None.
+
+    A subparser reads the SMH_* defaults of its own flags as it is built,
+    so building one command reads only that command's variables.
+    """
+    parser = argparse.ArgumentParser(
+        prog="steinmerge",
+        description="Steiner tree heuristics with exact width-bounded merging.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -702,25 +717,40 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return code
 
 
+# name: (help line, the arguments it takes, what it runs), in help order
 _COMMANDS = {
-    "solve": cmd_solve,
-    "generate": cmd_generate,
-    "merge": cmd_merge,
-    "oracle": cmd_oracle,
-    "validate-td": cmd_validate_td,
-    "bench": cmd_bench,
+    "solve": ("generate a pool and merge it", _solve_arguments, cmd_solve),
+    "generate": (
+        "produce a pool file of locally optimal trees", _generate_arguments, cmd_generate
+    ),
+    "merge": ("merge an existing pool file", _merge_arguments, cmd_merge),
+    "oracle": (
+        "exact solve via the terminal-subset algorithm", _oracle_arguments, cmd_oracle
+    ),
+    "validate-td": (
+        "check a .td decomposition file", _validate_td_arguments, cmd_validate_td
+    ),
+    "bench": (
+        "run the pipeline over a directory of instances", _bench_arguments, cmd_bench
+    ),
 }
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call builds only the subcommand it runs; `-h`, an unknown word or no
+    # word at all gets every subcommand, for the full help or choice error
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        parser = build_parser()
+        parser = build_parser(command)
     except SteinerError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     args = parser.parse_args(argv)
+    _, _, run = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return run(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE

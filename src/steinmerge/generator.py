@@ -636,6 +636,7 @@ def read_pool(text: str, instance: SteinerInstance) -> SolutionPool:
     lines = text.splitlines()
     if not lines or lines[0].strip() != _POOL_MAGIC:
         raise ParseError("missing pool header line")
+    vertices, weights = instance.graph.vertices, instance.graph.weights
     entries: list[PoolEntry] = []
     seen: set[tuple[Edge, ...]] = set()
     for lineno, raw in enumerate(lines[1:], 2):
@@ -651,16 +652,21 @@ def read_pool(text: str, instance: SteinerInstance) -> SolutionPool:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         edges = set()
+        total = 0
         for i in range(0, len(ids), 2):
             u, v = ids[i], ids[i + 1]
-            if not (u in instance.graph.vertices and v in instance.graph.vertices):
+            if not (u in vertices and v in vertices):
                 raise ParseError(f"line {lineno}: vertex id out of range")
-            if not instance.graph.has_edge(u, v):
+            e = edge_key(u, v)
+            w = weights.get(e)
+            if w is None:
                 raise ValidationError(
                     f"line {lineno}: ({u + 1}, {v + 1}) is not an edge of the instance"
                 )
-            edges.add(edge_key(u, v))
-        sol = SteinerSolution.from_edges(instance.graph, edges)
+            if e not in edges:  # a repeated edge counts once, as in the edge set
+                edges.add(e)
+                total += w
+        sol = SteinerSolution(frozenset(edges), total)
         if sol.weight != weight:
             raise ValidationError(
                 f"line {lineno}: stated weight {weight} != edge total {sol.weight}"

@@ -227,6 +227,38 @@ class TestSolveCommand:
         assert "environment variable SMH_FORMAT has a bad value" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize(
+        "var, lacking, taking",
+        [
+            ("SMH_ORACLE_CAP", ["merge", "solve", "generate", "bench"], ["oracle"]),
+            ("SMH_POOL", ["merge", "oracle"], ["generate"]),
+            ("SMH_MAX_WIDTH", ["generate", "oracle"], ["merge"]),
+        ],
+        ids=["oracle-cap", "pool", "max-width"],
+    )
+    def test_bad_env_value_only_fails_commands_taking_its_flag(
+        self, stp, tmp_path, capsys, monkeypatch, var, lacking, taking
+    ):
+        path = stp(four_cycle())
+        pool = str(tmp_path / "pool.txt")
+        small = ["--pool", "1", "--grasp-iters", "1"]
+        assert main(["generate", path, *small, "-o", pool]) == EXIT_OK
+        argv = {
+            "solve": ["solve", path, *small],
+            "generate": ["generate", path, *small, "-o", pool],
+            "merge": ["merge", path, pool],
+            "oracle": ["oracle", path],
+            "bench": ["bench", str(tmp_path), *small],
+        }
+        monkeypatch.setenv(var, "abc")
+        capsys.readouterr()
+        for command in lacking:
+            assert main(argv[command]) == EXIT_OK
+        assert "bad value" not in capsys.readouterr().err
+        for command in taking:
+            assert main(argv[command]) == EXIT_USAGE
+            assert f"environment variable {var} has a bad value" in capsys.readouterr().err
+
     @pytest.mark.parametrize("limit", ["nan", "inf"])
     def test_non_finite_time_limit(self, stp, capsys, monkeypatch, limit):
         path = stp(sparse_instance(6, 25, 4))
@@ -449,6 +481,45 @@ class TestGoldenOutput:
         code = main(["oracle", stp(sparse_instance(5, 30, 6)), "--format", fmt])
         assert code == EXIT_OK
         assert sha256(capsys.readouterr().out) == GOLDEN_ORACLE[fmt]
+
+
+# sha256 of what argparse prints at 80 columns, captured on the code that
+# built every subcommand's parser for every call: `-h` stdout per command
+# line, and the stderr of two usage errors (both exit 2). A call builds only
+# the parser it runs, so these pin that the text did not change with it.
+HELP_DIGESTS = {
+    ("-h",): "47de96379122e2aeaca5d19ff37003a7eca6ffc7e9e1e3d9b32331fbac98064e",
+    ("solve", "-h"): "e54821ceaa7e566799a9934400174d216cf6b98c035f30c330a6538f4e73a923",
+    ("generate", "-h"): "e551bc97a813d727a540ca0ccd88488e6b4c72f014c773ad094d538e5cb981c9",
+    ("merge", "-h"): "6b839ac552f77bf27fdd211102b3c51aeeabda36d39df916f93f551a04510c31",
+    ("oracle", "-h"): "7f8cd2feee928bd83705d79db42af7e269972f78a424738007360433dce4eb5a",
+    ("validate-td", "-h"): "bac831915c400bd3a3b331d17507d26767c2fe5109f34ccc9734db73813552e6",
+    ("bench", "-h"): "fdf04f39df76d11b0e8dc4701937cd6bb1b9e0074a9bab8df1d2bc7ab3e9a178",
+}
+USAGE_ERROR_DIGESTS = {
+    ("bogus",): "b53a99c27c179c53eb5b04f2b0a1b499f351d6ee95725774909806e10484c39b",
+    ("merge",): "b6e7388b2e214725716d50c07c79cd5202517999e64f5bd61fc2b2381a789af1",
+}
+
+
+class TestHelpText:
+    def run(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        return stop.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", sorted(HELP_DIGESTS), ids=" ".join)
+    def test_help_digest(self, argv, capsys, monkeypatch):
+        code, out = self.run(argv, capsys, monkeypatch)
+        assert (code, out.err) == (0, "")
+        assert sha256(out.out) == HELP_DIGESTS[argv]
+
+    @pytest.mark.parametrize("argv", sorted(USAGE_ERROR_DIGESTS), ids=" ".join)
+    def test_usage_error_digest(self, argv, capsys, monkeypatch):
+        code, out = self.run(argv, capsys, monkeypatch)
+        assert (code, out.out) == (EXIT_USAGE, "")
+        assert sha256(out.err) == USAGE_ERROR_DIGESTS[argv]
 
 
 # a dense instance whose final union exceeds this state budget

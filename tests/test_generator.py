@@ -611,6 +611,13 @@ class TestPoolFiles:
         with pytest.raises(ValidationError):
             read_pool("steinmerge-pool 1\ntree 1 1 2\n", inst)
 
+    def test_repeated_edge_counts_once(self):
+        inst = four_cycle()
+        pool = read_pool("steinmerge-pool 1\ntree 3 1 2 2 3 2 1 3 4\n", inst)
+        assert pool.weights == [3]
+        with pytest.raises(ValidationError, match="stated weight 4 != edge total 3"):
+            read_pool("steinmerge-pool 1\ntree 4 1 2 2 3 2 1 3 4\n", inst)
+
     def test_no_trees(self):
         inst = four_cycle()
         with pytest.raises(ParseError):

@@ -1,4 +1,7 @@
-"""Hostile input: every parser returns a value or raises its documented errors."""
+"""Hostile input: every parser returns a value or raises its documented errors.
+
+read_pool also gives the same trees, or the same error, as its reference.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,12 +9,15 @@ from hypothesis import strategies as st
 from helpers import four_cycle, solution_of
 from steinmerge import (
     ParseError,
+    SteinerSolution,
     ValidationError,
     decomposition_from_order,
+    edge_key,
     greedy_degree,
     parse_stp,
     read_pool,
     read_td,
+    solution_violations,
     write_pool,
     write_stp,
     write_td,
@@ -108,3 +114,75 @@ def test_read_pool_raises_only_documented_errors(text):
     documented_outcome(
         lambda t: read_pool(t, INSTANCE), text, (ParseError, ValidationError)
     )
+
+
+def reference_read_pool(text, instance):
+    """read_pool as it was when each tree's weight came from from_edges."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != "steinmerge-pool 1":
+        raise ParseError("missing pool header line")
+    trees, seen = [], set()
+    for lineno, raw in enumerate(lines[1:], 2):
+        ln = raw.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        toks = ln.split()
+        if toks[0] != "tree" or len(toks) % 2 != 0:
+            raise ParseError(f"line {lineno}: malformed tree line")
+        try:
+            weight = int(toks[1])
+            ids = [int(t) - 1 for t in toks[2:]]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        edges = set()
+        for i in range(0, len(ids), 2):
+            u, v = ids[i], ids[i + 1]
+            if not (u in instance.graph.vertices and v in instance.graph.vertices):
+                raise ParseError(f"line {lineno}: vertex id out of range")
+            if not instance.graph.has_edge(u, v):
+                raise ValidationError(
+                    f"line {lineno}: ({u + 1}, {v + 1}) is not an edge of the instance"
+                )
+            edges.add(edge_key(u, v))
+        sol = SteinerSolution.from_edges(instance.graph, edges)
+        if sol.weight != weight:
+            raise ValidationError(
+                f"line {lineno}: stated weight {weight} != edge total {sol.weight}"
+            )
+        problems = solution_violations(instance, sol)
+        if problems:
+            raise ValidationError(f"line {lineno}: {problems[0]}")
+        if sol.canonical_edges() not in seen:
+            seen.add(sol.canonical_edges())
+            trees.append((sol.canonical_edges(), sol.weight))
+    if not trees:
+        raise ParseError("pool file contains no trees")
+    return trees
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# tree lines over the instance's ids and one past them, so they reach every
+# check: ids out of range, non-edges, repeated edges, wrong stated weights,
+# trees that fail solution_violations, and valid trees
+tree_line = st.tuples(
+    st.integers(0, 14), st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=5)
+).map(lambda t: f"tree {t[0]} " + " ".join(f"{u} {v}" for u, v in t[1]))
+tree_pool = st.lists(tree_line, max_size=3).map(
+    lambda lines: "steinmerge-pool 1\n" + "".join(ln + "\n" for ln in lines)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(hostile(VALID_POOL), tree_pool))
+def test_read_pool_matches_reference(text):
+    def read(t):
+        pool = read_pool(t, INSTANCE)
+        return [(s.canonical_edges(), s.weight) for s in pool.solutions]
+
+    assert outcome(read, text) == outcome(lambda t: reference_read_pool(t, INSTANCE), text)

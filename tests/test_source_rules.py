@@ -68,15 +68,14 @@ def test_every_export_resolves():
 RENDERERS = {("json", "dumps"): "json_text", ("csv", "writer"): "csv_text"}
 
 
-def _calls_by_function(node, name="<module>"):
-    """(enclosing function's name, call) for every call under ``node``."""
+def _nodes_by_function(node, name="<module>"):
+    """(enclosing function's name, node) for every node under ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _calls_by_function(child, child.name)
+            yield from _nodes_by_function(child, child.name)
             continue
-        if isinstance(child, ast.Call):
-            yield name, child
-        yield from _calls_by_function(child, name)
+        yield name, child
+        yield from _nodes_by_function(child, name)
 
 
 def test_machine_formats_written_in_one_place():
@@ -84,8 +83,9 @@ def test_machine_formats_written_in_one_place():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     strays = [
         f"{name}:{call.lineno}"
-        for name, call in _calls_by_function(tree)
-        if isinstance(call.func, ast.Attribute)
+        for name, call in _nodes_by_function(tree)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
         and isinstance(call.func.value, ast.Name)
         and RENDERERS.get((call.func.value.id, call.func.attr), name) != name
     ]
@@ -112,3 +112,33 @@ def test_kernels_called_through_the_module(path):
         if name == "*" or callable(getattr(steinmerge.kernels, name, None))
     )
     assert found == [], f"{path.name} imports {found} from kernels by name"
+
+
+# every SMH_* default goes through cli._env, which the parser of one
+# subcommand calls for that subcommand's flags only; a read anywhere else
+# would reach every command, or none
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _reads_environment(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ENVIRONMENT
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    ) or (
+        isinstance(node, ast.ImportFrom)
+        and node.module == "os"
+        and any(alias.name in ENVIRONMENT for alias in node.names)
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_environment_read_only_in_cli_env(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = "_env" if path.name == "cli.py" else None
+    reads = [(name, node.lineno) for name, node in _nodes_by_function(tree)
+             if _reads_environment(node)]
+    strays = [f"{name}:{line}" for name, line in reads if name != allowed]
+    assert strays == [], f"{path.name} reads the environment outside cli._env"
+    assert reads or allowed is None, "cli._env no longer reads the environment"
