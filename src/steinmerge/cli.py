@@ -492,10 +492,12 @@ def _bench_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only ``command``'s subparser, or with all of them for None.
+    """The parser with only ``command``'s subparser, or a listing for None.
 
     A subparser reads the SMH_* defaults of its own flags as it is built,
-    so building one command reads only that command's variables.
+    so building one command reads only that command's variables. For None
+    every subcommand is registered by name and help line alone, enough for
+    the top-level help and the invalid-choice error, and no variable is read.
     """
     parser = argparse.ArgumentParser(
         prog="steinmerge",
@@ -503,7 +505,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        if command in (None, name):
+        if command is None:
+            sub.add_parser(name, help=help_text)
+        elif command == name:
             add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -542,6 +546,14 @@ def _jobs(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs (SMH_JOBS) must be at least 1, not {args.jobs}")
     return args.jobs
+
+
+def _check_oracle_cap(args: argparse.Namespace) -> None:
+    # below 1 every instance would exceed it, and only after it was parsed
+    if args.oracle_cap < 1:
+        raise ValidationError(
+            f"--oracle-cap (SMH_ORACLE_CAP) must be at least 1, not {args.oracle_cap}"
+        )
 
 
 def _check_state_budget(args: argparse.Namespace) -> None:
@@ -615,6 +627,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    _check_oracle_cap(args)
     instance = parse_stp_file(args.instance)
     t0 = time.monotonic()
     solution = dreyfus_wagner(instance, terminal_cap=args.oracle_cap)
@@ -740,7 +753,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # a call builds only the subcommand it runs; `-h`, an unknown word or no
-    # word at all gets every subcommand, for the full help or choice error
+    # word at all gets every subcommand's name and help line, for the full
+    # help or the choice error
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         parser = build_parser(command)

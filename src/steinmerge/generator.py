@@ -449,11 +449,17 @@ def _cheapest_reconnect(
     return dist[best_v], path
 
 
+# each certified local optimum's edge set, mapped to the lengths of the
+# three lists its certifying pass shuffled
+Optima = dict[frozenset[Edge], tuple[int, int, int]]
+
+
 def local_search(
     instance: SteinerInstance,
     tree: SteinerSolution,
     rng: random.Random,
     deadline: float | None = None,
+    optima: Optima | None = None,
 ) -> SteinerSolution:
     """Descend from ``tree`` to a local optimum; weight never increases.
 
@@ -470,6 +476,14 @@ def local_search(
     and ``_ExchangeCheck`` settles once per pass which edges a lighter path
     could replace, so the cheapest-path search runs only for those.
     ``tree`` must be a tree.
+
+    ``optima`` remembers the trees a full pass found no improving move for.
+    Moves are scored under the instance's own weights, so that verdict
+    belongs to the tree alone: a pass that starts from a remembered tree
+    returns it at once, after shuffling lists of the stored lengths.
+    ``random.shuffle`` draws depend only on the length, so ``rng`` ends
+    where the full pass would have left it. A pass the deadline cuts short
+    records nothing.
     """
     current = tree
     if len(instance.terminals) == 1:
@@ -482,6 +496,10 @@ def local_search(
         return deadline is not None and time.monotonic() > deadline
 
     while True:
+        if optima is not None and current.edges in optima:
+            for length in optima[current.edges]:
+                rng.shuffle([None] * length)
+            return current
         tverts = current.vertices
         # insertion: only vertices with two tree neighbors can pay off,
         # anything attached by a single edge is pruned right back off
@@ -525,27 +543,28 @@ def local_search(
         # shuffled even when nothing is replaceable: the run's later
         # restarts draw from the same rng
         rng.shuffle(tree_edges)
-        if not exchange.replaceable:
-            return current
-        for e in tree_edges:
-            if expired():
-                return current
-            a, b = e
-            lower = exchange.lower(a, b)
-            if lower not in exchange.replaceable:
-                continue
-            below = exchange.below(lower)
-            side = below if lower == a else tverts - below
-            found = _cheapest_reconnect(instance, side, tverts - side, graph.weights[e])
-            if found is None:
-                raise InvariantError("a reconnecting path was found, then lost")
-            rest = set(current.edges)
-            rest.discard(e)
-            cand = prune(instance, rest | set(found[1]))
-            if cand.weight < current.weight:
-                accepted = cand
-                break
+        if exchange.replaceable:
+            for e in tree_edges:
+                if expired():
+                    return current
+                a, b = e
+                lower = exchange.lower(a, b)
+                if lower not in exchange.replaceable:
+                    continue
+                below = exchange.below(lower)
+                side = below if lower == a else tverts - below
+                found = _cheapest_reconnect(instance, side, tverts - side, graph.weights[e])
+                if found is None:
+                    raise InvariantError("a reconnecting path was found, then lost")
+                rest = set(current.edges)
+                rest.discard(e)
+                cand = prune(instance, rest | set(found[1]))
+                if cand.weight < current.weight:
+                    accepted = cand
+                    break
         if accepted is None:
+            if optima is not None:
+                optima[current.edges] = (len(candidates), len(removable), len(tree_edges))
             return current
         current = accepted
 
@@ -554,6 +573,7 @@ def _one_run(
     instance: SteinerInstance,
     cfg: GeneratorConfig,
     deadline: float | None,
+    optima: Optima,
     run: int,
 ) -> PoolEntry | None:
     """Run ``run``'s restarts; None if the deadline cut its first one short.
@@ -573,7 +593,7 @@ def _one_run(
         built = sph_construct(instance, wmap, start, rng, deadline)
         if built is None:
             break
-        sol = local_search(instance, built, rng, deadline)
+        sol = local_search(instance, built, rng, deadline, optima)
         if best is None or sol.weight < best.weight:
             best, best_iteration = sol, it
     if best is None:
@@ -595,9 +615,13 @@ def generate_pool(
     timestamp) cuts the build short, but run 0 ignores it and always
     completes, so the pool is never empty; any other run whose first
     construction the deadline cuts short adds nothing.
+
+    The runs share one ``local_search`` memo of certified local optima,
+    which changes no rng draw; a worker process gets its own copy.
     """
+    optima: Optima = {}
     produced = parallel_map(
-        partial(_one_run, instance, cfg, deadline), range(cfg.pool_size), workers
+        partial(_one_run, instance, cfg, deadline, optima), range(cfg.pool_size), workers
     )
     first: dict[tuple[Edge, ...], PoolEntry] = {}
     for entry in produced:

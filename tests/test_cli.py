@@ -362,6 +362,20 @@ class TestOracleCommand:
         path = stp(sparse_instance(11, 40, 6))
         assert main(["oracle", path, "--oracle-cap", "3"]) == EXIT_CAPACITY
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_rejected(self, stp, tmp_path, capsys, monkeypatch, cap):
+        path = stp(four_cycle())
+        assert main(["oracle", path, "--oracle-cap", cap]) == EXIT_PARSE
+        assert "at least 1" in capsys.readouterr().err
+        monkeypatch.setenv("SMH_ORACLE_CAP", cap)
+        assert main(["oracle", path]) == EXIT_PARSE
+        assert "at least 1" in capsys.readouterr().err
+        # checked before the instance is read
+        garbage = tmp_path / "garbage.stp"
+        garbage.write_text("not an instance\n")
+        assert main(["oracle", str(garbage)]) == EXIT_PARSE
+        assert "--oracle-cap (SMH_ORACLE_CAP) must be at least 1" in capsys.readouterr().err
+
 
 class TestValidateTdCommand:
     def test_valid_file(self, stp, tmp_path, capsys):
@@ -502,6 +516,14 @@ USAGE_ERROR_DIGESTS = {
 }
 
 
+# every variable a flag default reads
+ENV_VARIABLES = (
+    "SMH_POOL", "SMH_GRASP_ITERS", "SMH_PERTURB", "SMH_MAX_WIDTH", "SMH_RANK_WIDTH",
+    "SMH_RANK_ITERS", "SMH_SEED", "SMH_ORACLE_CAP", "SMH_TIME_LIMIT", "SMH_FORMAT",
+    "SMH_JOBS", "SMH_STATE_BUDGET",
+)
+
+
 class TestHelpText:
     def run(self, argv, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -520,6 +542,15 @@ class TestHelpText:
         code, out = self.run(argv, capsys, monkeypatch)
         assert (code, out.out) == (EXIT_USAGE, "")
         assert sha256(out.err) == USAGE_ERROR_DIGESTS[argv]
+
+    @pytest.mark.parametrize("argv", [(), ("-h",), ("bogus",)], ids=repr)
+    def test_listing_reads_no_variable(self, argv, capsys, monkeypatch):
+        # the top-level help and usage errors list the subcommands without
+        # building them, so no bad SMH_* value can turn them into another error
+        clean = self.run(argv, capsys, monkeypatch)
+        for var in ENV_VARIABLES:
+            monkeypatch.setenv(var, "abc")
+        assert self.run(argv, capsys, monkeypatch) == clean
 
 
 # a dense instance whose final union exceeds this state budget

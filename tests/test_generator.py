@@ -4,6 +4,7 @@ import hashlib
 import os
 import random
 import time
+from collections import Counter
 from math import inf
 from types import SimpleNamespace
 
@@ -192,6 +193,108 @@ class TestLocalSearch:
         )
         start = solution_of(inst, [(0, 1), (1, 2)])
         assert local_search(inst, start, rng_for()).weight == 3
+
+
+class TestCertifiedOptima:
+    """``local_search``'s memo of certified local optima: same trees, same draws."""
+
+    @given(st.integers(0, 10**6), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_memo_changes_no_tree_and_no_draw(self, seed, draw):
+        inst = tie_heavy_instance(seed)
+        rng = rng_for(draw)
+        starts = [
+            sph_construct(inst, generator._perturbed_weights(inst, 0.5, rng), t, rng)
+            for t in sorted(inst.terminals)
+        ]
+
+        def descend(start, i, optima):
+            rng = rng_for(draw + i)
+            return local_search(inst, start, rng, optima=optima), rng.getstate()
+
+        warm = {}
+        plain = []
+        for i, start in enumerate(starts):
+            plain.append(descend(start, i, None))
+            assert descend(start, i, {}) == plain[i]
+            assert descend(start, i, warm) == plain[i]
+        # now every descent ends at a remembered tree
+        for i, start in enumerate(starts):
+            assert descend(start, i, warm) == plain[i]
+        assert set(warm) == {tree.edges for tree, _ in plain}
+
+    def test_a_certified_tree_needs_no_move_checks(self, monkeypatch):
+        inst = grid_with_holes(3, 8, 8)
+        start = sph_construct(inst, None, min(inst.terminals), rng_for())
+        calls = Counter()
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in ("_induced_tree", "_DeletionCheck", "_ExchangeCheck"):
+            monkeypatch.setattr(generator, name, counting(name, getattr(generator, name)))
+        optima = {}
+        best = local_search(inst, start, rng_for(), optima=optima)
+        assert list(optima) == [best.edges]
+        assert min(calls.values()) > 0 and len(calls) == 3
+        calls.clear()
+        rng = rng_for(1)
+        assert local_search(inst, best, rng, optima=optima) == best
+        assert calls == Counter()
+        plain = rng_for(1)
+        local_search(inst, best, plain)
+        assert rng.getstate() == plain.getstate()
+
+    @pytest.mark.parametrize(
+        "edges, terminals, tree",
+        [
+            # cut while inserting: 3 is a candidate with three tree neighbours
+            ([(0, 3, 1), (1, 3, 1), (2, 3, 1), (0, 1, 3), (1, 2, 3)], [0, 1, 2],
+             [(0, 1), (1, 2)]),
+            # cut while deleting: no candidate, 1 is removable
+            ([(0, 1, 4), (1, 2, 4), (0, 2, 5)], [0, 2], [(0, 1), (1, 2)]),
+            # cut while exchanging: no candidate, nothing removable
+            ([(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 10)], [0, 3], [(0, 3)]),
+        ],
+        ids=["insertion", "deletion", "exchange"],
+    )
+    def test_a_pass_cut_by_the_deadline_records_nothing(self, edges, terminals, tree):
+        inst = build_instance(edges, terminals)
+        start = solution_of(inst, tree)
+        optima = {}
+        out = local_search(
+            inst, start, rng_for(), deadline=time.monotonic() - 1.0, optima=optima
+        )
+        assert out == start
+        assert optima == {}
+        local_search(inst, start, rng_for(), optima=optima)
+        assert optima
+
+    def test_runs_share_one_memo(self, monkeypatch):
+        # on a holed grid, some restart ends at a tree an earlier one
+        # certified: the memo then holds fewer trees than there were descents
+        inst = grid_with_holes(2, 12, 12)
+        cfg = GeneratorConfig(pool_size=8, iterations_per_run=2, seed=3)
+        memos = []
+
+        def recording(instance, tree, rng, deadline=None, optima=None):
+            memos.append(optima)
+            return local_search(instance, tree, rng, deadline, optima)
+
+        monkeypatch.setattr(generator, "local_search", recording)
+        generate_pool(inst, cfg)
+        assert len(memos) == 16
+        assert all(m is memos[0] for m in memos)
+        assert 0 < len(memos[0]) < len(memos)
+
+    def test_worker_processes_build_the_same_pool(self):
+        inst = grid_with_holes(2, 12, 12)
+        cfg = GeneratorConfig(pool_size=8, iterations_per_run=2, seed=3)
+        assert generate_pool(inst, cfg, workers=2).entries == generate_pool(inst, cfg).entries
 
 
 def reference_prune(instance, edges):
@@ -452,6 +555,30 @@ def test_golden_pool(family):
     make, cfg, digest = GOLDEN_POOLS[family]
     text = write_pool(generate_pool(make(), cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the write_pool texts, concatenated, of pools shaped like the
+# benchmark's, where many restarts end at a tree an earlier one returned:
+# holed 12x12 grids at pool 8 x 2 and an 18x18 grid at the default pool
+# 16 x 8. Captured before local search remembered certified optima
+def benchmark_shaped_pools():
+    for seed in range(6):
+        yield grid_with_holes(seed, 12, 12, 0.15, 10), GeneratorConfig(
+            pool_size=8, iterations_per_run=2, seed=seed
+        )
+    yield grid_with_holes(11, 18, 18), GeneratorConfig(
+        pool_size=16, iterations_per_run=8, seed=11
+    )
+
+
+BENCHMARK_SHAPED_POOLS = "ceed6ee1103cefe3ada50c80878d1f75ac086886fe6be236288456b81d2dcabb"
+
+
+def test_benchmark_shaped_pools():
+    digest = hashlib.sha256()
+    for inst, cfg in benchmark_shaped_pools():
+        digest.update(write_pool(generate_pool(inst, cfg)).encode())
+    assert digest.hexdigest() == BENCHMARK_SHAPED_POOLS
 
 
 def fake_clock(monkeypatch, *readings):
