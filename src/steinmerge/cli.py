@@ -30,6 +30,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -517,19 +518,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> MergeConfig:
-    rank_width = args.rank_width
-    if rank_width > args.max_width:
-        sys.stderr.write(
-            f"# rank width {rank_width} clamped to max width {args.max_width}\n"
-        )
-        rank_width = args.max_width
-    return MergeConfig(
+    """The merge flags as a config; notes a clamped rank width once it is valid."""
+    cfg = MergeConfig(
         final_width=args.max_width,
-        rank_width=rank_width,
+        rank_width=min(args.rank_width, args.max_width),
         rank_iterations=args.rank_iters,
         keep_best=not args.no_keep_best,
         seed=args.seed,
     )
+    if args.rank_width > cfg.rank_width:
+        sys.stderr.write(
+            f"# rank width {args.rank_width} clamped to max width {args.max_width}\n"
+        )
+    return cfg
 
 
 def _deadline(args: argparse.Namespace) -> float | None:
@@ -573,18 +574,32 @@ def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
     )
 
 
+@dataclass(frozen=True)
+class _Pipeline:
+    """What `solve` and `bench` run on each instance, checked before any is read."""
+
+    generator: GeneratorConfig
+    merge: MergeConfig
+    state_budget: int
+
+    @staticmethod
+    def of(args: argparse.Namespace) -> "_Pipeline":
+        _check_state_budget(args)
+        return _Pipeline(_generator_config(args), _merge_config(args), args.state_budget)
+
+
 def _run_pipeline(
     instance: SteinerInstance,
-    args: argparse.Namespace,
+    pipeline: _Pipeline,
     deadline: float | None,
     workers: int,
 ) -> tuple[MergeReport, float]:
     t0 = time.monotonic()
-    pool = generate_pool(instance, _generator_config(args), workers, deadline)
+    pool = generate_pool(instance, pipeline.generator, workers, deadline)
     gen_seconds = time.monotonic() - t0
     report = run_smh(
-        instance, pool, _merge_config(args),
-        state_budget=args.state_budget, deadline=deadline,
+        instance, pool, pipeline.merge,
+        state_budget=pipeline.state_budget, deadline=deadline,
     )
     if deadline is not None and time.monotonic() > deadline and not report.timed_out:
         report.timed_out = True
@@ -592,17 +607,21 @@ def _run_pipeline(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _check_state_budget(args)
+    pipeline = _Pipeline.of(args)
+    jobs = _jobs(args)
+    deadline = _deadline(args)
     instance = parse_stp_file(args.instance)
-    report, gen_seconds = _run_pipeline(instance, args, _deadline(args), _jobs(args))
+    report, gen_seconds = _run_pipeline(instance, pipeline, deadline, jobs)
     return _emit_report(report, args.format, gen_seconds)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    instance = parse_stp_file(args.instance)
+    cfg = _generator_config(args)
+    jobs = _jobs(args)
     deadline = _deadline(args)
+    instance = parse_stp_file(args.instance)
     t0 = time.monotonic()
-    pool = generate_pool(instance, _generator_config(args), _jobs(args), deadline)
+    pool = generate_pool(instance, cfg, jobs, deadline)
     seconds = time.monotonic() - t0
     text = write_pool(pool)
     if args.output:
@@ -617,11 +636,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_merge(args: argparse.Namespace) -> int:
     _check_state_budget(args)
+    cfg = _merge_config(args)
+    deadline = _deadline(args)
     instance = parse_stp_file(args.instance)
     pool = read_pool(Path(args.pool_file).read_text(encoding="utf-8"), instance)
     report = run_smh(
-        instance, pool, _merge_config(args),
-        state_budget=args.state_budget, deadline=_deadline(args),
+        instance, pool, cfg, state_budget=args.state_budget, deadline=deadline
     )
     return _emit_report(report, args.format, None)
 
@@ -663,7 +683,7 @@ def cmd_validate_td(args: argparse.Namespace) -> int:
 
 
 def _bench_one(
-    args: argparse.Namespace, deadline: float | None, best: dict[str, int], path: Path
+    pipeline: _Pipeline, deadline: float | None, best: dict[str, int], path: Path
 ) -> tuple[str, dict | None, float, float]:
     """One instance: (name, bench row or None if skipped, generation and merge seconds)."""
     instance = parse_stp_file(path)
@@ -671,14 +691,15 @@ def _bench_one(
     if deadline is not None and time.monotonic() > deadline:
         return name, None, 0.0, 0.0
     # one worker: a pool of --jobs per instance would start up to jobs * jobs
-    report, gen_seconds = _run_pipeline(instance, args, deadline, 1)
+    report, gen_seconds = _run_pipeline(instance, pipeline, deadline, 1)
     row = _bench_row(report, name, instance, best.get(name))
     return name, row, gen_seconds, report.merge_seconds
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     jobs = _jobs(args)
-    _check_state_budget(args)
+    pipeline = _Pipeline.of(args)
+    deadline = _deadline(args)
     directory = Path(args.directory)
     paths = sorted(directory.glob("*.stp"))
     if not paths:
@@ -687,7 +708,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     best = {}
     if args.best_known:
         best = read_best_known(Path(args.best_known).read_text(encoding="utf-8"))
-    results = parallel_map(partial(_bench_one, args, _deadline(args), best), paths, jobs)
+    results = parallel_map(partial(_bench_one, pipeline, deadline, best), paths, jobs)
 
     machine = args.format != "table"
     ran = []

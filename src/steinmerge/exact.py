@@ -119,8 +119,9 @@ def dp_solve(
 
     Raises CapacityError once the total number of stored states passes
     ``state_budget``, and DeadlineError once ``time.monotonic()`` passes
-    ``deadline``, checked before each node. Pass a list as ``stats`` to
-    collect per-node (index, kind, bag size, table size) rows.
+    ``deadline``, checked before each node and before each left state of
+    a join. Pass a list as ``stats`` to collect per-node (index, kind, bag
+    size, table size) rows.
     """
     with _cycle_collection_paused():
         try:
@@ -188,7 +189,9 @@ def _dp_solve(
                 pairs += per_mask.get(mask, 0)
             if stored + pairs > state_budget:
                 raise _over_budget(state_budget)
-            table = kernels.dp_join(left, right)
+            table = kernels.dp_join(left, right, deadline)
+            if table is None:
+                raise DeadlineError(f"dynamic program stopped at its deadline, node {idx}")
         elif kind == LEAF:
             table = kernels.dp_leaf()
         else:

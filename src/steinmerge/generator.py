@@ -449,9 +449,23 @@ def _cheapest_reconnect(
     return dist[best_v], path
 
 
-# each certified local optimum's edge set, mapped to the lengths of the
-# three lists its certifying pass shuffled
-Optima = dict[frozenset[Edge], tuple[int, int, int]]
+# a tree, as its vertex set and its weight, mapped to each insertion scored
+# on it: vertex -> ``_induced_tree`` of the enlarged set under that weight
+Verdicts = dict[tuple[frozenset[int], int], dict[int, SteinerSolution | None]]
+
+
+class Optima(dict):
+    """One pool's memo: certified local optima, plus its insertion verdicts.
+
+    As a dict it maps each certified local optimum's edge set to the
+    lengths of the three lists its certifying pass shuffled. ``verdicts``
+    rides along beside those entries, so ``local_search`` gets both through
+    one argument.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.verdicts: Verdicts = {}
 
 
 def local_search(
@@ -459,7 +473,7 @@ def local_search(
     tree: SteinerSolution,
     rng: random.Random,
     deadline: float | None = None,
-    optima: Optima | None = None,
+    optima: dict | None = None,
 ) -> SteinerSolution:
     """Descend from ``tree`` to a local optimum; weight never increases.
 
@@ -484,6 +498,12 @@ def local_search(
     ``random.shuffle`` draws depend only on the length, so ``rng`` ends
     where the full pass would have left it. A pass the deadline cuts short
     records nothing.
+
+    When ``optima`` is an ``Optima``, its ``verdicts`` also keep every
+    insertion scored: ``_induced_tree(T + v, w)`` depends only on the
+    tree's vertex set T, its weight w and v, so a pass over a tree seen
+    before looks each candidate up first and scores only the new ones. The
+    scan order, the deadline checks and the rng draws stay as they were.
     """
     current = tree
     if len(instance.terminals) == 1:
@@ -491,6 +511,7 @@ def local_search(
     graph = instance.graph
     indptr, nbr, _ = graph.csr
     terms = instance.terminals
+    verdicts = getattr(optima, "verdicts", None)
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() > deadline
@@ -510,11 +531,15 @@ def local_search(
             and sum(nbr[i] in tverts for i in range(indptr[v], indptr[v + 1])) >= 2
         ]
         rng.shuffle(candidates)
+        scored = {} if verdicts is None else verdicts.setdefault((tverts, current.weight), {})
         accepted = None
         for v in candidates:
             if expired():
                 return current
-            accepted = _induced_tree(instance, tverts | {v}, current.weight)
+            if v in scored:
+                accepted = scored[v]
+            else:
+                accepted = scored[v] = _induced_tree(instance, tverts | {v}, current.weight)
             if accepted is not None:
                 break
         if accepted is not None:
@@ -616,10 +641,11 @@ def generate_pool(
     completes, so the pool is never empty; any other run whose first
     construction the deadline cuts short adds nothing.
 
-    The runs share one ``local_search`` memo of certified local optima,
-    which changes no rng draw; a worker process gets its own copy.
+    The runs share one ``local_search`` memo of certified local optima and
+    insertion verdicts, which changes no rng draw; a worker process gets
+    its own copy.
     """
-    optima: Optima = {}
+    optima = Optima()
     produced = parallel_map(
         partial(_one_run, instance, cfg, deadline, optima), range(cfg.pool_size), workers
     )

@@ -15,6 +15,7 @@ collide and the minimum is kept.
 from __future__ import annotations
 
 import heapq
+import time
 from functools import lru_cache
 from math import inf
 from operator import itemgetter
@@ -285,11 +286,13 @@ def _join_relabel(c, ends):
     return tuple(ids)
 
 
-def dp_join(left, right):
+def dp_join(left, right, deadline=None):
     """Combine sibling tables over an identical bag.
 
     States pair up on equal chosen sets; values add and blocks coarsen to
-    the transitive closure of overlaps between the two partitions.
+    the transitive closure of overlaps between the two partitions. Returns
+    None once ``time.monotonic()`` passes ``deadline``, read before each
+    left state when one is set.
     """
     # a right state ties position pairs together: each later member of a
     # block to its first one; the getter reads those positions' left blocks
@@ -307,6 +310,8 @@ def dp_join(left, right):
         by_mask.setdefault(key[0], []).append((key, entry[0], get))
     out = {}
     for lkey, lentry in left.items():
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         mask, llabels = lkey
         matches = by_mask.get(mask)
         if not matches:

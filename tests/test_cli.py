@@ -318,6 +318,59 @@ class TestInputChecks:
         assert "at least 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("solve", "--max-width", "0", "final_width must be at least 1"),
+            ("solve", "--rank-iters", "-1", "rank_iterations must be nonnegative"),
+            ("solve", "--rank-width", "0", "rank_width must lie in [1, final_width]"),
+            ("solve", "--time-limit", "nan", "time limit must be a finite number"),
+            ("solve", "--pool", "0", "pool_size must be at least 1"),
+            ("merge", "--max-width", "0", "final_width must be at least 1"),
+            ("merge", "--rank-iters", "-1", "rank_iterations must be nonnegative"),
+            ("merge", "--time-limit", "inf", "time limit must be a finite number"),
+            ("generate", "--perturb", "1.0", "perturbation_strength must lie in [0, 1)"),
+            ("generate", "--jobs", "0", "must be at least 1"),
+            ("bench", "--max-width", "0", "final_width must be at least 1"),
+            ("bench", "--grasp-iters", "0", "iterations_per_run must be at least 1"),
+        ],
+    )
+    def test_every_flag_checked_before_any_work(
+        self, stp, tmp_path, capsys, monkeypatch, command, flag, value, message
+    ):
+        path = stp(four_cycle())
+        pool = tmp_path / "pool.txt"
+        assert main(["generate", path, "--pool", "1", "--grasp-iters", "1", "-o", str(pool)]) == 0
+        garbage = tmp_path / "garbage.stp"
+        garbage.write_text("not an instance\n")
+        work = []
+        for name in ("parse_stp_file", "generate_pool", "read_pool"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: work.append(name))
+        for target in (path, str(garbage)):
+            argv = {
+                "solve": ["solve", target],
+                "merge": ["merge", target, str(pool)],
+                "generate": ["generate", target],
+                "bench": ["bench", str(tmp_path)],
+            }[command]
+            assert main(argv + [flag, value]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert message in err
+            assert "clamped" not in err
+        assert work == []
+
+    def test_bench_notes_a_clamped_rank_width_once(self, stp, capsys):
+        stp(sparse_instance(20, 25, 4), "a.stp")
+        path = stp(sparse_instance(21, 25, 4), "b.stp")
+        code = main(["bench", os.path.dirname(path), "--pool", "2", "--grasp-iters", "1",
+                     "--rank-iters", "1", "--max-width", "3", "--rank-width", "9",
+                     "--format", "csv"])
+        assert code == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("clamped") == 1
+        assert "# rank width 9 clamped to max width 3\n" in err
+
+
 class TestGenerateAndMerge:
     def test_pipeline_via_files(self, stp, tmp_path, capsys):
         path = stp(sparse_instance(7, 30, 5))

@@ -174,6 +174,8 @@ class TestDpSolve:
             return 0.0 if len(reads) <= 5 else 2.0
 
         monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock))
+        # joins read the kernels' clock; it stays before the deadline here
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
         with pytest.raises(DeadlineError):
             dp_solve(inst, nice, deadline=1.0)
         # one clock read per node: the sixth node saw the deadline pass
@@ -181,6 +183,44 @@ class TestDpSolve:
         # a deadline that never passes changes nothing
         monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
         assert dp_solve(inst, nice, deadline=1.0) == dp_solve(inst, nice)
+
+    def test_deadline_stops_inside_a_join(self, monkeypatch):
+        inst = small_instance(8)
+        td = decomposition_from_order(inst.graph, greedy_degree(inst.graph))
+        nice = make_nice(inst.graph, td, min(inst.terminals))
+        joins = []
+        real_join = kernels.dp_join
+
+        def recording(left, right, deadline=None):
+            joins.append((left, right))
+            return real_join(left, right, deadline)
+
+        monkeypatch.setattr(kernels, "dp_join", recording)
+        whole = dp_solve(inst, nice)
+        left, right = max(joins, key=lambda pair: len(pair[0]))
+        assert len(left) > 3
+        reads = []
+
+        def clock():
+            # the deadline passes after the third left state
+            reads.append(None)
+            return 0.0 if len(reads) <= 3 else 2.0
+
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=clock))
+        assert real_join(left, right, 1.0) is None
+        assert len(reads) == 4
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        assert real_join(left, right, 1.0) == real_join(left, right)
+        # in the DP: the nodes' own checks never see it pass, the first join does
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 2.0))
+        with pytest.raises(DeadlineError, match="node") as info:
+            dp_solve(inst, nice, deadline=1.0)
+        idx = int(str(info.value).rsplit(" ", 1)[1])
+        assert nice.nodes[idx].kind == JOIN
+        assert idx == min(i for i, nd in enumerate(nice.nodes) if nd.kind == JOIN)
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        assert dp_solve(inst, nice, deadline=1.0) == whole
 
     def test_stats_rows(self):
         inst = small_instance(7)

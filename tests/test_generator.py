@@ -38,6 +38,7 @@ from steinmerge import (
 from steinmerge import generator
 from steinmerge.graph import strip_leaves
 from steinmerge.generator import (
+    Optima,
     _cheapest_reconnect,
     _DeletionCheck,
     _derive_seed,
@@ -295,6 +296,81 @@ class TestCertifiedOptima:
         inst = grid_with_holes(2, 12, 12)
         cfg = GeneratorConfig(pool_size=8, iterations_per_run=2, seed=3)
         assert generate_pool(inst, cfg, workers=2).entries == generate_pool(inst, cfg).entries
+
+
+class TestInsertionVerdicts:
+    """``Optima.verdicts``: each insertion scored once per pool, same trees, same draws."""
+
+    @given(st.integers(0, 10**6), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_verdicts_change_no_tree_and_no_draw(self, seed, draw):
+        inst = tie_heavy_instance(seed)
+        rng = rng_for(draw)
+        starts = [
+            sph_construct(inst, generator._perturbed_weights(inst, 0.5, rng), t, rng)
+            for t in sorted(inst.terminals)
+        ]
+
+        def descend(start, stream, memo):
+            rng = rng_for(stream)
+            return local_search(inst, start, rng, optima=memo), rng.getstate()
+
+        warm = Optima()
+        for i, start in enumerate(starts):
+            # several scan orders from each start meet the same trees
+            for stream in range(draw + 3 * i, draw + 3 * i + 3):
+                plain = descend(start, stream, None)
+                assert descend(start, stream, Optima()) == plain
+                warm.clear()  # forget the certified optima, keep the verdicts
+                assert descend(start, stream, warm) == plain
+        # an accepted insertion is lighter than the tree it was scored on
+        assert all(
+            tree is None or tree.weight < weight
+            for (_, weight), scored in warm.verdicts.items()
+            for tree in scored.values()
+        )
+
+    def test_no_insertion_is_scored_twice(self, monkeypatch):
+        inst = grid_with_holes(3, 10, 10)
+        start = sph_construct(inst, None, min(inst.terminals), rng_for())
+        real = generator._induced_tree
+
+        def scores(memo):
+            seen = Counter()
+
+            def counted(instance, members, bound=inf):
+                seen[frozenset(members), bound] += 1
+                return real(instance, members, bound)
+
+            monkeypatch.setattr(generator, "_induced_tree", counted)
+            # later descents pass through trees the first one visited
+            for stream in range(4):
+                local_search(inst, start, rng_for(stream), optima=memo)
+            return seen
+
+        without = scores({})
+        assert max(without.values()) > 1
+        seen = scores(Optima())
+        assert max(seen.values()) == 1
+        assert set(seen) == set(without)
+
+    def test_verdicts_are_kept_per_weight(self, monkeypatch):
+        # two trees on {0, 1, 2}: 1-0-2 weighs 11 and 0-1-2 weighs 8. Adding
+        # 3 gives the star at 3, weight 9: lighter than the first, not the
+        # second. The descent from the first meets both trees
+        inst = build_instance(
+            [(0, 1, 4), (1, 2, 4), (0, 2, 7), (0, 3, 3), (1, 3, 3), (2, 3, 3)],
+            [0, 1, 2],
+        )
+        heavy = solution_of(inst, [(0, 1), (0, 2)])
+        light = solution_of(inst, [(0, 1), (1, 2)])
+        star = solution_of(inst, [(0, 3), (1, 3), (2, 3)])
+        # a wrong verdict would cycle star -> light -> star; the clock ends that
+        fake_clock(monkeypatch, *[0.0] * 50, 9.0)
+        memo = Optima()
+        assert local_search(inst, heavy, rng_for(), deadline=5.0, optima=memo) == light
+        assert memo.verdicts[light.vertices, 11] == {3: star}
+        assert memo.verdicts[light.vertices, 8] == {3: None}
 
 
 def reference_prune(instance, edges):
