@@ -69,6 +69,26 @@ def _bell(n: int) -> int:
     return row[0]
 
 
+def tree_states_bound(n_vertices: int) -> int:
+    """A state budget that ``dp_solve`` provably stays within on a tree.
+
+    The decomposition is the one ``_solve_union`` builds: from the greedy
+    minimum-degree order of a tree with ``n_vertices`` vertices, pinned at
+    a terminal. A tree always has a vertex of degree at most 1, and
+    removing it adds no fill edge, so each decomposition bag is a vertex
+    plus at most one later neighbour: 2 vertices, 3 with the pinned one.
+    ``make_nice`` then emits a leaf node and at most 2 introduces for each
+    decomposition leaf, at most 2 forgets, 2 introduces and 1 join for
+    each child link, one introduce-edge per tree edge and at most 2 final
+    forgets. With n decomposition nodes and n - 1 child links that is at
+    most 3n + 5(n - 1) + (n - 1) + 2 < 9n nice nodes. A table over 3
+    vertices holds at most 2^3 * Bell(3) = 40 states, and no check before
+    a transform predicts more than 2 * 40 = 80 (an introduce-edge of a
+    full table). So the DP never counts more than 40(9n - 1) + 80 states.
+    """
+    return 360 * n_vertices + 40
+
+
 def _over_budget(state_budget: int) -> CapacityError:
     return CapacityError(f"dynamic program needs more than {state_budget} states")
 
@@ -119,9 +139,9 @@ def dp_solve(
 
     Raises CapacityError once the total number of stored states passes
     ``state_budget``, and DeadlineError once ``time.monotonic()`` passes
-    ``deadline``, checked before each node and before each left state of
-    a join. Pass a list as ``stats`` to collect per-node (index, kind, bag
-    size, table size) rows.
+    ``deadline``, checked before each node and, inside every kernel but the
+    leaf's, before each input state (a join's left states). Pass a list as
+    ``stats`` to collect per-node (index, kind, bag size, table size) rows.
     """
     with _cycle_collection_paused():
         try:
@@ -163,21 +183,22 @@ def _dp_solve(
             if stored + 2 * len(child) > state_budget:
                 raise _over_budget(state_budget)
             table = kernels.dp_introduce_edge(
-                child, nd.bag.index(u), nd.bag.index(v), weights[edge_key(u, v)]
+                child, nd.bag.index(u), nd.bag.index(v), weights[edge_key(u, v)],
+                deadline,
             )
         elif kind == INTRODUCE:
             child = tables[nd.children[0]]
             if stored + 2 * len(child) > state_budget:
                 raise _over_budget(state_budget)
             table = kernels.dp_introduce_vertex(
-                child, nd.bag.index(nd.vertex), nd.vertex in terminals
+                child, nd.bag.index(nd.vertex), nd.vertex in terminals, deadline
             )
         elif kind == FORGET:
             c = nd.children[0]
             child = tables[c]
             if stored + len(child) > state_budget:
                 raise _over_budget(state_budget)
-            table = kernels.dp_forget(child, nodes[c].bag.index(nd.vertex))
+            table = kernels.dp_forget(child, nodes[c].bag.index(nd.vertex), deadline)
         elif kind == JOIN:
             left, right = tables[nd.children[0]], tables[nd.children[1]]
             # a join pairs the states of both sides that choose the same mask
@@ -190,12 +211,13 @@ def _dp_solve(
             if stored + pairs > state_budget:
                 raise _over_budget(state_budget)
             table = kernels.dp_join(left, right, deadline)
-            if table is None:
-                raise DeadlineError(f"dynamic program stopped at its deadline, node {idx}")
         elif kind == LEAF:
             table = kernels.dp_leaf()
         else:
             raise ValidationError(f"unknown node kind {kind!r}")
+        if table is None:
+            # the kernel saw the deadline pass before one of its input states
+            raise DeadlineError(f"dynamic program stopped at its deadline, node {idx}")
         if len(table) > bound[len(nd.bag)]:
             raise InvariantError("table outgrew the subset*Bell bound")
         tables[idx] = table

@@ -468,6 +468,22 @@ class Optima(dict):
         self.verdicts: Verdicts = {}
 
 
+def _lighter(
+    accepted: SteinerSolution, current: SteinerSolution, move: str
+) -> SteinerSolution:
+    """``accepted``, checked to be strictly lighter than ``current``.
+
+    Every accepted move must lose weight, or the descent need not end; a
+    scoring fault, such as a stale memo entry, fails here instead.
+    """
+    if accepted.weight >= current.weight:
+        raise InvariantError(
+            f"an accepted {move} weighs {accepted.weight}, the tree it"
+            f" replaces {current.weight}"
+        )
+    return accepted
+
+
 def local_search(
     instance: SteinerInstance,
     tree: SteinerSolution,
@@ -489,7 +505,9 @@ def local_search(
     repairs one MST per pass instead of building the MST of each G[T - v],
     and ``_ExchangeCheck`` settles once per pass which edges a lighter path
     could replace, so the cheapest-path search runs only for those.
-    ``tree`` must be a tree.
+    ``tree`` must be a tree. An accepted insertion or deletion that is not
+    strictly lighter than the current tree raises InvariantError, so a
+    scoring fault cannot make the descent cycle.
 
     ``optima`` remembers the trees a full pass found no improving move for.
     Moves are scored under the instance's own weights, so that verdict
@@ -543,7 +561,7 @@ def local_search(
             if accepted is not None:
                 break
         if accepted is not None:
-            current = accepted
+            current = _lighter(accepted, current, "insertion")
             continue
 
         removable = [v for v in sorted(tverts) if v not in terms]
@@ -557,7 +575,7 @@ def local_search(
             if accepted is not None:
                 break
         if accepted is not None:
-            current = accepted
+            current = _lighter(accepted, current, "deletion")
             continue
 
         # edge exchange: drop one tree edge and reconnect the two halves

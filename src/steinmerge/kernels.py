@@ -154,17 +154,20 @@ def dp_leaf():
     return {(1, (0,)): (0, None)}
 
 
-def dp_introduce_vertex(table, pos, is_terminal):
+def dp_introduce_vertex(table, pos, is_terminal, deadline=None):
     """Bag gains a vertex at position pos.
 
     Non-terminals branch into an excluded copy and an included-as-singleton
     copy; terminals must be included. Both branches are injective so no
-    collision handling is needed.
+    collision handling is needed. Returns None once ``time.monotonic()``
+    passes ``deadline``, read before each input state when one is set.
     """
     out = {}
     low = (1 << pos) - 1
     bit = 1 << pos
     for key, entry in table.items():
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         mask, labels = key
         val = entry[0]
         nm = (mask & low) | ((mask >> pos) << (pos + 1))
@@ -185,8 +188,12 @@ def dp_introduce_vertex(table, pos, is_terminal):
     return out
 
 
-def dp_introduce_edge(table, pu, pv, w):
-    """Offer one graph edge: a state may pay w to merge its endpoints' blocks."""
+def dp_introduce_edge(table, pu, pv, w, deadline=None):
+    """Offer one graph edge: a state may pay w to merge its endpoints' blocks.
+
+    Returns None once ``time.monotonic()`` passes ``deadline``, read before
+    each input state when one is set.
+    """
     out = {}
     bu = 1 << pu
     bv = 1 << pv
@@ -194,6 +201,8 @@ def dp_introduce_edge(table, pu, pv, w):
     lowu = bu - 1
     lowv = bv - 1
     for key, entry in table.items():
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         val = entry[0]
         cur = out.get(key)
         if cur is None or val < cur[0]:
@@ -216,16 +225,20 @@ def dp_introduce_edge(table, pu, pv, w):
     return out
 
 
-def dp_forget(table, pos):
+def dp_forget(table, pos, deadline=None):
     """Bag drops the vertex at position pos.
 
     A chosen vertex may leave only if its block keeps another bag vertex;
     otherwise its component could never reattach and the state dies.
+    Returns None once ``time.monotonic()`` passes ``deadline``, read before
+    each input state when one is set.
     """
     out = {}
     bit = 1 << pos
     low = bit - 1
     for key, entry in table.items():
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         mask, labels = key
         val = entry[0]
         if mask & bit:

@@ -18,7 +18,13 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import CapacityError, DEFAULT_STATE_BUDGET, DeadlineError, dp_solve
+from .exact import (
+    CapacityError,
+    DEFAULT_STATE_BUDGET,
+    DeadlineError,
+    dp_solve,
+    tree_states_bound,
+)
 from .generator import SolutionPool, _derive_seed
 from .graph import (
     Edge,
@@ -26,6 +32,7 @@ from .graph import (
     SteinerSolution,
     ValidationError,
     WeightedGraph,
+    prune,
 )
 from .treewidth import (
     EliminationOrder,
@@ -62,18 +69,36 @@ class MergeConfig:
 class UnionSelection:
     """Outcome of the greedy union step: who made it in, and their union.
 
-    ``checked`` is the union graph the selection's last width check built,
-    or None when a memo answered that check.
+    ``widths`` is the ``UnionMemo.widths`` table the selection was checked
+    against. ``checked`` is the union graph the selection's last width
+    check built, or None when a memo answered that check or no check ran.
     """
 
     selected: tuple[int, ...]
     edges: frozenset[Edge]
-    elimination: EliminationOrder
     instance: SteinerInstance = field(repr=False, compare=False)
+    widths: dict = field(repr=False, compare=False)
     checked: WeightedGraph | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def elimination(self) -> EliminationOrder:
+        """The union's greedy elimination order, eliminated at most once.
+
+        A union of several trees passed a width check that stored its
+        order in ``widths``. A lone tree is taken unchecked, so its order
+        is computed, and stored there, only when something reads it.
+        """
+        found = self.widths.get(self.edges)
+        if not isinstance(found, EliminationOrder):
+            found = self.widths[self.edges] = greedy_degree(self.graph)
+        return found
 
     @property
     def width(self) -> int:
+        # a lone tree eliminates leaf by leaf: no vertex has more than one
+        # neighbour left when it goes, and no fill edge appears
+        if len(self.selected) == 1:
+            return min(len(self.edges), 1)
         return self.elimination.width
 
     @cached_property
@@ -94,7 +119,10 @@ class UnionMemo:
     the union at each cap of w or more and rejects it below; a capped
     elimination that broke its cap stores the degree d that broke it,
     which rejects every cap below d. A cap of d or more eliminates again
-    and replaces the entry. ``unions`` sits in front of ``widths``: it maps
+    and replaces the entry. A round's first tree needs no check, so its
+    order enters ``widths`` only when ``UnionSelection.elimination`` is
+    read, which a tree union's solve does not do at the usual state
+    budgets. ``unions`` sits in front of ``widths``: it maps
     the frozenset of a union's trees to the union's edge set, so a repeated
     union of the same trees is answered without building its edge set.
     ``solves`` maps (union edge set, state budget) to the union's optimum
@@ -122,24 +150,21 @@ def _union_graph(instance: SteinerInstance, edges: frozenset[Edge]) -> WeightedG
 
 
 def _width_check(
-    instance: SteinerInstance, widths: dict, edges: frozenset[Edge], cap: int | None
+    instance: SteinerInstance, widths: dict, edges: frozenset[Edge], cap: int
 ) -> tuple[EliminationOrder | None, WeightedGraph | None]:
     """The union's elimination order if its width is within ``cap``, else None.
 
-    ``cap`` None eliminates uncapped and always accepts. Returns as well
-    the union graph built to decide, or None when ``widths`` answered.
+    Returns as well the union graph built to decide, or None when
+    ``widths`` answered.
     """
     found = widths.get(edges)
     graph = None
-    if found is None or (isinstance(found, int) and (cap is None or cap >= found)):
+    if found is None or (isinstance(found, int) and cap >= found):
         graph = _union_graph(instance, edges)
-        if cap is None:
-            found = greedy_degree(graph)
-        else:
-            res = greedy_degree_capped(graph, cap)
-            found = res.width if res.exceeded else EliminationOrder(res.order, res.width)
+        res = greedy_degree_capped(graph, cap)
+        found = res.width if res.exceeded else EliminationOrder(res.order, res.width)
         widths[edges] = found
-    if isinstance(found, int) or (cap is not None and found.width > cap):
+    if isinstance(found, int) or found.width > cap:
         return None, graph
     return found, graph
 
@@ -152,36 +177,34 @@ def greedy_steiner_union(
 ) -> UnionSelection:
     """Greedily fold solutions into a union while its width stays in bounds.
 
-    The first solution is always taken (a tree eliminates at width 1); each
-    later one joins only if the capped greedy elimination of the tentative
-    union stays within ``width_cap``. The result is maximal for the given
-    order: every rejected solution would have pushed the union past the cap
-    at the moment it was tried.
+    The first solution is always taken, unchecked (a tree eliminates at
+    width 1, or 0 without edges); each later one joins only if the capped
+    greedy elimination of the tentative union stays within ``width_cap``.
+    The result is maximal for the given order: every rejected solution
+    would have pushed the union past the cap at the moment it was tried.
 
     A tentative union already in ``memo`` is answered without building its
     graph, and one of the same trees without building its edge set. The
     selection carries the union's edge set, and the graph its last width
-    check built; ``_solve_union`` builds one only when it has none.
+    check built; ``_solve_union`` builds one only when it runs the DP and
+    has none.
     """
     if not solutions:
         raise ValidationError("cannot select from an empty pool")
     if memo is None:
         memo = UnionMemo()
     widths, unions = memo.widths, memo.unions
-    trees: frozenset[SteinerSolution] = frozenset()
-    union_edges: frozenset[Edge] = frozenset()
-    elim = graph = None
-    selected: list[int] = []
-    for i, tree in enumerate(solutions):
+    first = solutions[0]
+    trees = frozenset((first,))
+    union_edges = first.edges
+    graph = None
+    selected = [0]
+    for i, tree in enumerate(solutions[1:], 1):
         tentative = trees | {tree}
         edges = unions.get(tentative)
         if edges is None:
-            edges = unions[tentative] = (
-                union_edges | tree.edges if selected else tree.edges
-            )
-        found, built = _width_check(
-            instance, widths, edges, width_cap if selected else None
-        )
+            edges = unions[tentative] = union_edges | tree.edges
+        found, built = _width_check(instance, widths, edges, width_cap)
         if found is None:
             continue
         selected.append(i)
@@ -190,8 +213,7 @@ def greedy_steiner_union(
         if built is not None or len(edges) > len(union_edges):
             graph = built
         union_edges = edges
-        elim = found
-    return UnionSelection(tuple(selected), union_edges, elim, instance, graph)
+    return UnionSelection(tuple(selected), union_edges, instance, widths, graph)
 
 
 def _solve_union(
@@ -208,6 +230,16 @@ def _solve_union(
     shares with the host, and pruning over the host's edge ranks keeps the
     same (w, u, v) order, so the tree is the one the union alone would give.
 
+    A union with one edge fewer than its vertices (the terminals and the
+    edges' endpoints) is a tree: pool trees span the terminals, so their
+    union is connected. Its optimum is its pruned subtree, the one
+    minimal subtree spanning the terminals, which every connected
+    terminal-spanning subgraph of it contains; the DP's own pruning strips
+    its result down to that subtree. So when ``state_budget`` is at least
+    ``tree_states_bound``, below which the DP might run out of states, the
+    tree is pruned directly and no graph, decomposition or DP is built.
+    Below that budget the DP runs as for any union.
+
     A union already in ``memo`` returns the same tree, or raises a fresh
     CapacityError with the stored message. A deadline stop is not stored.
     """
@@ -217,15 +249,20 @@ def _solve_union(
         raise CapacityError(*known.args)
     if known is not None:
         return known
-    graph = selection.graph
-    td = decomposition_from_order(graph, selection.elimination)
-    nice = make_nice(graph, td, min(instance.terminals))
-    try:
-        tree = dp_solve(instance, nice, state_budget=state_budget, deadline=deadline)
-    except CapacityError as exc:
-        # a copy that was never raised carries no traceback, so no frames
-        memo.solves[key] = CapacityError(*exc.args)
-        raise
+    edges = selection.edges
+    n_vertices = len(instance.terminals.union(*edges))
+    if len(edges) == n_vertices - 1 and state_budget >= tree_states_bound(n_vertices):
+        tree = prune(instance, edges)
+    else:
+        graph = selection.graph
+        td = decomposition_from_order(graph, selection.elimination)
+        nice = make_nice(graph, td, min(instance.terminals))
+        try:
+            tree = dp_solve(instance, nice, state_budget=state_budget, deadline=deadline)
+        except CapacityError as exc:
+            # a copy that was never raised carries no traceback, so no frames
+            memo.solves[key] = CapacityError(*exc.args)
+            raise
     memo.solves[key] = tree
     return tree
 

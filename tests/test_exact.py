@@ -31,6 +31,24 @@ def small_instance(seed):
     return random_connected_instance(seed, 12, 22, 4, max_weight=20)
 
 
+# the kernel that computes each node kind's table; the DP passes each of
+# them its deadline as the last positional argument
+DP_KERNELS = {
+    INTRODUCE: "dp_introduce_vertex",
+    INTRODUCE_EDGE: "dp_introduce_edge",
+    FORGET: "dp_forget",
+    JOIN: "dp_join",
+}
+
+
+def only_kernel_sees_deadline(monkeypatch, name):
+    """Run every DP kernel but ``name`` without the deadline the DP passes."""
+    for other in DP_KERNELS.values():
+        if other != name:
+            real = getattr(kernels, other)
+            monkeypatch.setattr(kernels, other, lambda *a, _real=real: _real(*a[:-1]))
+
+
 class TestBellNumbers:
     def test_known_prefix(self):
         assert [_bell(i) for i in range(7)] == [1, 1, 2, 5, 15, 52, 203]
@@ -211,14 +229,59 @@ class TestDpSolve:
         assert len(reads) == 4
         monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
         assert real_join(left, right, 1.0) == real_join(left, right)
-        # in the DP: the nodes' own checks never see it pass, the first join does
+        # in the DP, with only the joins given the deadline: the nodes' own
+        # checks never see it pass, the first join does
         monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
         monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 2.0))
+        only_kernel_sees_deadline(monkeypatch, "dp_join")
         with pytest.raises(DeadlineError, match="node") as info:
             dp_solve(inst, nice, deadline=1.0)
         idx = int(str(info.value).rsplit(" ", 1)[1])
         assert nice.nodes[idx].kind == JOIN
         assert idx == min(i for i, nd in enumerate(nice.nodes) if nd.kind == JOIN)
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        assert dp_solve(inst, nice, deadline=1.0) == whole
+
+    @pytest.mark.parametrize("kind", [INTRODUCE, INTRODUCE_EDGE, FORGET])
+    def test_deadline_stops_inside_each_other_kernel(self, monkeypatch, kind):
+        inst = small_instance(8)
+        td = decomposition_from_order(inst.graph, greedy_degree(inst.graph))
+        nice = make_nice(inst.graph, td, min(inst.terminals))
+        name = DP_KERNELS[kind]
+        real = getattr(kernels, name)
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, name, recording)
+        whole = dp_solve(inst, nice)
+        monkeypatch.setattr(kernels, name, real)
+        # the call with the largest input table, without its deadline
+        args = max(calls, key=lambda a: len(a[0]))[:-1]
+        assert len(args[0]) > 3
+        reads = []
+
+        def clock():
+            # the deadline passes after the third input state
+            reads.append(None)
+            return 0.0 if len(reads) <= 3 else 2.0
+
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=clock))
+        assert real(*args, 1.0) is None
+        assert len(reads) == 4
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        assert real(*args, 1.0) == real(*args)
+        # in the DP, with only this kernel given the deadline: the first
+        # node of its kind stops, and the error names that node
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 2.0))
+        only_kernel_sees_deadline(monkeypatch, name)
+        with pytest.raises(DeadlineError, match="node") as info:
+            dp_solve(inst, nice, deadline=1.0)
+        idx = int(str(info.value).rsplit(" ", 1)[1])
+        assert idx == min(i for i, nd in enumerate(nice.nodes) if nd.kind == kind)
         monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
         assert dp_solve(inst, nice, deadline=1.0) == whole
 

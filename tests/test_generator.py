@@ -22,6 +22,7 @@ from helpers import (
 from steinmerge import (
     GeneratorConfig,
     InfeasibleError,
+    InvariantError,
     ParseError,
     ValidationError,
     dreyfus_wagner,
@@ -371,6 +372,42 @@ class TestInsertionVerdicts:
         assert local_search(inst, heavy, rng_for(), deadline=5.0, optima=memo) == light
         assert memo.verdicts[light.vertices, 11] == {3: star}
         assert memo.verdicts[light.vertices, 8] == {3: None}
+
+
+def triangle_with_hub():
+    """Terminals 0, 1, 2; the paths 0-1-2 (8) and 1-0-2 (11), the star at 3 (9)."""
+    inst = build_instance(
+        [(0, 1, 4), (1, 2, 4), (0, 2, 7), (0, 3, 3), (1, 3, 3), (2, 3, 3)],
+        [0, 1, 2],
+    )
+    light = solution_of(inst, [(0, 1), (1, 2)])
+    star = solution_of(inst, [(0, 3), (1, 3), (2, 3)])
+    return inst, light, star
+
+
+class TestAcceptedMovesAreLighter:
+    """A move that does not make the tree lighter is a fault, not a step."""
+
+    def test_stale_insertion_verdict_fails_fast(self, monkeypatch):
+        inst, light, star = triangle_with_hub()
+        memo = Optima()
+        # the verdict for the star scored against a heavier tree on the same
+        # vertices, filed under the light tree's weight: it would cycle
+        # light -> star -> (deletion) light. The clock ends a cycle that
+        # nothing else stops
+        memo.verdicts[light.vertices, light.weight] = {3: star}
+        fake_clock(monkeypatch, *[0.0] * 50, 9.0)
+        with pytest.raises(InvariantError, match="insertion weighs 9"):
+            local_search(inst, light, rng_for(), deadline=5.0, optima=memo)
+
+    def test_deletion_that_is_not_lighter_fails_fast(self, monkeypatch):
+        inst, light, star = triangle_with_hub()
+        assert local_search(inst, star, rng_for()) == light
+        # a deletion check that hands back the tree it was given
+        monkeypatch.setattr(_DeletionCheck, "without", lambda self, v, bound: star)
+        fake_clock(monkeypatch, *[0.0] * 50, 9.0)
+        with pytest.raises(InvariantError, match="deletion weighs 9"):
+            local_search(inst, star, rng_for(), deadline=5.0)
 
 
 def reference_prune(instance, edges):

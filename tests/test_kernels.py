@@ -102,9 +102,13 @@ class TestKernelContracts:
                 return _inner(*args)
 
             monkeypatch.setattr(kernels, name, counted)
-        inst = sparse_instance(0, 25, 5)
-        pool = generate_pool(inst, GeneratorConfig(pool_size=3, iterations_per_run=1))
-        run_smh(inst, pool, MergeConfig(rank_iterations=2))
+        # a pool of two distinct trees, whose union has a cycle: a union
+        # that is one tree is solved without elimination or a DP
+        inst = sparse_instance(0, 40, 8)
+        pool = generate_pool(inst, GeneratorConfig(
+            pool_size=3, iterations_per_run=1, perturbation_strength=0.7))
+        report = run_smh(inst, pool, MergeConfig(rank_iterations=2))
+        assert report.union_width >= 2
         assert calls["dijkstra_multi"] > 0
         assert calls["eliminate"] > 0
         assert calls["dp_join"] > 0

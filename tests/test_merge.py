@@ -10,12 +10,14 @@ import pytest
 from helpers import build_instance, compacted, solution_of, tie_heavy_instance
 from steinmerge import (
     CapacityError,
+    DEFAULT_STATE_BUDGET,
     GeneratorConfig,
     MergeConfig,
     SteinerInstance,
     SteinerSolution,
     UnionMemo,
     ValidationError,
+    WeightedGraph,
     decomposition_from_order,
     dreyfus_wagner,
     generate_pool,
@@ -31,8 +33,9 @@ from steinmerge import (
     write_stp,
 )
 from steinmerge import exact, merge
+from steinmerge.exact import tree_states_bound
 from steinmerge.generator import PoolEntry, SolutionPool
-from steinmerge.synth import sparse_instance
+from steinmerge.synth import sparse_instance, tree_instance
 from steinmerge.treewidth import INTRODUCE_EDGE
 
 
@@ -521,6 +524,129 @@ class TestUnionMemo:
             errors.append(info.value)
         assert errors[0] is not errors[1]
         assert errors[0].args == errors[1].args
+
+
+def zero_weighted(instance, seed):
+    """The instance with every weight redrawn from 0..1."""
+    rng = random.Random(seed)
+    graph = WeightedGraph.build(
+        instance.graph.vertices,
+        [(u, v, rng.randint(0, 1)) for u, v in sorted(instance.graph.weights)],
+    )
+    return SteinerInstance.create(graph, instance.terminals)
+
+
+def tree_unions():
+    """(instance, pool trees) whose union is a tree.
+
+    Lone pruned trees; pruned trees beside a spanning tree that holds them,
+    Steiner branches and all, so two trees make the union; random host
+    trees, whole; and an instance of one terminal, whose tree has no edges.
+    Many weights are zero, so the DP has ties to break.
+    """
+    cases = []
+    for seed in range(12):
+        inst = tie_heavy_instance(seed, 12, 26, 4)
+        rng = random.Random(seed)
+        for host in (inst, zero_weighted(inst, seed)):
+            spanning = SteinerSolution.from_edges(
+                host.graph,
+                spanning_tree(host, {e: rng.random() for e in host.graph.weights}),
+            )
+            pruned = prune(host, spanning.edges)
+            cases += [(host, [pruned]), (host, [pruned, spanning]), (host, [spanning, pruned])]
+        tree = tree_instance(seed, 10 + seed, 2 + seed % 4)
+        for host in (tree, zero_weighted(tree, seed)):
+            cases.append((host, [SteinerSolution.from_edges(host.graph, host.graph.weights)]))
+    cases.append((build_instance([(0, 1, 0), (1, 2, 3)], [1]), [SteinerSolution(frozenset(), 0)]))
+    return cases
+
+
+def dp_on_union(instance, selection, **kwargs):
+    """The DP over the union's decomposition; a CapacityError's args instead."""
+    graph = selection.graph
+    td = decomposition_from_order(graph, selection.elimination)
+    nice = make_nice(graph, td, min(instance.terminals))
+    try:
+        return exact.dp_solve(instance, nice, **kwargs)
+    except CapacityError as exc:
+        return exc.args
+
+
+def solve_union(instance, selection, budget):
+    """``_solve_union`` on a fresh memo; a CapacityError's args instead."""
+    try:
+        return merge._solve_union(instance, selection, budget, UnionMemo())
+    except CapacityError as exc:
+        return exc.args
+
+
+class TestTreeUnion:
+    def test_tree_union_gives_the_dp_tree_without_a_dp(self, monkeypatch):
+        solves = count_calls(monkeypatch, "dp_solve", lambda a, k: None)
+        for inst, trees in tree_unions():
+            sel = greedy_steiner_union(inst, trees, 1)
+            assert len(sel.selected) == len(trees)
+            assert sel.width == min(len(sel.edges), 1)
+            assert merge._solve_union(
+                inst, sel, DEFAULT_STATE_BUDGET, UnionMemo()
+            ) == dp_on_union(inst, sel)
+        assert solves == []
+
+    def test_dp_runs_below_the_bound_and_not_from_it(self, monkeypatch):
+        solves = count_calls(monkeypatch, "dp_solve", lambda a, k: k["state_budget"])
+        for inst, trees in tree_unions()[::5]:
+            sel = greedy_steiner_union(inst, trees, 1)
+            bound = tree_states_bound(sel.graph.n_vertices)
+            # the smallest budget the DP completes within
+            lo, hi = 1, bound
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if isinstance(dp_on_union(inst, sel, state_budget=mid), tuple):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            below = sorted({b for b in (1, 8, 64, lo - 1, lo, bound - 1) if b > 0})
+            for budget in below:
+                del solves[:]
+                got = solve_union(inst, sel, budget)
+                assert got == dp_on_union(inst, sel, state_budget=budget)
+                assert isinstance(got, tuple) == (budget < lo)
+                assert solves == [budget]
+            for budget in (bound, bound + 1):
+                del solves[:]
+                got = solve_union(inst, sel, budget)
+                assert got == dp_on_union(inst, sel, state_budget=budget)
+                assert isinstance(got, SteinerSolution)
+                assert solves == []
+
+    def test_dp_on_a_tree_union_stays_within_the_bound(self):
+        for inst, trees in tree_unions():
+            sel = greedy_steiner_union(inst, trees, 1)
+            n = sel.graph.n_vertices
+            td = decomposition_from_order(sel.graph, sel.elimination)
+            nice = make_nice(sel.graph, td, min(inst.terminals))
+            stats = []
+            exact.dp_solve(inst, nice, state_budget=tree_states_bound(n), stats=stats)
+            # the figures the bound is derived from
+            assert len(nice.nodes) < 9 * n
+            assert max(size for _, _, _, size in stats) <= 40
+            assert sum(size for _, _, _, size in stats) + 80 <= tree_states_bound(n)
+
+    def test_lone_tree_is_eliminated_only_when_its_order_is_read(self, monkeypatch):
+        checks = count_calls(monkeypatch, "greedy_degree", lambda a, k: a[0])
+        for inst, trees in tree_unions():
+            memo = UnionMemo()
+            sel = greedy_steiner_union(inst, trees[:1], 1, memo=memo)
+            assert sel.selected == (0,)
+            order = greedy_degree(sel.graph)
+            assert sel.width == order.width
+            assert checks == []
+            assert sel.edges not in memo.widths
+            assert sel.elimination == order
+            assert memo.widths[sel.edges] is sel.elimination
+            assert len(checks) == 1
+            del checks[:]
 
 
 def expiring_clock(monkeypatch, reads_left):
