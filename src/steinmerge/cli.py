@@ -542,27 +542,19 @@ def _deadline(args: argparse.Namespace) -> float | None:
     return time.monotonic() + args.time_limit
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    # below 1 would silently run sequentially
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs (SMH_JOBS) must be at least 1, not {args.jobs}")
-    return args.jobs
+def _at_least_one(args: argparse.Namespace, name: str) -> int:
+    """``args.<name>``, or a ValidationError naming its flag and variable.
 
-
-def _check_oracle_cap(args: argparse.Namespace) -> None:
-    # below 1 every instance would exceed it, and only after it was parsed
-    if args.oracle_cap < 1:
+    Below 1 a job count would silently run sequentially, and an oracle cap
+    or a state budget would fail every instance, and only after the work
+    before it ran.
+    """
+    value = getattr(args, name)
+    if value < 1:
         raise ValidationError(
-            f"--oracle-cap (SMH_ORACLE_CAP) must be at least 1, not {args.oracle_cap}"
+            f"--{name.replace('_', '-')} (SMH_{name.upper()}) must be at least 1, not {value}"
         )
-
-
-def _check_state_budget(args: argparse.Namespace) -> None:
-    # below 1 every DP would exceed it, and only after generation ran
-    if args.state_budget < 1:
-        raise ValidationError(
-            f"--state-budget (SMH_STATE_BUDGET) must be at least 1, not {args.state_budget}"
-        )
+    return value
 
 
 def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
@@ -584,7 +576,7 @@ class _Pipeline:
 
     @staticmethod
     def of(args: argparse.Namespace) -> "_Pipeline":
-        _check_state_budget(args)
+        _at_least_one(args, "state_budget")
         return _Pipeline(_generator_config(args), _merge_config(args), args.state_budget)
 
 
@@ -608,7 +600,7 @@ def _run_pipeline(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     pipeline = _Pipeline.of(args)
-    jobs = _jobs(args)
+    jobs = _at_least_one(args, "jobs")
     deadline = _deadline(args)
     instance = parse_stp_file(args.instance)
     report, gen_seconds = _run_pipeline(instance, pipeline, deadline, jobs)
@@ -617,7 +609,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _generator_config(args)
-    jobs = _jobs(args)
+    jobs = _at_least_one(args, "jobs")
     deadline = _deadline(args)
     instance = parse_stp_file(args.instance)
     t0 = time.monotonic()
@@ -635,7 +627,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    _check_state_budget(args)
+    _at_least_one(args, "state_budget")
     cfg = _merge_config(args)
     deadline = _deadline(args)
     instance = parse_stp_file(args.instance)
@@ -647,7 +639,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    _check_oracle_cap(args)
+    _at_least_one(args, "oracle_cap")
     instance = parse_stp_file(args.instance)
     t0 = time.monotonic()
     solution = dreyfus_wagner(instance, terminal_cap=args.oracle_cap)
@@ -697,7 +689,7 @@ def _bench_one(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    jobs = _jobs(args)
+    jobs = _at_least_one(args, "jobs")
     pipeline = _Pipeline.of(args)
     deadline = _deadline(args)
     directory = Path(args.directory)

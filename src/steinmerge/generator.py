@@ -14,7 +14,7 @@ import random
 import time
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from math import inf
 from typing import Callable, Iterable, Sequence
@@ -454,18 +454,17 @@ def _cheapest_reconnect(
 Verdicts = dict[tuple[frozenset[int], int], dict[int, SteinerSolution | None]]
 
 
-class Optima(dict):
-    """One pool's memo: certified local optima, plus its insertion verdicts.
+@dataclass
+class Optima:
+    """One pool's ``local_search`` memo.
 
-    As a dict it maps each certified local optimum's edge set to the
-    lengths of the three lists its certifying pass shuffled. ``verdicts``
-    rides along beside those entries, so ``local_search`` gets both through
-    one argument.
+    ``optima`` maps each certified local optimum's edge set to the lengths
+    of the three lists its certifying pass shuffled; ``verdicts`` keeps
+    every insertion scored.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.verdicts: Verdicts = {}
+    optima: dict[frozenset[Edge], tuple[int, int, int]] = field(default_factory=dict)
+    verdicts: Verdicts = field(default_factory=dict)
 
 
 def _lighter(
@@ -489,7 +488,7 @@ def local_search(
     tree: SteinerSolution,
     rng: random.Random,
     deadline: float | None = None,
-    optima: dict | None = None,
+    memo: Optima | None = None,
 ) -> SteinerSolution:
     """Descend from ``tree`` to a local optimum; weight never increases.
 
@@ -509,19 +508,20 @@ def local_search(
     strictly lighter than the current tree raises InvariantError, so a
     scoring fault cannot make the descent cycle.
 
-    ``optima`` remembers the trees a full pass found no improving move for.
-    Moves are scored under the instance's own weights, so that verdict
-    belongs to the tree alone: a pass that starts from a remembered tree
-    returns it at once, after shuffling lists of the stored lengths.
-    ``random.shuffle`` draws depend only on the length, so ``rng`` ends
-    where the full pass would have left it. A pass the deadline cuts short
-    records nothing.
+    ``memo`` (fresh when not given; a pool's runs share one) remembers in
+    ``optima`` the trees a full pass found no improving move for. Moves are
+    scored under the instance's own weights, so that verdict belongs to the
+    tree alone: a pass that starts from a remembered tree returns it at
+    once, after shuffling lists of the stored lengths. ``random.shuffle``
+    draws depend only on the length, so ``rng`` ends where the full pass
+    would have left it. A pass the deadline cuts short records nothing.
 
-    When ``optima`` is an ``Optima``, its ``verdicts`` also keep every
-    insertion scored: ``_induced_tree(T + v, w)`` depends only on the
-    tree's vertex set T, its weight w and v, so a pass over a tree seen
-    before looks each candidate up first and scores only the new ones. The
-    scan order, the deadline checks and the rng draws stay as they were.
+    Its ``verdicts`` keep every insertion scored: ``_induced_tree(T + v,
+    w)`` depends only on the tree's vertex set T, its weight w and v, so a
+    pass over a tree seen before looks each candidate up first and scores
+    only the new ones. The scan order, the deadline checks and the rng
+    draws stay as they were. Within one call no tree repeats, since every
+    accepted move is lighter, so a fresh memo changes nothing.
     """
     current = tree
     if len(instance.terminals) == 1:
@@ -529,13 +529,15 @@ def local_search(
     graph = instance.graph
     indptr, nbr, _ = graph.csr
     terms = instance.terminals
-    verdicts = getattr(optima, "verdicts", None)
+    if memo is None:
+        memo = Optima()
+    optima, verdicts = memo.optima, memo.verdicts
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() > deadline
 
     while True:
-        if optima is not None and current.edges in optima:
+        if current.edges in optima:
             for length in optima[current.edges]:
                 rng.shuffle([None] * length)
             return current
@@ -549,7 +551,7 @@ def local_search(
             and sum(nbr[i] in tverts for i in range(indptr[v], indptr[v + 1])) >= 2
         ]
         rng.shuffle(candidates)
-        scored = {} if verdicts is None else verdicts.setdefault((tverts, current.weight), {})
+        scored = verdicts.setdefault((tverts, current.weight), {})
         accepted = None
         for v in candidates:
             if expired():
@@ -606,8 +608,7 @@ def local_search(
                     accepted = cand
                     break
         if accepted is None:
-            if optima is not None:
-                optima[current.edges] = (len(candidates), len(removable), len(tree_edges))
+            optima[current.edges] = (len(candidates), len(removable), len(tree_edges))
             return current
         current = accepted
 
@@ -616,7 +617,7 @@ def _one_run(
     instance: SteinerInstance,
     cfg: GeneratorConfig,
     deadline: float | None,
-    optima: Optima,
+    memo: Optima,
     run: int,
 ) -> PoolEntry | None:
     """Run ``run``'s restarts; None if the deadline cut its first one short.
@@ -636,7 +637,7 @@ def _one_run(
         built = sph_construct(instance, wmap, start, rng, deadline)
         if built is None:
             break
-        sol = local_search(instance, built, rng, deadline, optima)
+        sol = local_search(instance, built, rng, deadline, memo)
         if best is None or sol.weight < best.weight:
             best, best_iteration = sol, it
     if best is None:
@@ -663,9 +664,9 @@ def generate_pool(
     insertion verdicts, which changes no rng draw; a worker process gets
     its own copy.
     """
-    optima = Optima()
+    memo = Optima()
     produced = parallel_map(
-        partial(_one_run, instance, cfg, deadline, optima), range(cfg.pool_size), workers
+        partial(_one_run, instance, cfg, deadline, memo), range(cfg.pool_size), workers
     )
     first: dict[tuple[Edge, ...], PoolEntry] = {}
     for entry in produced:

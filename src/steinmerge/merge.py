@@ -65,33 +65,109 @@ class MergeConfig:
             raise ValidationError("rank_iterations must be nonnegative")
 
 
-@dataclass(frozen=True)
-class UnionSelection:
-    """Outcome of the greedy union step: who made it in, and their union.
+@dataclass(eq=False)
+class _Union:
+    """Everything one ``run_smh`` learns about one union edge set.
 
-    ``widths`` is the ``UnionMemo.widths`` table the selection was checked
-    against. ``checked`` is the union graph the selection's last width
-    check built, or None when a memo answered that check or no check ran.
+    ``verdict`` answers every width cap. Greedy elimination pops the same
+    sequence at any cap and stops only at the first degree above it, so an
+    elimination order of width w accepts the union at each cap of w or more
+    and rejects it below; a capped elimination that broke its cap leaves
+    the degree d that broke it, which rejects every cap below d. A cap of d
+    or more eliminates again and replaces it. ``solved`` maps a state
+    budget to the union's optimum, or to the CapacityError its DP raised.
+    ``joined`` maps a tree's edge set to the edge set of this union with
+    the tree added, so a repeated tentative union builds no edge set. It
+    holds edge sets, not records: a tree inside the union joins it to
+    itself, and no record may refer to itself, or a dropped memo would wait
+    for the cycle collector. Each is a function of the edge set: the graph
+    is the edges plus the terminals, and elimination and the DP are
+    deterministic.
     """
 
-    selected: tuple[int, ...]
+    instance: SteinerInstance = field(repr=False)
     edges: frozenset[Edge]
-    instance: SteinerInstance = field(repr=False, compare=False)
-    widths: dict = field(repr=False, compare=False)
-    checked: WeightedGraph | None = field(default=None, repr=False, compare=False)
+    verdict: EliminationOrder | int | None = None
+    solved: dict[int, SteinerSolution | CapacityError] = field(default_factory=dict)
+    joined: dict[frozenset[Edge], frozenset[Edge]] = field(default_factory=dict, repr=False)
 
     @cached_property
+    def graph(self) -> WeightedGraph:
+        """The union subgraph: ``edges`` plus every terminal, built at most once."""
+        # pool trees were checked against the host when read or generated, so
+        # their edges are normalized host edges and need no second check
+        weights = self.instance.graph.weights
+        vertices = set(self.instance.terminals)
+        for u, v in self.edges:
+            vertices.add(u)
+            vertices.add(v)
+        return WeightedGraph(frozenset(vertices), {e: weights[e] for e in self.edges})
+
+    @cached_property
+    def n_vertices(self) -> int:
+        """The terminals plus the edges' endpoints, counted without the graph."""
+        return len(self.instance.terminals.union(*self.edges))
+
+    @property
+    def is_tree(self) -> bool:
+        # pool trees span the terminals, so their union is connected
+        return len(self.edges) == self.n_vertices - 1
+
+    def within(self, cap: int) -> bool:
+        """Whether the union's greedy elimination width is at most ``cap``."""
+        found = self.verdict
+        if found is None or (isinstance(found, int) and cap >= found):
+            res = greedy_degree_capped(self.graph, cap)
+            found = res.width if res.exceeded else EliminationOrder(res.order, res.width)
+            self.verdict = found
+        return isinstance(found, EliminationOrder) and found.width <= cap
+
+    @property
     def elimination(self) -> EliminationOrder:
         """The union's greedy elimination order, eliminated at most once.
 
-        A union of several trees passed a width check that stored its
-        order in ``widths``. A lone tree is taken unchecked, so its order
-        is computed, and stored there, only when something reads it.
+        A union of several trees passed a width check that left its order
+        in ``verdict``. A lone tree is taken unchecked, so its order is
+        computed only when something reads it.
         """
-        found = self.widths.get(self.edges)
-        if not isinstance(found, EliminationOrder):
-            found = self.widths[self.edges] = greedy_degree(self.graph)
+        if not isinstance(self.verdict, EliminationOrder):
+            self.verdict = greedy_degree(self.graph)
+        return self.verdict
+
+
+@dataclass
+class UnionMemo:
+    """Every union edge set met so far, each mapped to its one ``_Union``.
+
+    ``run_smh`` keeps one for its ranking rounds and final pass and drops
+    it on return, so a union's graph lives for one run and is built at
+    most once in it.
+    """
+
+    records: dict[frozenset[Edge], _Union] = field(default_factory=dict)
+
+    def union(self, instance: SteinerInstance, edges: frozenset[Edge]) -> _Union:
+        found = self.records.get(edges)
+        if found is None:
+            found = self.records[edges] = _Union(instance, edges)
         return found
+
+
+@dataclass(frozen=True)
+class UnionSelection:
+    """Outcome of the greedy union step: who made it in, and their union."""
+
+    selected: tuple[int, ...]
+    edges: frozenset[Edge]
+    union: _Union = field(repr=False, compare=False)
+
+    @property
+    def graph(self) -> WeightedGraph:
+        return self.union.graph
+
+    @property
+    def elimination(self) -> EliminationOrder:
+        return self.union.elimination
 
     @property
     def width(self) -> int:
@@ -100,73 +176,6 @@ class UnionSelection:
         if len(self.selected) == 1:
             return min(len(self.edges), 1)
         return self.elimination.width
-
-    @cached_property
-    def graph(self) -> WeightedGraph:
-        """The union subgraph (``edges`` plus every terminal), built at most once."""
-        if self.checked is not None:
-            return self.checked
-        return _union_graph(self.instance, self.edges)
-
-
-@dataclass
-class UnionMemo:
-    """Width checks and exact solves already done, keyed by what decides them.
-
-    ``widths`` maps a union edge set to one verdict that answers every cap.
-    Greedy elimination pops the same sequence at any cap and stops only at
-    the first degree above it, so an elimination order of width w accepts
-    the union at each cap of w or more and rejects it below; a capped
-    elimination that broke its cap stores the degree d that broke it,
-    which rejects every cap below d. A cap of d or more eliminates again
-    and replaces the entry. A round's first tree needs no check, so its
-    order enters ``widths`` only when ``UnionSelection.elimination`` is
-    read, which a tree union's solve does not do at the usual state
-    budgets. ``unions`` sits in front of ``widths``: it maps
-    the frozenset of a union's trees to the union's edge set, so a repeated
-    union of the same trees is answered without building its edge set.
-    ``solves`` maps (union edge set, state budget) to the union's optimum
-    or to the CapacityError its DP raised; the elimination order is a
-    function of the edge set. Every value is a function of its key: the
-    union graph is the edge set plus the terminals, and elimination and
-    the DP are deterministic. Only edge sets, orders and trees are stored,
-    never graphs.
-    """
-
-    widths: dict = field(default_factory=dict)
-    unions: dict = field(default_factory=dict)
-    solves: dict = field(default_factory=dict)
-
-
-def _union_graph(instance: SteinerInstance, edges: frozenset[Edge]) -> WeightedGraph:
-    # pool trees were checked against the host when read or generated, so
-    # their edges are normalized host edges and need no second check
-    weights = instance.graph.weights
-    vertices = set(instance.terminals)
-    for u, v in edges:
-        vertices.add(u)
-        vertices.add(v)
-    return WeightedGraph(frozenset(vertices), {e: weights[e] for e in edges})
-
-
-def _width_check(
-    instance: SteinerInstance, widths: dict, edges: frozenset[Edge], cap: int
-) -> tuple[EliminationOrder | None, WeightedGraph | None]:
-    """The union's elimination order if its width is within ``cap``, else None.
-
-    Returns as well the union graph built to decide, or None when
-    ``widths`` answered.
-    """
-    found = widths.get(edges)
-    graph = None
-    if found is None or (isinstance(found, int) and cap >= found):
-        graph = _union_graph(instance, edges)
-        res = greedy_degree_capped(graph, cap)
-        found = res.width if res.exceeded else EliminationOrder(res.order, res.width)
-        widths[edges] = found
-    if isinstance(found, int) or found.width > cap:
-        return None, graph
-    return found, graph
 
 
 def greedy_steiner_union(
@@ -183,44 +192,32 @@ def greedy_steiner_union(
     The result is maximal for the given order: every rejected solution
     would have pushed the union past the cap at the moment it was tried.
 
-    A tentative union already in ``memo`` is answered without building its
-    graph, and one of the same trees without building its edge set. The
-    selection carries the union's edge set, and the graph its last width
-    check built; ``_solve_union`` builds one only when it runs the DP and
-    has none.
+    A tentative union already in ``memo`` is answered by its record,
+    without eliminating it again, and one reached from the same union by
+    the same tree without building its edge set.
     """
     if not solutions:
         raise ValidationError("cannot select from an empty pool")
     if memo is None:
         memo = UnionMemo()
-    widths, unions = memo.widths, memo.unions
-    first = solutions[0]
-    trees = frozenset((first,))
-    union_edges = first.edges
-    graph = None
+    union = memo.union(instance, solutions[0].edges)
     selected = [0]
     for i, tree in enumerate(solutions[1:], 1):
-        tentative = trees | {tree}
-        edges = unions.get(tentative)
+        edges = union.joined.get(tree.edges)
         if edges is None:
-            edges = unions[tentative] = union_edges | tree.edges
-        found, built = _width_check(instance, widths, edges, width_cap)
-        if found is None:
-            continue
-        selected.append(i)
-        trees = tentative
-        # a tree inside the union leaves it, and its graph, as they were
-        if built is not None or len(edges) > len(union_edges):
-            graph = built
-        union_edges = edges
-    return UnionSelection(tuple(selected), union_edges, instance, widths, graph)
+            joined = memo.union(instance, union.edges | tree.edges)
+            edges = union.joined[tree.edges] = joined.edges
+        tentative = memo.records[edges]
+        if tentative.within(width_cap):
+            selected.append(i)
+            union = tentative
+    return UnionSelection(tuple(selected), union.edges, union)
 
 
 def _solve_union(
     instance: SteinerInstance,
     selection: UnionSelection,
     state_budget: int,
-    memo: UnionMemo,
     deadline: float | None = None,
 ) -> SteinerSolution:
     """Exact solve of the instance restricted to the union subgraph.
@@ -240,30 +237,29 @@ def _solve_union(
     tree is pruned directly and no graph, decomposition or DP is built.
     Below that budget the DP runs as for any union.
 
-    A union already in ``memo`` returns the same tree, or raises a fresh
-    CapacityError with the stored message. A deadline stop is not stored.
+    A budget the union's record has seen returns the same tree, or raises a
+    fresh CapacityError with the stored message. A deadline stop is not
+    stored.
     """
-    key = (selection.edges, state_budget)
-    known = memo.solves.get(key)
+    union = selection.union
+    known = union.solved.get(state_budget)
     if isinstance(known, CapacityError):
         raise CapacityError(*known.args)
     if known is not None:
         return known
-    edges = selection.edges
-    n_vertices = len(instance.terminals.union(*edges))
-    if len(edges) == n_vertices - 1 and state_budget >= tree_states_bound(n_vertices):
-        tree = prune(instance, edges)
+    if union.is_tree and state_budget >= tree_states_bound(union.n_vertices):
+        tree = prune(instance, union.edges)
     else:
-        graph = selection.graph
-        td = decomposition_from_order(graph, selection.elimination)
+        graph = union.graph
+        td = decomposition_from_order(graph, union.elimination)
         nice = make_nice(graph, td, min(instance.terminals))
         try:
             tree = dp_solve(instance, nice, state_budget=state_budget, deadline=deadline)
         except CapacityError as exc:
             # a copy that was never raised carries no traceback, so no frames
-            memo.solves[key] = CapacityError(*exc.args)
+            union.solved[state_budget] = CapacityError(*exc.args)
             raise
-    memo.solves[key] = tree
+    union.solved[state_budget] = tree
     return tree
 
 
@@ -330,7 +326,7 @@ def ranking_procedure(
         )
         chosen = tuple(sorted(perm[j] for j in selection.selected))
         try:
-            tree = _solve_union(instance, selection, state_budget, memo, deadline)
+            tree = _solve_union(instance, selection, state_budget, deadline)
         except DeadlineError:
             break
         except CapacityError:
@@ -414,9 +410,7 @@ def run_smh(
     timed_out = deadline is not None and time.monotonic() > deadline
     if not timed_out:
         try:
-            final_tree = _solve_union(
-                instance, selection, state_budget, memo, deadline
-            )
+            final_tree = _solve_union(instance, selection, state_budget, deadline)
         except DeadlineError:
             timed_out = True
         except CapacityError:

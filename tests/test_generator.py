@@ -210,20 +210,20 @@ class TestCertifiedOptima:
             for t in sorted(inst.terminals)
         ]
 
-        def descend(start, i, optima):
+        def descend(start, i, memo):
             rng = rng_for(draw + i)
-            return local_search(inst, start, rng, optima=optima), rng.getstate()
+            return local_search(inst, start, rng, memo=memo), rng.getstate()
 
-        warm = {}
+        warm = Optima()
         plain = []
         for i, start in enumerate(starts):
             plain.append(descend(start, i, None))
-            assert descend(start, i, {}) == plain[i]
+            assert descend(start, i, Optima()) == plain[i]
             assert descend(start, i, warm) == plain[i]
         # now every descent ends at a remembered tree
         for i, start in enumerate(starts):
             assert descend(start, i, warm) == plain[i]
-        assert set(warm) == {tree.edges for tree, _ in plain}
+        assert set(warm.optima) == {tree.edges for tree, _ in plain}
 
     def test_a_certified_tree_needs_no_move_checks(self, monkeypatch):
         inst = grid_with_holes(3, 8, 8)
@@ -239,13 +239,13 @@ class TestCertifiedOptima:
 
         for name in ("_induced_tree", "_DeletionCheck", "_ExchangeCheck"):
             monkeypatch.setattr(generator, name, counting(name, getattr(generator, name)))
-        optima = {}
-        best = local_search(inst, start, rng_for(), optima=optima)
-        assert list(optima) == [best.edges]
+        memo = Optima()
+        best = local_search(inst, start, rng_for(), memo=memo)
+        assert list(memo.optima) == [best.edges]
         assert min(calls.values()) > 0 and len(calls) == 3
         calls.clear()
         rng = rng_for(1)
-        assert local_search(inst, best, rng, optima=optima) == best
+        assert local_search(inst, best, rng, memo=memo) == best
         assert calls == Counter()
         plain = rng_for(1)
         local_search(inst, best, plain)
@@ -267,14 +267,14 @@ class TestCertifiedOptima:
     def test_a_pass_cut_by_the_deadline_records_nothing(self, edges, terminals, tree):
         inst = build_instance(edges, terminals)
         start = solution_of(inst, tree)
-        optima = {}
+        memo = Optima()
         out = local_search(
-            inst, start, rng_for(), deadline=time.monotonic() - 1.0, optima=optima
+            inst, start, rng_for(), deadline=time.monotonic() - 1.0, memo=memo
         )
         assert out == start
-        assert optima == {}
-        local_search(inst, start, rng_for(), optima=optima)
-        assert optima
+        assert memo.optima == {}
+        local_search(inst, start, rng_for(), memo=memo)
+        assert memo.optima
 
     def test_runs_share_one_memo(self, monkeypatch):
         # on a holed grid, some restart ends at a tree an earlier one
@@ -283,15 +283,15 @@ class TestCertifiedOptima:
         cfg = GeneratorConfig(pool_size=8, iterations_per_run=2, seed=3)
         memos = []
 
-        def recording(instance, tree, rng, deadline=None, optima=None):
-            memos.append(optima)
-            return local_search(instance, tree, rng, deadline, optima)
+        def recording(instance, tree, rng, deadline=None, memo=None):
+            memos.append(memo)
+            return local_search(instance, tree, rng, deadline, memo)
 
         monkeypatch.setattr(generator, "local_search", recording)
         generate_pool(inst, cfg)
         assert len(memos) == 16
         assert all(m is memos[0] for m in memos)
-        assert 0 < len(memos[0]) < len(memos)
+        assert 0 < len(memos[0].optima) < len(memos)
 
     def test_worker_processes_build_the_same_pool(self):
         inst = grid_with_holes(2, 12, 12)
@@ -314,7 +314,7 @@ class TestInsertionVerdicts:
 
         def descend(start, stream, memo):
             rng = rng_for(stream)
-            return local_search(inst, start, rng, optima=memo), rng.getstate()
+            return local_search(inst, start, rng, memo=memo), rng.getstate()
 
         warm = Optima()
         for i, start in enumerate(starts):
@@ -322,7 +322,7 @@ class TestInsertionVerdicts:
             for stream in range(draw + 3 * i, draw + 3 * i + 3):
                 plain = descend(start, stream, None)
                 assert descend(start, stream, Optima()) == plain
-                warm.clear()  # forget the certified optima, keep the verdicts
+                warm.optima.clear()  # forget the certified optima, keep the verdicts
                 assert descend(start, stream, warm) == plain
         # an accepted insertion is lighter than the tree it was scored on
         assert all(
@@ -346,10 +346,11 @@ class TestInsertionVerdicts:
             monkeypatch.setattr(generator, "_induced_tree", counted)
             # later descents pass through trees the first one visited
             for stream in range(4):
-                local_search(inst, start, rng_for(stream), optima=memo)
+                local_search(inst, start, rng_for(stream), memo=memo)
             return seen
 
-        without = scores({})
+        # a fresh memo per descent: no insertion repeats within one
+        without = scores(None)
         assert max(without.values()) > 1
         seen = scores(Optima())
         assert max(seen.values()) == 1
@@ -369,7 +370,7 @@ class TestInsertionVerdicts:
         # a wrong verdict would cycle star -> light -> star; the clock ends that
         fake_clock(monkeypatch, *[0.0] * 50, 9.0)
         memo = Optima()
-        assert local_search(inst, heavy, rng_for(), deadline=5.0, optima=memo) == light
+        assert local_search(inst, heavy, rng_for(), deadline=5.0, memo=memo) == light
         assert memo.verdicts[light.vertices, 11] == {3: star}
         assert memo.verdicts[light.vertices, 8] == {3: None}
 
@@ -398,7 +399,7 @@ class TestAcceptedMovesAreLighter:
         memo.verdicts[light.vertices, light.weight] = {3: star}
         fake_clock(monkeypatch, *[0.0] * 50, 9.0)
         with pytest.raises(InvariantError, match="insertion weighs 9"):
-            local_search(inst, light, rng_for(), deadline=5.0, optima=memo)
+            local_search(inst, light, rng_for(), deadline=5.0, memo=memo)
 
     def test_deletion_that_is_not_lighter_fails_fast(self, monkeypatch):
         inst, light, star = triangle_with_hub()

@@ -1,7 +1,7 @@
 """Union selection, the ranking rounds, and the end-to-end merge pipeline."""
 
+import gc
 import random
-from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -34,8 +34,9 @@ from steinmerge import (
 )
 from steinmerge import exact, merge
 from steinmerge.exact import tree_states_bound
-from steinmerge.generator import PoolEntry, SolutionPool
-from steinmerge.synth import sparse_instance, tree_instance
+from steinmerge.generator import PoolEntry, SolutionPool, _derive_seed
+from steinmerge.merge import RankIteration
+from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance, tree_instance
 from steinmerge.treewidth import INTRODUCE_EDGE
 
 
@@ -365,38 +366,29 @@ class TestUnionMemo:
         assert (solves[len(before[0]):], checks[len(before[1]):]) == before
         assert again.solution == report.solution
 
-    def test_union_graph_is_built_only_to_check_or_solve(self, monkeypatch):
+    @pytest.mark.parametrize("final_width, rank_width", [(2, 2), (3, 1)])
+    def test_each_union_graph_is_built_at_most_once_per_run(
+        self, monkeypatch, final_width, rank_width
+    ):
         inst, pool = repeating_pool()
-        events = []
-        for name, tag, key in (
-            ("greedy_steiner_union", "round", lambda a, k: None),
-            ("_union_graph", "build", lambda a, k: a[1]),
-            ("greedy_degree", "check", lambda a, k: None),
-            ("greedy_degree_capped", "check", lambda a, k: None),
-            ("dp_solve", "solve", lambda a, k: nice_edges(a[1])),
-        ):
-            count_calls(monkeypatch, name, lambda a, k, tag=tag, key=key: events.append(
-                (tag, key(a, k))))
-        report = run_smh(inst, pool, MergeConfig(final_width=2, rank_width=2, seed=3))
+        builds = count_calls(monkeypatch, "WeightedGraph", lambda a, k: frozenset(a[1]))
+        checks = count_calls(
+            monkeypatch, "greedy_degree_capped", lambda a, k: frozenset(a[0].weights)
+        )
+        solves = count_calls(monkeypatch, "dp_solve", lambda a, k: nice_edges(a[1]))
+        cfg = MergeConfig(final_width=final_width, rank_width=rank_width, seed=3)
+        report = run_smh(inst, pool, cfg)
         assert len(report.ranking.iterations) == 20
-        count = Counter(tag for tag, _ in events)
-        # every width check builds its union; a solve reuses the graph its
-        # round's last accepted check built, and builds one only when a
-        # memo hit answered that check
-        assert count["check"] > 0
-        assert count["check"] <= count["build"] < count["check"] + count["solve"]
-        in_round = []
-        solved_after_build = 0
-        for tag, key in events:
-            if tag == "round":
-                in_round = []
-            elif tag == "build":
-                in_round.append(key)
-            elif tag == "solve":
-                # a solved union's graph is built at most once in its round
-                assert in_round.count(key) <= 1
-                solved_after_build += in_round.count(key)
-        assert solved_after_build > 0
+        assert checks and solves
+        # a union's graph is built only for a width check or a solve, and
+        # once per edge set however many rounds or caps check or solve it
+        assert 0 < len(builds) <= len(checks) + len(solves)
+        assert len(builds) == len(set(builds))
+        assert set(checks) | set(solves) <= set(builds)
+        # the memo is dropped on return: a second run builds them again
+        before = list(builds)
+        run_smh(inst, pool, cfg)
+        assert builds[len(before):] == before
 
     def test_memo_changes_no_result(self):
         inst, pool = repeating_pool()
@@ -437,7 +429,7 @@ class TestUnionMemo:
         got = [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps[:4]]
         # every vertex of K4 has degree 3, so cap 1 breaks at degree 3 and
         # that answers caps 0 and 2 as well
-        assert memo.widths[union] == 3
+        assert memo.records[union].verdict == 3
         assert checks == [1]
         # cap 3 reaches the breaking degree: one more elimination, accepted
         got += [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps[4:]]
@@ -459,12 +451,29 @@ class TestUnionMemo:
         first = greedy_steiner_union(inst, trees, 2, memo=memo)
         built = len(unions)
         assert built == len(trees) - 1
-        # every tentative union of a repeat is answered by its set of
-        # trees, before any edge set is built
+        # every tentative union of a repeat is answered by the union it
+        # extends and the tree it adds, before any edge set is built
         again = greedy_steiner_union(inst, trees, 2, memo=memo)
         assert len(unions) == built
         assert again == first
         assert again == greedy_steiner_union(inst, trees, 2)
+
+    def test_a_dropped_memo_is_freed_without_the_collector(self):
+        # a tree whose edges lie inside the union it is tried with must not
+        # make that union's record refer to itself
+        inst, pool = repeating_pool()
+        sols = pool.solutions
+        gc.collect()
+        gc.disable()
+        try:
+            memo = UnionMemo()
+            for _ in range(2):
+                greedy_steiner_union(inst, [sols[0], sols[1], sols[0]], 8, memo=memo)
+            del memo
+            run_smh(inst, pool, MergeConfig(final_width=3, rank_width=1, seed=3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_host_and_union_instance_solve_alike(self):
         # zero weights and ties: the host's edge ranks and the union's
@@ -494,7 +503,7 @@ class TestUnionMemo:
             on_union = exact.dp_solve(union_instance, union_nice)
             back = [(ids[a], ids[b]) for a, b in on_union.edges]
             assert on_host == SteinerSolution.from_edges(inst.graph, back)
-            assert on_host == merge._solve_union(inst, sel, 1 << 20, UnionMemo())
+            assert on_host == merge._solve_union(inst, sel, 1 << 20)
 
     def test_repeated_capacity_miss_is_skipped_every_round(self, monkeypatch):
         inst, pool = repeating_pool()
@@ -515,15 +524,71 @@ class TestUnionMemo:
 
     def test_memo_hit_raises_a_fresh_capacity_error(self):
         inst, pool = repeating_pool()
-        memo = UnionMemo()
-        sel = greedy_steiner_union(inst, pool.solutions, 2, memo=memo)
+        sel = greedy_steiner_union(inst, pool.solutions, 2)
         errors = []
         for _ in range(2):
             with pytest.raises(CapacityError) as info:
-                merge._solve_union(inst, sel, 1, memo)
+                merge._solve_union(inst, sel, 1)
             errors.append(info.value)
         assert errors[0] is not errors[1]
         assert errors[0].args == errors[1].args
+
+
+def rounds_solved_afresh(instance, pool, cfg, state_budget):
+    """Each ranking round's log entry, its union selected and solved on a fresh memo.
+
+    Also returns how many rounds hit the state budget, and how many unions
+    were trees.
+    """
+    sols = pool.solutions
+    rounds, misses, trees = [], 0, 0
+    for it in range(cfg.rank_iterations):
+        rng = random.Random(_derive_seed(cfg.seed, merge._RANK_SALT + it))
+        perm = list(range(len(sols)))
+        rng.shuffle(perm)
+        sel = greedy_steiner_union(
+            instance, [sols[p] for p in perm], cfg.rank_width, memo=UnionMemo()
+        )
+        try:
+            value = merge._solve_union(instance, sel, state_budget).weight
+        except CapacityError:
+            value = None
+            misses += 1
+        trees += sel.union.is_tree
+        chosen = tuple(sorted(perm[j] for j in sel.selected))
+        rounds.append(RankIteration(it, value, chosen, sel.width))
+    return rounds, misses, trees
+
+
+class TestSharedMemoAgainstFreshSolves:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sparse_instance(4, 120, 20, 4.0),
+            lambda: grid_with_holes(2, 12, 12),
+            lambda: dense_instance(1, 40, 0.15, 10, max_weight=3),
+        ],
+        ids=["sparse", "grid", "dense"],
+    )
+    def test_every_round_logs_what_a_fresh_solve_gives(self, make):
+        inst = make()
+        pool = generate_pool(inst, GeneratorConfig(
+            pool_size=8, iterations_per_run=1, perturbation_strength=0.7, seed=3
+        ))
+        assert len(pool.entries) > 4
+        misses = trees = 0
+        for cap in (1, 2, 3):
+            cfg = MergeConfig(final_width=cap, rank_width=cap, rank_iterations=8, seed=5)
+            for budget in (1, 64, DEFAULT_STATE_BUDGET):
+                shared = ranking_procedure(inst, pool, cfg, state_budget=budget)
+                fresh, missed, tree_unions = rounds_solved_afresh(inst, pool, cfg, budget)
+                assert list(shared.iterations) == fresh
+                misses += missed
+                trees += tree_unions
+        # budgets 1 and 64 refuse every DP; at the default budget cap 1
+        # unions are trees and wider caps' unions complete their DP
+        assert 0 < misses < 72
+        assert 0 < trees < 72
 
 
 def zero_weighted(instance, seed):
@@ -574,9 +639,9 @@ def dp_on_union(instance, selection, **kwargs):
 
 
 def solve_union(instance, selection, budget):
-    """``_solve_union`` on a fresh memo; a CapacityError's args instead."""
+    """``_solve_union``; a CapacityError's args instead."""
     try:
-        return merge._solve_union(instance, selection, budget, UnionMemo())
+        return merge._solve_union(instance, selection, budget)
     except CapacityError as exc:
         return exc.args
 
@@ -588,9 +653,8 @@ class TestTreeUnion:
             sel = greedy_steiner_union(inst, trees, 1)
             assert len(sel.selected) == len(trees)
             assert sel.width == min(len(sel.edges), 1)
-            assert merge._solve_union(
-                inst, sel, DEFAULT_STATE_BUDGET, UnionMemo()
-            ) == dp_on_union(inst, sel)
+            got = merge._solve_union(inst, sel, DEFAULT_STATE_BUDGET)
+            assert got == dp_on_union(inst, sel)
         assert solves == []
 
     def test_dp_runs_below_the_bound_and_not_from_it(self, monkeypatch):
@@ -642,9 +706,9 @@ class TestTreeUnion:
             order = greedy_degree(sel.graph)
             assert sel.width == order.width
             assert checks == []
-            assert sel.edges not in memo.widths
+            assert memo.records[sel.edges].verdict is None
             assert sel.elimination == order
-            assert memo.widths[sel.edges] is sel.elimination
+            assert memo.records[sel.edges].verdict is sel.elimination
             assert len(checks) == 1
             del checks[:]
 
@@ -671,7 +735,7 @@ class TestDeadlineInsideTheDp:
         stopped = ranking_procedure(inst, pool, cfg, deadline=far, memo=memo)
         assert stopped.iterations == ()
         assert stopped.skipped == 0
-        assert memo.solves == {}
+        assert [u.solved for u in memo.records.values()] == [{}] * len(memo.records)
         # with time left, the same memo solves round 0 as a fresh run does
         monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
         resumed = ranking_procedure(inst, pool, cfg, deadline=far, memo=memo)

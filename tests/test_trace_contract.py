@@ -42,3 +42,23 @@ def test_traced_solve_records_graph_spans(tmp_path, capsys):
     # Kruskal runs inside prune and, for local search, outside it
     assert "graph.prune" in mst_parents
     assert mst_parents - {"graph.prune"}
+
+
+def test_traced_solve_records_merge_spans(tmp_path):
+    # the merge layer calls selection, elimination, decomposition and the
+    # DP through ``merge`` module names, which the tracer rebinds
+    layers = load_layers()
+    path = tmp_path / "inst.stp"
+    path.write_text(write_stp(sparse_instance(0, 25, 4)))
+    tracer = layers.Tracer()
+    with layers.traced(tracer, steinmerge):
+        code = steinmerge.cli.main(
+            ["solve", str(path), "--pool", "6", "--grasp-iters", "1", "--perturb", "0.7",
+             "--rank-iters", "2", "--format", "json"]
+        )
+    assert code == steinmerge.cli.EXIT_OK
+    names = {s[layers.NAME] for s in tracer.spans}
+    assert {
+        "merge.union", "treewidth.capped", "treewidth.decompose",
+        "treewidth.make_nice", "exact.dp_solve",
+    } <= names
