@@ -54,7 +54,6 @@ from .merge import (
     run_smh,
 )
 from .treewidth import (
-    CappedElimination,
     EliminationOrder,
     NiceDecomposition,
     TreeDecomposition,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND_NAME",
     "CapacityError",
-    "CappedElimination",
     "DEFAULT_STATE_BUDGET",
     "DW_TERMINAL_CAP",
     "DeadlineError",

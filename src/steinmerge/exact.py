@@ -32,7 +32,6 @@ from .treewidth import (
     INTRODUCE_EDGE,
     JOIN,
     LEAF,
-    EliminationOrder,
     NiceDecomposition,
     decomposition_from_order,
     greedy_degree,
@@ -259,20 +258,17 @@ def _dp_solve(
 
 def solve_with_decomposition(
     instance: SteinerInstance,
-    tie: str = "low",
     root_vertex: int | None = None,
-    order: EliminationOrder | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> SteinerSolution:
-    """Full exact pipeline on one graph: order, decompose, refine, dp_solve.
+    """Full exact pipeline on one graph: eliminate, decompose, refine, dp_solve.
 
-    The result weight does not depend on the tie rule, the pinned root
-    terminal, or the supplied elimination order; those knobs only change
-    which decomposition carries the computation.
+    The decomposition is the one the greedy minimum-degree elimination
+    records, pinned at ``root_vertex`` (the smallest terminal when not
+    given). The result weight does not depend on the pinned root terminal,
+    which only changes the nice decomposition carrying the computation.
     """
-    if order is None:
-        order = greedy_degree(instance.graph, tie=tie)
-    td = decomposition_from_order(instance.graph, order)
+    td = decomposition_from_order(instance.graph, greedy_degree(instance.graph))
     if root_vertex is None:
         root_vertex = min(instance.terminals)
     nice = make_nice(instance.graph, td, root_vertex)

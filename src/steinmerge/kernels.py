@@ -29,41 +29,41 @@ BACKEND_NAME = "python"
 # greedy minimum-degree elimination
 
 
-def eliminate(masks, cap, tie_high=False):
+def eliminate(masks, cap):
     """Greedy minimum-degree elimination over bitmask adjacency.
 
     masks[i] is the neighbor bitmask of vertex i (the caller's list is not
-    mutated). Ties on degree go to the lowest vertex, or the highest when
-    tie_high is set. cap < 0 disables the width cap.
+    mutated). Ties on degree go to the lowest vertex. cap < 0 disables the
+    width cap.
 
-    Returns (width, order). When some elimination would exceed cap the scan
-    aborts and returns (exceeding_degree, None).
+    Returns (width, order, bags): bags[i] is the bitmask of order[i] and its
+    neighbours not yet eliminated when it goes, one bag of the tree
+    decomposition the order induces. When some elimination would exceed cap
+    the scan aborts and returns (exceeding_degree, None, None).
     """
     n = len(masks)
     adj = list(masks)
     deg = [m.bit_count() for m in adj]
-    if tie_high:
-        heap = [(deg[v], -v) for v in range(n)]
-    else:
-        heap = [(deg[v], v) for v in range(n)]
+    heap = [(deg[v], v) for v in range(n)]
     heapq.heapify(heap)
     removed = [False] * n
     order = []
+    bags = []
     width = 0
     alive = n
     while alive:
-        d, key = heapq.heappop(heap)
-        v = -key if tie_high else key
+        d, v = heapq.heappop(heap)
         if removed[v] or d != deg[v]:
             continue
         if cap >= 0 and d > cap:
-            return d, None
+            return d, None, None
         if d > width:
             width = d
         order.append(v)
         removed[v] = True
         alive -= 1
         nb = adj[v]
+        bags.append(nb | (1 << v))
         adj[v] = 0
         not_v = ~(1 << v)
         m = nb
@@ -76,26 +76,8 @@ def eliminate(masks, cap, tie_high=False):
             adj[u] = nu
             du = nu.bit_count()
             deg[u] = du
-            heapq.heappush(heap, (du, -u if tie_high else u))
-    return width, order
-
-
-def elimination_bags(masks, order):
-    """Replay a fixed elimination order; bag i = order[i] plus its remaining neighbors."""
-    adj = list(masks)
-    bags = []
-    for v in order:
-        nb = adj[v]
-        bags.append(nb | (1 << v))
-        adj[v] = 0
-        not_v = ~(1 << v)
-        m = nb
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            adj[u] = (adj[u] | nb) & ~(1 << u) & not_v
-    return bags
+            heapq.heappush(heap, (du, u))
+    return width, order, bags
 
 
 # ---------------------------------------------------------------------------

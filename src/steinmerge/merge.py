@@ -71,10 +71,10 @@ class _Union:
 
     ``verdict`` answers every width cap. Greedy elimination pops the same
     sequence at any cap and stops only at the first degree above it, so an
-    elimination order of width w accepts the union at each cap of w or more
-    and rejects it below; a capped elimination that broke its cap leaves
-    the degree d that broke it, which rejects every cap below d. A cap of d
-    or more eliminates again and replaces it. ``solved`` maps a state
+    elimination of width w accepts the union at each cap of w or more and
+    rejects it below, and its recorded bags decompose the union; an
+    elimination that broke its cap at degree d rejects every cap below d. A
+    cap of d or more eliminates again and replaces it. ``solved`` maps a state
     budget to the union's optimum, or to the CapacityError its DP raised.
     ``joined`` maps a tree's edge set to the edge set of this union with
     the tree added, so a repeated tentative union builds no edge set. It
@@ -87,7 +87,7 @@ class _Union:
 
     instance: SteinerInstance = field(repr=False)
     edges: frozenset[Edge]
-    verdict: EliminationOrder | int | None = None
+    verdict: EliminationOrder | None = None
     solved: dict[int, SteinerSolution | CapacityError] = field(default_factory=dict)
     joined: dict[frozenset[Edge], frozenset[Edge]] = field(default_factory=dict, repr=False)
 
@@ -116,21 +116,19 @@ class _Union:
     def within(self, cap: int) -> bool:
         """Whether the union's greedy elimination width is at most ``cap``."""
         found = self.verdict
-        if found is None or (isinstance(found, int) and cap >= found):
-            res = greedy_degree_capped(self.graph, cap)
-            found = res.width if res.exceeded else EliminationOrder(res.order, res.width)
-            self.verdict = found
-        return isinstance(found, EliminationOrder) and found.width <= cap
+        if found is None or (found.exceeded and cap >= found.width):
+            found = self.verdict = greedy_degree_capped(self.graph, cap)
+        return not found.exceeded and found.width <= cap
 
     @property
     def elimination(self) -> EliminationOrder:
-        """The union's greedy elimination order, eliminated at most once.
+        """The union's greedy elimination, eliminated at most once.
 
-        A union of several trees passed a width check that left its order
-        in ``verdict``. A lone tree is taken unchecked, so its order is
-        computed only when something reads it.
+        A union of several trees passed a width check that left its
+        elimination in ``verdict``. A lone tree is taken unchecked, so it is
+        eliminated only when something reads it.
         """
-        if not isinstance(self.verdict, EliminationOrder):
+        if self.verdict is None or self.verdict.exceeded:
             self.verdict = greedy_degree(self.graph)
         return self.verdict
 

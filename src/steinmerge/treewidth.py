@@ -1,15 +1,15 @@
 """Elimination orderings, tree decompositions, validation, and the nice form.
 
-The greedy minimum-degree heuristic drives everything: it produces an
-elimination order whose replay yields the bags of a tree decomposition, and
-that decomposition is refined into a rooted binary "nice" form consumed by
-the exact dynamic program.
+The greedy minimum-degree heuristic drives everything: one elimination
+records the order and the bags of a tree decomposition as it goes, and that
+decomposition is refined into a rooted binary "nice" form consumed by the
+exact dynamic program.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from . import kernels
@@ -24,18 +24,18 @@ from .graph import (
 
 @dataclass(frozen=True)
 class EliminationOrder:
-    """A vertex permutation plus the max degree seen at elimination time."""
+    """A greedy elimination: the vertex order, its width, and its bags.
 
-    order: tuple[int, ...]
-    width: int
+    ``order`` is None when the elimination broke its cap, and ``width`` is
+    then the degree that broke it. ``masks`` is the ``adjacency_masks`` list
+    that was eliminated, and ``bags[i]`` is the bitmask over its positions
+    of ``order[i]`` and the neighbours it still had when it went.
+    """
 
-
-@dataclass(frozen=True)
-class CappedElimination:
-    """Result of the early-abort greedy run; order is None when the cap broke."""
-
-    width: int
     order: tuple[int, ...] | None
+    width: int
+    bags: list[int] | None = field(default=None, compare=False, repr=False)
+    masks: list[int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def exceeded(self) -> bool:
@@ -49,59 +49,59 @@ class TreeDecomposition:
     width: int
 
 
-def _check_tie(tie: str) -> bool:
-    if tie not in ("low", "high"):
-        raise ValueError(f"tie rule must be 'low' or 'high', got {tie!r}")
-    return tie == "high"
+def _eliminate(graph: WeightedGraph, cap: int) -> EliminationOrder:
+    vs, masks = graph.adjacency_masks
+    width, at, bags = kernels.eliminate(masks, cap)
+    if at is None:
+        return EliminationOrder(None, width)
+    return EliminationOrder(tuple(vs[i] for i in at), width, bags, masks)
 
 
-def greedy_degree(graph: WeightedGraph, tie: str = "low") -> EliminationOrder:
+def greedy_degree(graph: WeightedGraph) -> EliminationOrder:
     """Full greedy minimum-degree elimination order.
 
     The reported width is the highest degree any vertex had at the moment it
-    was eliminated. Degree ties go to the lowest vertex id by default; the
-    alternative "high" rule exists so callers can produce a second,
-    independently constructed decomposition of the same graph.
+    was eliminated. Degree ties go to the lowest vertex id.
     """
-    vs, masks = graph.adjacency_masks
-    width, at = kernels.eliminate(masks, -1, _check_tie(tie))
-    if at is None:
+    found = _eliminate(graph, -1)
+    if found.exceeded:
         raise InvariantError("uncapped elimination returned no order")
-    return EliminationOrder(tuple(vs[i] for i in at), width)
+    return found
 
 
-def greedy_degree_capped(
-    graph: WeightedGraph, max_width: int, tie: str = "low"
-) -> CappedElimination:
+def greedy_degree_capped(graph: WeightedGraph, max_width: int) -> EliminationOrder:
     """Greedy elimination that aborts as soon as a step would exceed max_width."""
     if max_width < 0:
         raise ValueError("max_width must be nonnegative")
-    vs, masks = graph.adjacency_masks
-    width, at = kernels.eliminate(masks, max_width, _check_tie(tie))
-    return CappedElimination(width, None if at is None else tuple(vs[i] for i in at))
+    return _eliminate(graph, max_width)
 
 
 def decomposition_from_order(
-    graph: WeightedGraph, order: EliminationOrder | Sequence[int]
+    graph: WeightedGraph, elimination: EliminationOrder
 ) -> TreeDecomposition:
-    """Build the tree decomposition induced by an elimination order.
+    """The tree decomposition an elimination of ``graph`` recorded.
 
     Bag of v = {v} plus the neighbors of v in the fill-in graph that are
     eliminated later; v's node hangs off the node of the earliest-eliminated
-    vertex in its bag. The width equals the order's elimination width.
+    vertex in its bag. The width equals the order's elimination width. An
+    elimination that broke its cap, whose order is not a permutation of the
+    graph's vertices, or that eliminated other adjacency masks than the
+    graph's own is a ValidationError.
     """
-    seq = tuple(order.order) if isinstance(order, EliminationOrder) else tuple(order)
-    if len(seq) != graph.n_vertices or set(seq) != set(graph.vertices):
-        raise ValidationError("order is not a permutation of the graph's vertices")
+    seq = elimination.order
+    if seq is None:
+        raise ValidationError(f"elimination broke its cap at degree {elimination.width}")
     vs, masks = graph.adjacency_masks
-    at = {v: i for i, v in enumerate(vs)}
-    bag_masks = kernels.elimination_bags(masks, [at[v] for v in seq])
+    if elimination.masks != masks:
+        raise ValidationError("elimination was made on another graph's adjacency")
+    if len(seq) != graph.n_vertices or set(seq) != graph.vertices:
+        raise ValidationError("order is not a permutation of the graph's vertices")
 
     position = {v: p for p, v in enumerate(seq)}
     bags: list[frozenset[int]] = []
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
-    for p, bm in enumerate(bag_masks):
+    for p, bm in enumerate(elimination.bags):
         members = []
         m = bm
         while m:
@@ -435,7 +435,10 @@ def read_td(text: str) -> TreeDecomposition:
 
     The header's width field is preserved as stated (not recomputed) so that
     validate_decomposition can flag an inconsistent header. A bag count
-    that is negative or exceeds the file's line count is a ParseError.
+    that is negative or exceeds the file's line count is a ParseError, and
+    so is a second s-line, a bag id given twice, or an edge line that is not
+    exactly two bag ids: each would otherwise drop or overwrite part of the
+    file.
     """
     lines = text.splitlines()
     bags: dict[int, frozenset[int]] = {}
@@ -450,6 +453,8 @@ def read_td(text: str) -> TreeDecomposition:
             if toks[0] == "s":
                 if len(toks) < 5 or toks[1] != "td":
                     raise ParseError(f"line {lineno}: malformed solution line")
+                if n_bags is not None:
+                    raise ParseError(f"line {lineno}: second s-line")
                 n_bags = int(toks[2])
                 width = int(toks[3]) - 1
                 # each bag needs a line of its own; checked before the
@@ -467,11 +472,13 @@ def read_td(text: str) -> TreeDecomposition:
                 idx = int(toks[1]) - 1
                 if not (0 <= idx < n_bags):
                     raise ParseError(f"line {lineno}: bag id {idx + 1} out of range")
+                if idx in bags:
+                    raise ParseError(f"line {lineno}: bag id {idx + 1} given twice")
                 bags[idx] = frozenset(int(t) - 1 for t in toks[2:])
             else:
                 if n_bags is None:
                     raise ParseError(f"line {lineno}: edge before the s-line")
-                if len(toks) < 2:
+                if len(toks) != 2:
                     raise ParseError(f"line {lineno}: edge line needs two bag ids")
                 edges.append((int(toks[0]) - 1, int(toks[1]) - 1))
         except ValueError:

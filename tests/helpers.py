@@ -28,6 +28,20 @@ def compacted(graph):
     return dense, ids
 
 
+def reversed_ids(instance):
+    """The instance with vertex v renamed to n-1-v.
+
+    Greedy elimination breaks degree ties toward the lowest id, so on the
+    renamed copy, mapped back, it breaks them toward the highest: a second,
+    independently built decomposition of the same graph.
+    """
+    top = instance.graph.n_vertices - 1
+    graph = WeightedGraph.build(
+        range(top + 1), [(top - u, top - v, w) for (u, v), w in instance.graph.weights.items()]
+    )
+    return SteinerInstance.create(graph, [top - t for t in instance.terminals], instance.name)
+
+
 def solution_of(instance, edges):
     return SteinerSolution.from_edges(instance.graph, edges)
 

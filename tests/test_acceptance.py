@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import reversed_ids
 from steinmerge import (
     GeneratorConfig,
     MergeConfig,
@@ -86,8 +87,11 @@ def test_02_decomposition_invariance(capsys, oracle_instances):
     checked = 0
     for inst in oracle_instances[:20]:
         base = solve_with_decomposition(inst).weight
+        top = inst.graph.n_vertices - 1
         variants = [
-            solve_with_decomposition(inst, tie="high").weight,
+            # renamed v -> n-1-v, the elimination breaks degree ties the other way
+            solve_with_decomposition(
+                reversed_ids(inst), root_vertex=top - min(inst.terminals)).weight,
             solve_with_decomposition(inst, root_vertex=max(inst.terminals)).weight,
         ]
         checked += 1
@@ -110,15 +114,17 @@ def test_03_decomposition_validity(capsys):
         m = rng.randint(n - 1, min(70, n * (n - 1) // 2))
         q = rng.randint(1, min(8, n))
         inst = random_connected_instance(3000 + i, n, m, q, max_weight=50)
-        for tie in ("low", "high"):
+        root = min(inst.terminals)
+        # the instance and its copy renamed v -> n-1-v, pinned at the same terminal
+        for graph, pinned in ((inst.graph, root), (reversed_ids(inst).graph, n - 1 - root)):
             cases += 1
-            td = decomposition_from_order(inst.graph, greedy_degree(inst.graph, tie))
-            nice = make_nice(inst.graph, td, min(inst.terminals))
+            td = decomposition_from_order(graph, greedy_degree(graph))
+            nice = make_nice(graph, td, pinned)
             inflation = nice.width - td.width
             inflation_max = max(inflation_max, inflation)
             if (
-                validate_decomposition(inst.graph, td)
-                or validate_nice(inst.graph, nice)
+                validate_decomposition(graph, td)
+                or validate_nice(graph, nice)
                 or inflation > 1
             ):
                 failures += 1

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_weight, build_instance, four_cycle, path_distance
+from helpers import (
+    brute_force_weight,
+    build_instance,
+    four_cycle,
+    path_distance,
+    reversed_ids,
+)
 from steinmerge import (
     CapacityError,
     DeadlineError,
@@ -151,16 +157,21 @@ class TestDpSolve:
     def test_value_ignores_decomposition_knobs(self):
         inst = small_instance(3)
         baseline = solve_with_decomposition(inst).weight
-        assert solve_with_decomposition(inst, tie="high").weight == baseline
+        top = inst.graph.n_vertices - 1
+        backwards = reversed_ids(inst)
+        assert solve_with_decomposition(
+            backwards, root_vertex=top - min(inst.terminals)).weight == baseline
         for root in sorted(inst.terminals):
             assert solve_with_decomposition(inst, root_vertex=root).weight == baseline
 
     def test_value_ignores_elimination_order(self):
-        # any permutation is a legal order; worse ones only cost width
+        # the renamed copy is eliminated with degree ties broken the other way
         inst = small_instance(4)
         baseline = solve_with_decomposition(inst).weight
-        backwards = greedy_degree(inst.graph, tie="high")
-        assert solve_with_decomposition(inst, order=backwards).weight == baseline
+        backwards = reversed_ids(inst)
+        top = inst.graph.n_vertices - 1
+        assert solve_with_decomposition(
+            backwards, root_vertex=top - min(inst.terminals)).weight == baseline
 
     def test_root_must_be_terminal(self):
         inst = build_instance([(0, 1, 1), (1, 2, 1)], [0, 1])

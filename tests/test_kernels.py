@@ -60,8 +60,29 @@ class TestKernelContracts:
             masks = random_masks(random.Random(seed), 12)
             keep = list(masks)
             for cap in (-1, 2):
-                kernels.eliminate(masks, cap, seed % 2 == 1)
+                kernels.eliminate(masks, cap)
                 assert masks == keep
+
+    def test_eliminate_records_the_bags_its_order_induces(self):
+        for seed in range(20):
+            masks = random_masks(random.Random(seed), 14)
+            width, order, bags = kernels.eliminate(masks, -1)
+            assert sorted(order) == list(range(14))
+            # replay the order: each bag is the vertex and its neighbours
+            # left in the fill-in graph
+            adj = list(masks)
+            want = []
+            for v in order:
+                want.append(adj[v] | 1 << v)
+                for u in range(14):
+                    if adj[v] >> u & 1:
+                        adj[u] = (adj[u] | adj[v]) & ~(1 << u) & ~(1 << v)
+                adj[v] = 0
+            assert bags == want
+            assert width == max(b.bit_count() for b in bags) - 1
+            assert kernels.eliminate(masks, width) == (width, order, bags)
+            if width:
+                assert kernels.eliminate(masks, width - 1)[1:] == (None, None)
 
     def test_canon_labels_is_canonical_and_idempotent(self):
         for seed in range(50):

@@ -37,7 +37,7 @@ from steinmerge.exact import tree_states_bound
 from steinmerge.generator import PoolEntry, SolutionPool, _derive_seed
 from steinmerge.merge import RankIteration
 from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance, tree_instance
-from steinmerge.treewidth import INTRODUCE_EDGE
+from steinmerge.treewidth import INTRODUCE_EDGE, EliminationOrder
 
 
 def pool_of(instance, edge_lists):
@@ -429,7 +429,7 @@ class TestUnionMemo:
         got = [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps[:4]]
         # every vertex of K4 has degree 3, so cap 1 breaks at degree 3 and
         # that answers caps 0 and 2 as well
-        assert memo.records[union].verdict == 3
+        assert memo.records[union].verdict == EliminationOrder(None, 3)
         assert checks == [1]
         # cap 3 reaches the breaking degree: one more elimination, accepted
         got += [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps[4:]]
@@ -490,15 +490,15 @@ class TestUnionMemo:
             nice = make_nice(sel.graph, td, min(inst.terminals))
             on_host = exact.dp_solve(inst, nice)
             # the union as an instance of its own, relabelled monotonically
-            # onto 0..k-1, decomposed by the same order mapped across
+            # onto 0..k-1, whose elimination is the same order mapped across
             union_graph, ids = compacted(sel.graph)
             label = {v: i for i, v in enumerate(ids)}
             union_instance = SteinerInstance.create(
                 union_graph, [label[t] for t in inst.terminals]
             )
-            union_td = decomposition_from_order(
-                union_graph, [label[v] for v in sel.elimination.order]
-            )
+            union_order = greedy_degree(union_graph)
+            assert union_order.order == tuple(label[v] for v in sel.elimination.order)
+            union_td = decomposition_from_order(union_graph, union_order)
             union_nice = make_nice(union_graph, union_td, label[min(inst.terminals)])
             on_union = exact.dp_solve(union_instance, union_nice)
             back = [(ids[a], ids[b]) for a, b in on_union.edges]

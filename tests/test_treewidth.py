@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_instance, compacted, tie_heavy_instance
+from helpers import build_instance, compacted, reversed_ids, tie_heavy_instance
 from steinmerge import (
     ParseError,
     ValidationError,
@@ -66,11 +66,6 @@ class TestGreedyDegree:
         # all degrees equal on a cycle, so the order starts at vertex 0
         g = cycle_instance(5).graph
         assert greedy_degree(g).order[0] == 0
-        assert greedy_degree(g, tie="high").order[0] == 4
-
-    def test_bad_tie_rule(self):
-        with pytest.raises(ValueError):
-            greedy_degree(path_graph(3), tie="middle")
 
     def test_capped_accepts_within_cap(self):
         res = greedy_degree_capped(cycle_instance(10).graph, 2)
@@ -82,6 +77,8 @@ class TestGreedyDegree:
         assert res.exceeded
         assert res.order is None
         assert res.width > 3
+        # the breaking degree: every vertex of K6 has degree 5
+        assert res == EliminationOrder(None, 5)
 
     def test_capped_matches_full_when_within(self):
         g = random_connected_instance(3, 15, 25, 4).graph
@@ -104,8 +101,28 @@ class TestDecomposition:
 
     def test_order_must_be_permutation(self):
         g = path_graph(3)
-        with pytest.raises(ValidationError):
-            decomposition_from_order(g, [0, 1])
+        found = greedy_degree(g)
+        short = EliminationOrder(found.order[:2], found.width, found.bags, found.masks)
+        with pytest.raises(ValidationError, match="permutation"):
+            decomposition_from_order(g, short)
+
+    def test_elimination_of_another_graph_rejected(self):
+        # same vertices, other edges: its bags would not decompose this graph
+        path, star = path_graph(4), WeightedGraph.build(range(4), [(0, i, 1) for i in (1, 2, 3)])
+        assert path.vertices == star.vertices
+        with pytest.raises(ValidationError, match="another graph"):
+            decomposition_from_order(path, greedy_degree(star))
+        # an equal graph built apart eliminates the same masks
+        again = path_graph(4)
+        assert decomposition_from_order(again, greedy_degree(path)) == (
+            decomposition_from_order(path, greedy_degree(path)))
+
+    def test_elimination_that_broke_its_cap_rejected(self):
+        g = clique_instance(5).graph
+        broken = greedy_degree_capped(g, 2)
+        assert broken.exceeded
+        with pytest.raises(ValidationError, match="broke its cap"):
+            decomposition_from_order(g, broken)
 
     def test_validator_flags_uncovered_edge(self):
         g = path_graph(3)
@@ -139,9 +156,10 @@ class TestDecomposition:
     @settings(max_examples=60, deadline=None)
     def test_random_graphs_always_valid(self, seed):
         inst = random_connected_instance(seed, 16, 30, 3)
-        for tie in ("low", "high"):
-            td = decomposition_from_order(inst.graph, greedy_degree(inst.graph, tie))
-            assert validate_decomposition(inst.graph, td) == []
+        # the renamed copy's decomposition breaks degree ties toward high ids
+        for g in (inst.graph, reversed_ids(inst).graph):
+            td = decomposition_from_order(g, greedy_degree(g))
+            assert validate_decomposition(g, td) == []
 
 
 def reference_validate_decomposition(graph, td):
@@ -259,19 +277,18 @@ class TestSubgraphWithHoles:
         def back(order):
             return None if order is None else tuple(ids[i] for i in order)
 
-        for tie in ("low", "high"):
-            got = greedy_degree(sub, tie)
-            want = greedy_degree(dense, tie)
-            assert got == EliminationOrder(back(want.order), want.width)
-            for cap in range(1, 5):
-                capped = greedy_degree_capped(sub, cap, tie)
-                expect = greedy_degree_capped(dense, cap, tie)
-                assert (capped.width, capped.order) == (expect.width, back(expect.order))
-            td = decomposition_from_order(sub, got)
-            want_td = decomposition_from_order(dense, want)
-            assert td.bags == tuple(frozenset(back(b)) for b in want_td.bags)
-            assert (td.tree_edges, td.width) == (want_td.tree_edges, want_td.width)
-            assert validate_decomposition(sub, td) == []
+        got = greedy_degree(sub)
+        want = greedy_degree(dense)
+        assert got == EliminationOrder(back(want.order), want.width)
+        for cap in range(1, 5):
+            capped = greedy_degree_capped(sub, cap)
+            expect = greedy_degree_capped(dense, cap)
+            assert (capped.width, capped.order) == (expect.width, back(expect.order))
+        td = decomposition_from_order(sub, got)
+        want_td = decomposition_from_order(dense, want)
+        assert td.bags == tuple(frozenset(back(b)) for b in want_td.bags)
+        assert (td.tree_edges, td.width) == (want_td.tree_edges, want_td.width)
+        assert validate_decomposition(sub, td) == []
 
 
 class TestNiceForm:
@@ -368,6 +385,21 @@ class TestTdFormat:
         with pytest.raises(ParseError, match="bags declared"):
             read_td(text)
 
+    def test_read_repeated_bag_id(self):
+        # a second "b 1" would silently replace the first bag
+        with pytest.raises(ParseError, match="line 3: bag id 1 given twice"):
+            read_td("s td 2 2 2\nb 1 1 2\nb 1 2\nb 2 1\n1 2\n")
+
+    def test_read_second_solution_line(self):
+        # a second s-line would re-declare the bag count and drop bags
+        with pytest.raises(ParseError, match="line 4: second s-line"):
+            read_td("s td 2 2 2\nb 1 1 2\nb 2 2\ns td 1 2 2\n1 2\n")
+
+    def test_read_edge_line_with_extra_field(self):
+        # "1 2 3" would be read as the edge (1, 2)
+        with pytest.raises(ParseError, match="line 4: edge line needs two bag ids"):
+            read_td("s td 2 2 2\nb 1 1 2\nb 2 2\n1 2 3\n")
+
     def test_header_width_preserved_for_validation(self):
         # a lying header width must survive parsing so validation can flag it
         g = path_graph(2)
@@ -460,15 +492,17 @@ class TestNiceMatchesReference:
     @given(
         st.integers(0, 100_000),
         st.integers(1, 18),
-        st.sampled_from(["low", "high"]),
+        st.booleans(),
         st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_same_node_sequence(self, seed, n, tie, data):
+    def test_same_node_sequence(self, seed, n, backwards, data):
         extra = data.draw(st.integers(0, 2 * n))
         inst = random_connected_instance(seed, n, n - 1 + extra, 1)
+        if backwards:
+            inst = reversed_ids(inst)
         g = inst.graph
-        td = decomposition_from_order(g, greedy_degree(g, tie))
+        td = decomposition_from_order(g, greedy_degree(g))
         # a renumbering moves node 0, the tree's root, and changes which
         # node is the lowest-index one covering an edge
         perm = data.draw(st.permutations(range(len(td.bags))))
