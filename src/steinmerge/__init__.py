@@ -18,7 +18,6 @@ from .exact import (
 )
 from .generator import (
     GeneratorConfig,
-    PoolEntry,
     SolutionPool,
     generate_pool,
     local_search,
@@ -83,7 +82,6 @@ __all__ = [
     "MergeReport",
     "NiceDecomposition",
     "ParseError",
-    "PoolEntry",
     "RankingState",
     "SolutionPool",
     "SteinerError",

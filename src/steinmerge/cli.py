@@ -357,7 +357,7 @@ def _bench_table(ran: list[tuple[dict, float, float]], s: dict) -> str:
 
 
 def read_best_known(text: str) -> dict[str, int]:
-    """Parse a best-known side file: one `name,value` per line."""
+    """Parse a best-known side file: one `name,value` per line, each name once."""
     out: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         ln = raw.strip()
@@ -372,6 +372,10 @@ def read_best_known(text: str) -> dict[str, int]:
             raise ParseError(f"best-known line {lineno}: bad value {parts[1]!r}")
         if value <= 0:
             raise ParseError(f"best-known line {lineno}: value must be positive")
+        if not parts[0]:
+            raise ParseError(f"best-known line {lineno}: empty instance name")
+        if parts[0] in out:
+            raise ParseError(f"best-known line {lineno}: {parts[0]!r} given twice")
         out[parts[0]] = value
     return out
 
@@ -628,6 +632,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_merge(args: argparse.Namespace) -> int:
     _at_least_one(args, "state_budget")
+    # checked like every command's flags, though a merge starts no workers
+    _at_least_one(args, "jobs")
     cfg = _merge_config(args)
     deadline = _deadline(args)
     instance = parse_stp_file(args.instance)

@@ -238,20 +238,16 @@ def _dp_solve(
         idx, key = stack.pop()
         nd = nodes[idx]
         back = tables[idx][key][1]
-        if nd.kind == LEAF:
-            continue
-        if nd.kind == INTRODUCE:
+        if nd.kind == JOIN:
             stack.append((nd.children[0], back[0]))
+            stack.append((nd.children[1], back[1]))
         elif nd.kind == INTRODUCE_EDGE:
             child_key, taken = back
             if taken:
                 edges.add(edge_key(*nd.edge))
             stack.append((nd.children[0], child_key))
-        elif nd.kind == FORGET:
+        elif nd.children:  # an introduce or a forget: the child key
             stack.append((nd.children[0], back))
-        else:  # join
-            stack.append((nd.children[0], back[0]))
-            stack.append((nd.children[1], back[1]))
 
     return _checked_prune(instance, edges, value)
 

@@ -80,32 +80,18 @@ class GeneratorConfig:
             raise ValidationError("perturbation_strength must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class PoolEntry:
-    """A pool member plus the provenance that produced it."""
-
-    solution: SteinerSolution
-    seed: int
-    run: int
-    iteration: int
-
-
 @dataclass
 class SolutionPool:
     """Deduplicated, ordered collection of locally optimal trees."""
 
-    entries: list[PoolEntry]
+    entries: list[SteinerSolution]
 
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
-    def solutions(self) -> list[SteinerSolution]:
-        return [e.solution for e in self.entries]
-
-    @property
     def weights(self) -> list[int]:
-        return [e.solution.weight for e in self.entries]
+        return [tree.weight for tree in self.entries]
 
     def best_index(self) -> int:
         ws = self.weights
@@ -619,17 +605,16 @@ def _one_run(
     deadline: float | None,
     memo: Optima,
     run: int,
-) -> PoolEntry | None:
-    """Run ``run``'s restarts; None if the deadline cut its first one short.
+) -> SteinerSolution | None:
+    """Run ``run``'s restarts and return their best tree; None if the
+    deadline cut the first one short.
 
     Run 0 ignores the deadline, so a pool is never empty.
     """
     deadline = None if run == 0 else deadline
-    run_seed = _derive_seed(cfg.seed, run)
-    rng = random.Random(run_seed)
+    rng = random.Random(_derive_seed(cfg.seed, run))
     best: SteinerSolution | None = None
-    best_iteration = 0
-    for it in range(cfg.iterations_per_run):
+    for _ in range(cfg.iterations_per_run):
         if deadline is not None and time.monotonic() > deadline:
             break
         wmap = _perturbed_weights(instance, cfg.perturbation_strength, rng)
@@ -639,10 +624,8 @@ def _one_run(
             break
         sol = local_search(instance, built, rng, deadline, memo)
         if best is None or sol.weight < best.weight:
-            best, best_iteration = sol, it
-    if best is None:
-        return None
-    return PoolEntry(best, run_seed, run, best_iteration)
+            best = sol
+    return best
 
 
 def generate_pool(
@@ -653,9 +636,10 @@ def generate_pool(
 ) -> SolutionPool:
     """Produce up to ``cfg.pool_size`` distinct locally optimal trees.
 
-    A pure function of (instance, cfg): every run draws from its own derived
-    seed, so the worker count never changes the result. Duplicate edge sets
-    are dropped, keeping the earliest run. ``deadline`` (a monotonic-clock
+    The pool holds each run's best tree, earliest run first; a tree whose
+    edge set an earlier run gave is dropped. A pure function of (instance,
+    cfg): every run draws from its own derived seed, so the worker count
+    never changes the result. ``deadline`` (a monotonic-clock
     timestamp) cuts the build short, but run 0 ignores it and always
     completes, so the pool is never empty; any other run whose first
     construction the deadline cuts short adds nothing.
@@ -668,10 +652,10 @@ def generate_pool(
     produced = parallel_map(
         partial(_one_run, instance, cfg, deadline, memo), range(cfg.pool_size), workers
     )
-    first: dict[tuple[Edge, ...], PoolEntry] = {}
-    for entry in produced:
-        if entry is not None:
-            first.setdefault(entry.solution.canonical_edges(), entry)
+    first: dict[frozenset[Edge], SteinerSolution] = {}
+    for tree in produced:
+        if tree is not None:
+            first.setdefault(tree.edges, tree)
     return SolutionPool(list(first.values()))
 
 
@@ -687,11 +671,9 @@ def write_pool(pool: SolutionPool) -> str:
     Vertex ids are written 1-based to match the instance file convention.
     """
     lines = [_POOL_MAGIC]
-    for entry in pool.entries:
-        flat = " ".join(
-            f"{u + 1} {v + 1}" for u, v in entry.solution.canonical_edges()
-        )
-        lines.append(f"tree {entry.solution.weight} {flat}".rstrip())
+    for tree in pool.entries:
+        flat = " ".join(f"{u + 1} {v + 1}" for u, v in tree.canonical_edges())
+        lines.append(f"tree {tree.weight} {flat}".rstrip())
     lines.append("")
     return "\n".join(lines)
 
@@ -700,14 +682,15 @@ def read_pool(text: str, instance: SteinerInstance) -> SolutionPool:
     """Parse a pool file and validate every tree against the instance.
 
     Accepts output of any generator that emits the same format; stated
-    weights must match the instance's weights exactly.
+    weights must match the instance's weights exactly. A tree given twice
+    is kept once, in the place of its first line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _POOL_MAGIC:
         raise ParseError("missing pool header line")
     vertices, weights = instance.graph.vertices, instance.graph.weights
-    entries: list[PoolEntry] = []
-    seen: set[tuple[Edge, ...]] = set()
+    entries: list[SteinerSolution] = []
+    seen: set[frozenset[Edge]] = set()
     for lineno, raw in enumerate(lines[1:], 2):
         ln = raw.strip()
         if not ln or ln.startswith("#"):
@@ -743,11 +726,9 @@ def read_pool(text: str, instance: SteinerInstance) -> SolutionPool:
         problems = solution_violations(instance, sol)
         if problems:
             raise ValidationError(f"line {lineno}: {problems[0]}")
-        key = sol.canonical_edges()
-        if key in seen:
-            continue
-        seen.add(key)
-        entries.append(PoolEntry(sol, 0, len(entries), 0))
+        if sol.edges not in seen:
+            seen.add(sol.edges)
+            entries.append(sol)
     if not entries:
         raise ParseError("pool file contains no trees")
     return SolutionPool(entries)

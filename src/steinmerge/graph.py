@@ -308,7 +308,8 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
     """Parse STP Format Version 1.0 text into an instance.
 
     Duplicate edges keep the minimum-weight copy, self-loops are dropped,
-    unknown sections are skipped. Raises ParseError for format problems and
+    unknown sections are skipped; a second Nodes, Edges or Terminals count
+    line is a ParseError. Raises ParseError for format problems and
     ValidationError for semantic ones (disconnected graph, no terminals).
     """
     lines = text.splitlines()
@@ -347,6 +348,12 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
                 f"line {lineno}: {what} is not an integer: {toks[i]!r}"
             ) from None
 
+    def count(found: int | None, toks: list[str], lineno: int, what: str) -> int:
+        """A count line's number; a second line of the same key is an error."""
+        if found is not None:
+            raise ParseError(f"line {lineno}: second {toks[0]} line")
+        return parse_int(toks, 1, lineno, what)
+
     while True:
         item = next_line()
         if item is None:
@@ -374,9 +381,9 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
             if section == "graph":
                 saw_graph = True
                 if head == "nodes":
-                    n_nodes = parse_int(toks, 1, lineno, "node count")
+                    n_nodes = count(n_nodes, toks, lineno, "node count")
                 elif head == "edges":
-                    declared_edges = parse_int(toks, 1, lineno, "edge count")
+                    declared_edges = count(declared_edges, toks, lineno, "edge count")
                 elif head == "e":
                     if len(toks) != 4:
                         raise ParseError(f"line {lineno}: edge line needs 'E u v w'")
@@ -396,7 +403,9 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
             elif section == "terminals":
                 saw_terminals = True
                 if head == "terminals":
-                    declared_terminals = parse_int(toks, 1, lineno, "terminal count")
+                    declared_terminals = count(
+                        declared_terminals, toks, lineno, "terminal count"
+                    )
                 elif head == "t":
                     terminal_ids.append(parse_int(toks, 1, lineno, "terminal id"))
             elif section == "comment":

@@ -141,8 +141,10 @@ def dp_introduce_vertex(table, pos, is_terminal, deadline=None):
 
     Non-terminals branch into an excluded copy and an included-as-singleton
     copy; terminals must be included. Both branches are injective so no
-    collision handling is needed. Returns None once ``time.monotonic()``
-    passes ``deadline``, read before each input state when one is set.
+    collision handling is needed. A state's backref is the key it came
+    from; its mask bit says which branch it took. Returns None once
+    ``time.monotonic()`` passes ``deadline``, read before each input state
+    when one is set.
     """
     out = {}
     low = (1 << pos) - 1
@@ -154,7 +156,7 @@ def dp_introduce_vertex(table, pos, is_terminal, deadline=None):
         val = entry[0]
         nm = (mask & low) | ((mask >> pos) << (pos + 1))
         if not is_terminal:
-            out[(nm, labels)] = (val, (key, False))
+            out[(nm, labels)] = (val, key)
         j = (mask & low).bit_count()
         # the new block takes the first id not used before position j and
         # the later ids move up by one, which keeps first-occurrence order
@@ -166,7 +168,7 @@ def dp_introduce_vertex(table, pos, is_terminal, deadline=None):
             nl = head + (b,) + tuple([x + (x >= b) for x in labels[j:]])
         else:
             nl = (0,) + tuple([x + 1 for x in labels])
-        out[(nm | bit, nl)] = (val, (key, True))
+        out[(nm | bit, nl)] = (val, key)
     return out
 
 

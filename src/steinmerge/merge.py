@@ -75,7 +75,7 @@ class _Union:
     rejects it below, and its recorded bags decompose the union; an
     elimination that broke its cap at degree d rejects every cap below d. A
     cap of d or more eliminates again and replaces it. ``solved`` maps a state
-    budget to the union's optimum, or to the CapacityError its DP raised.
+    budget to the union's optimum, or to None when its DP ran out of states.
     ``joined`` maps a tree's edge set to the edge set of this union with
     the tree added, so a repeated tentative union builds no edge set. It
     holds edge sets, not records: a tree inside the union joins it to
@@ -88,7 +88,7 @@ class _Union:
     instance: SteinerInstance = field(repr=False)
     edges: frozenset[Edge]
     verdict: EliminationOrder | None = None
-    solved: dict[int, SteinerSolution | CapacityError] = field(default_factory=dict)
+    solved: dict[int, SteinerSolution | None] = field(default_factory=dict)
     joined: dict[frozenset[Edge], frozenset[Edge]] = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -132,6 +132,17 @@ class _Union:
             self.verdict = greedy_degree(self.graph)
         return self.verdict
 
+    @property
+    def width(self) -> int:
+        """The union's greedy elimination width; a tree's needs no elimination.
+
+        A tree eliminates leaf by leaf: no vertex has more than one
+        neighbour left when it goes, and no fill edge appears.
+        """
+        if self.is_tree:
+            return min(len(self.edges), 1)
+        return self.elimination.width
+
 
 @dataclass
 class UnionMemo:
@@ -160,20 +171,8 @@ class UnionSelection:
     union: _Union = field(repr=False, compare=False)
 
     @property
-    def graph(self) -> WeightedGraph:
-        return self.union.graph
-
-    @property
-    def elimination(self) -> EliminationOrder:
-        return self.union.elimination
-
-    @property
     def width(self) -> int:
-        # a lone tree eliminates leaf by leaf: no vertex has more than one
-        # neighbour left when it goes, and no fill edge appears
-        if len(self.selected) == 1:
-            return min(len(self.edges), 1)
-        return self.elimination.width
+        return self.union.width
 
 
 def greedy_steiner_union(
@@ -214,11 +213,12 @@ def greedy_steiner_union(
 
 def _solve_union(
     instance: SteinerInstance,
-    selection: UnionSelection,
+    union: _Union,
     state_budget: int,
     deadline: float | None = None,
-) -> SteinerSolution:
-    """Exact solve of the instance restricted to the union subgraph.
+) -> SteinerSolution | None:
+    """Exact solve of the instance restricted to the union subgraph, or
+    None when the DP runs out of states.
 
     The DP runs over the union's decomposition but against the host
     instance: it reads only edge weights and terminals, which the union
@@ -235,16 +235,12 @@ def _solve_union(
     tree is pruned directly and no graph, decomposition or DP is built.
     Below that budget the DP runs as for any union.
 
-    A budget the union's record has seen returns the same tree, or raises a
-    fresh CapacityError with the stored message. A deadline stop is not
-    stored.
+    A budget the union's record has seen returns the same answer, tree or
+    None, without a second DP. A deadline stop is not stored: its
+    DeadlineError propagates.
     """
-    union = selection.union
-    known = union.solved.get(state_budget)
-    if isinstance(known, CapacityError):
-        raise CapacityError(*known.args)
-    if known is not None:
-        return known
+    if state_budget in union.solved:
+        return union.solved[state_budget]
     if union.is_tree and state_budget >= tree_states_bound(union.n_vertices):
         tree = prune(instance, union.edges)
     else:
@@ -253,10 +249,8 @@ def _solve_union(
         nice = make_nice(graph, td, min(instance.terminals))
         try:
             tree = dp_solve(instance, nice, state_budget=state_budget, deadline=deadline)
-        except CapacityError as exc:
-            # a copy that was never raised carries no traceback, so no frames
-            union.solved[state_budget] = CapacityError(*exc.args)
-            raise
+        except CapacityError:
+            tree = None
     union.solved[state_budget] = tree
     return tree
 
@@ -308,7 +302,7 @@ def ranking_procedure(
     """
     if memo is None:
         memo = UnionMemo()
-    sols = pool.solutions
+    sols = pool.entries
     observed: dict[int, list[int]] = {i: [s.weight] for i, s in enumerate(sols)}
     incumbent: SteinerSolution | None = None
     iterations: list[RankIteration] = []
@@ -324,10 +318,10 @@ def ranking_procedure(
         )
         chosen = tuple(sorted(perm[j] for j in selection.selected))
         try:
-            tree = _solve_union(instance, selection, state_budget, deadline)
+            tree = _solve_union(instance, selection.union, state_budget, deadline)
         except DeadlineError:
             break
-        except CapacityError:
+        if tree is None:
             skipped += 1
             iterations.append(RankIteration(it, None, chosen, selection.width))
             continue
@@ -395,7 +389,7 @@ def run_smh(
     ranking = ranking_procedure(instance, pool, cfg, state_budget, deadline, memo)
     rank_seconds = time.monotonic() - t_rank
 
-    sols = pool.solutions
+    sols = pool.entries
     order = sorted(
         range(len(sols)), key=lambda i: (ranking.f_a[i], sols[i].weight, i)
     )
@@ -408,11 +402,11 @@ def run_smh(
     timed_out = deadline is not None and time.monotonic() > deadline
     if not timed_out:
         try:
-            final_tree = _solve_union(instance, selection, state_budget, deadline)
+            final_tree = _solve_union(instance, selection.union, state_budget, deadline)
         except DeadlineError:
             timed_out = True
-        except CapacityError:
-            capacity_fallback = True
+        else:
+            capacity_fallback = final_tree is None
     final_seconds = time.monotonic() - t_final
 
     best_idx = pool.best_index()

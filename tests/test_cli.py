@@ -127,7 +127,9 @@ class TestBestKnownFile:
         table = read_best_known("# header\nalpha, 120\nbeta,7\n\n")
         assert table == {"alpha": 120, "beta": 7}
 
-    @pytest.mark.parametrize("text", ["alpha\n", "alpha,xyz\n", "alpha,0\n"])
+    @pytest.mark.parametrize(
+        "text", ["alpha\n", "alpha,xyz\n", "alpha,0\n", "a,5\na,7\n", ",5\n"]
+    )
     def test_rejects_malformed(self, text):
         with pytest.raises(ParseError):
             read_best_known(text)
@@ -286,11 +288,18 @@ class TestInputChecks:
         assert "parse error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["solve", "generate", "bench"])
+    @pytest.mark.parametrize("command", ["solve", "generate", "merge", "bench"])
     def test_jobs_below_one_rejected(self, stp, tmp_path, capsys, monkeypatch, command, jobs):
         path = stp(four_cycle())
-        argv = [command, str(tmp_path) if command == "bench" else path,
-                "--pool", "1", "--grasp-iters", "1"]
+        pool = str(tmp_path / "pool.txt")
+        small = ["--pool", "1", "--grasp-iters", "1"]
+        assert main(["generate", path, *small, "-o", pool]) == EXIT_OK
+        argv = {
+            "solve": ["solve", path, *small],
+            "generate": ["generate", path, *small],
+            "merge": ["merge", path, pool],
+            "bench": ["bench", str(tmp_path), *small],
+        }[command]
         assert main(argv + ["--jobs", jobs]) == EXIT_PARSE
         assert "at least 1" in capsys.readouterr().err
         monkeypatch.setenv("SMH_JOBS", jobs)

@@ -726,12 +726,16 @@ class TestDeadlines:
 
     def test_run_cut_before_its_first_tree_adds_nothing(self, monkeypatch):
         # run 1 starts before the deadline, which passes before its first
-        # construction attaches a terminal; run 2 never starts
+        # construction attaches a terminal; run 2 never starts. Without a
+        # deadline, run 1 adds a tree of its own.
         inst = sparse_instance(3, 40, 6)
-        cfg = GeneratorConfig(pool_size=3, iterations_per_run=2, seed=1)
+        cfg = GeneratorConfig(pool_size=3, iterations_per_run=2, seed=0)
+        full = generate_pool(inst, cfg)
+        assert len(full) == 2
+        assert full.entries[1] == generator._one_run(inst, cfg, None, generator.Optima(), 1)
         fake_clock(monkeypatch, 0.0, 9.0)
         pool = generate_pool(inst, cfg, deadline=5.0)
-        assert [e.run for e in pool.entries] == [0]
+        assert pool.entries == full.entries[:1]
 
 
 class TestGeneratePool:
@@ -740,21 +744,14 @@ class TestGeneratePool:
         cfg = GeneratorConfig(pool_size=6, iterations_per_run=3, seed=9)
         a = generate_pool(inst, cfg)
         b = generate_pool(inst, cfg)
-        assert [e.solution.canonical_edges() for e in a.entries] == [
-            e.solution.canonical_edges() for e in b.entries
-        ]
-        assert [(e.seed, e.run, e.iteration) for e in a.entries] == [
-            (e.seed, e.run, e.iteration) for e in b.entries
-        ]
+        assert a.entries == b.entries
 
     def test_workers_do_not_change_the_pool(self):
         inst = sparse_instance(2, 35, 6)
         cfg = GeneratorConfig(pool_size=8, iterations_per_run=2, seed=4)
         seq = generate_pool(inst, cfg)
         par = generate_pool(inst, cfg, workers=4)
-        assert [e.solution.canonical_edges() for e in seq.entries] == [
-            e.solution.canonical_edges() for e in par.entries
-        ]
+        assert seq.entries == par.entries
 
     @pytest.mark.parametrize("cpus", [None, 3, 64])
     def test_worker_count_is_clamped(self, monkeypatch, cpus):
@@ -776,16 +773,15 @@ class TestGeneratePool:
         pool = generate_pool(
             inst, GeneratorConfig(pool_size=5, iterations_per_run=2)
         )
-        assert len(pool) == 1
-        assert pool.entries[0].run == 0
+        assert pool.entries == [solution_of(inst, [(0, 1), (1, 2), (2, 3)])]
 
     def test_every_entry_is_locally_optimal_and_valid(self):
         inst = sparse_instance(3, 40, 6)
         pool = generate_pool(inst, GeneratorConfig(pool_size=5, iterations_per_run=2))
-        for entry in pool.entries:
-            assert solution_violations(inst, entry.solution) == []
-            rerun = local_search(inst, entry.solution, rng_for(0))
-            assert rerun.weight == entry.solution.weight
+        for tree in pool.entries:
+            assert solution_violations(inst, tree) == []
+            rerun = local_search(inst, tree, rng_for(0))
+            assert rerun.weight == tree.weight
 
     def test_best_breaks_ties_by_position(self):
         inst = sparse_instance(4, 30, 5)
@@ -806,8 +802,8 @@ class TestPoolFiles:
     def roundtrip(self, inst, cfg):
         pool = generate_pool(inst, cfg)
         again = read_pool(write_pool(pool), inst)
-        assert [s.canonical_edges() for s in again.solutions] == [
-            s.canonical_edges() for s in pool.solutions
+        assert [s.canonical_edges() for s in again.entries] == [
+            s.canonical_edges() for s in pool.entries
         ]
         assert again.weights == pool.weights
 

@@ -191,6 +191,15 @@ class TestStpFormat:
         with pytest.raises(ParseError, match="missing"):
             parse_stp(SAMPLE.replace(line, bare))
 
+    @pytest.mark.parametrize("line", ["Nodes 4", "Edges 4", "Terminals 2"])
+    def test_second_count_line_rejected(self, line):
+        # the earlier line's count is wrong and the later one right: neither
+        # may silently win
+        key = line.split()[0]
+        bad = SAMPLE.replace(line, f"{key} 9\n{line}")
+        with pytest.raises(ParseError, match=rf"line \d+: second {key} line"):
+            parse_stp(bad)
+
     def test_huge_node_count_is_rejected_before_allocation(self):
         with pytest.raises(ValidationError, match="cannot connect"):
             parse_stp(SAMPLE.replace("Nodes 4", "Nodes 99999999999999"))

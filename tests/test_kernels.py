@@ -146,6 +146,21 @@ def ref_canon(labels):
     return tuple(seen.setdefault(x, len(seen)) for x in labels)
 
 
+def ref_introduce_vertex(table, pos, is_terminal):
+    out = {}
+    for key, (val, _) in table.items():
+        mask, labels = key
+        low = mask & ((1 << pos) - 1)
+        nm = low | ((mask >> pos) << (pos + 1))
+        if not is_terminal:
+            out[(nm, labels)] = (val, key)
+        # chosen, the new vertex is a block of its own
+        j = low.bit_count()
+        fresh = max(labels, default=-1) + 1
+        out[(nm | 1 << pos, ref_canon(labels[:j] + (fresh,) + labels[j:]))] = (val, key)
+    return out
+
+
 def ref_introduce_edge(table, pu, pv, w):
     out = {}
     for key, (val, _) in table.items():
@@ -218,6 +233,18 @@ class TestPythonTransformsMatchReference:
     def same(a, b):
         assert a == b
         assert list(a) == list(b)
+
+    def test_introduce_vertex(self):
+        for seed in range(150):
+            rng = random.Random(1100 + seed)
+            ops, bag = random_ops(rng, rng.randint(0, 12))
+            table = grow_table(self.py, ops)
+            pos = rng.randrange(bag + 1)
+            for is_terminal in (False, True):
+                self.same(
+                    self.py.dp_introduce_vertex(table, pos, is_terminal),
+                    ref_introduce_vertex(table, pos, is_terminal),
+                )
 
     def test_introduce_edge_and_forget(self):
         for seed in range(150):

@@ -34,18 +34,10 @@ from steinmerge import (
 )
 from steinmerge import exact, merge
 from steinmerge.exact import tree_states_bound
-from steinmerge.generator import PoolEntry, SolutionPool, _derive_seed
+from steinmerge.generator import SolutionPool, _derive_seed
 from steinmerge.merge import RankIteration
 from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance, tree_instance
 from steinmerge.treewidth import INTRODUCE_EDGE, EliminationOrder
-
-
-def pool_of(instance, edge_lists):
-    entries = [
-        PoolEntry(solution_of(instance, edges), 0, i, 0)
-        for i, edges in enumerate(edge_lists)
-    ]
-    return SolutionPool(entries)
 
 
 def k4_instance():
@@ -116,14 +108,14 @@ class TestGreedyUnion:
         t1 = solution_of(inst, [(0, 3), (1, 3), (1, 2)])
         t2 = solution_of(inst, [(1, 3), (2, 3), (0, 1)])
         sel = greedy_steiner_union(inst, [t1, t2], 4)
-        for e, w in sel.graph.weights.items():
+        for e, w in sel.union.graph.weights.items():
             assert inst.graph.weights[e] == w
 
     def test_union_includes_all_terminals(self):
         # a single-vertex tree brings no edges, the terminal still shows up
         inst = build_instance([(0, 1, 2)], [0])
         sel = greedy_steiner_union(inst, [solution_of(inst, [])], 2)
-        assert 0 in sel.graph.vertices
+        assert 0 in sel.union.graph.vertices
 
 
 class TestRanking:
@@ -139,9 +131,10 @@ class TestRanking:
 
     def test_union_optimum_pulls_scores_down(self):
         inst = star_instance()
-        pool = pool_of(
-            inst, [[(0, 3), (1, 3), (1, 2)], [(1, 3), (2, 3), (0, 1)]]
-        )
+        pool = SolutionPool([
+            solution_of(inst, [(0, 3), (1, 3), (1, 2)]),
+            solution_of(inst, [(1, 3), (2, 3), (0, 1)]),
+        ])
         assert pool.weights == [5, 5]
         state = ranking_procedure(
             inst, pool, MergeConfig(rank_width=4, final_width=4, rank_iterations=1)
@@ -178,9 +171,10 @@ class TestRanking:
 
     def test_keep_best_false_drops_incumbent(self):
         inst = star_instance()
-        pool = pool_of(
-            inst, [[(0, 3), (1, 3), (1, 2)], [(1, 3), (2, 3), (0, 1)]]
-        )
+        pool = SolutionPool([
+            solution_of(inst, [(0, 3), (1, 3), (1, 2)]),
+            solution_of(inst, [(1, 3), (2, 3), (0, 1)]),
+        ])
         state = ranking_procedure(
             inst,
             pool,
@@ -238,9 +232,10 @@ class TestRunSmh:
 
     def test_star_merge_beats_both_inputs(self):
         inst = star_instance()
-        pool = pool_of(
-            inst, [[(0, 3), (1, 3), (1, 2)], [(1, 3), (2, 3), (0, 1)]]
-        )
+        pool = SolutionPool([
+            solution_of(inst, [(0, 3), (1, 3), (1, 2)]),
+            solution_of(inst, [(1, 3), (2, 3), (0, 1)]),
+        ])
         report = run_smh(
             inst, pool, MergeConfig(rank_width=4, final_width=4, rank_iterations=1)
         )
@@ -257,7 +252,7 @@ class TestRunSmh:
             # restricting to the union can only lose edges, never gain them
             union = set()
             for i in report.ranking.z:
-                union |= set(pool.solutions[i].edges)
+                union |= set(pool.entries[i].edges)
             assert set(report.solution.edges) <= union
         assert report.weight >= dreyfus_wagner(inst).weight
 
@@ -392,7 +387,7 @@ class TestUnionMemo:
 
     def test_memo_changes_no_result(self):
         inst, pool = repeating_pool()
-        sols = pool.solutions
+        sols = pool.entries
         memo = UnionMemo()
         for perm in ([0, 1, 2, 3, 4], [4, 2, 0, 1, 3], [0, 1, 2, 3, 4]):
             trees = [sols[p] for p in perm]
@@ -446,7 +441,7 @@ class TestUnionMemo:
                 unions.append(None)
                 return CountingEdges(frozenset.__or__(self, other))
 
-        trees = [SteinerSolution(CountingEdges(s.edges), s.weight) for s in pool.solutions]
+        trees = [SteinerSolution(CountingEdges(s.edges), s.weight) for s in pool.entries]
         memo = UnionMemo()
         first = greedy_steiner_union(inst, trees, 2, memo=memo)
         built = len(unions)
@@ -462,7 +457,7 @@ class TestUnionMemo:
         # a tree whose edges lie inside the union it is tried with must not
         # make that union's record refer to itself
         inst, pool = repeating_pool()
-        sols = pool.solutions
+        sols = pool.entries
         gc.collect()
         gc.disable()
         try:
@@ -486,24 +481,25 @@ class TestUnionMemo:
                 weights = {e: rng.random() for e in inst.graph.weights}
                 trees.append(prune(inst, spanning_tree(inst, weights)))
             sel = greedy_steiner_union(inst, trees, 6)
-            td = decomposition_from_order(sel.graph, sel.elimination)
-            nice = make_nice(sel.graph, td, min(inst.terminals))
+            td = decomposition_from_order(sel.union.graph, sel.union.elimination)
+            nice = make_nice(sel.union.graph, td, min(inst.terminals))
             on_host = exact.dp_solve(inst, nice)
             # the union as an instance of its own, relabelled monotonically
             # onto 0..k-1, whose elimination is the same order mapped across
-            union_graph, ids = compacted(sel.graph)
+            union_graph, ids = compacted(sel.union.graph)
             label = {v: i for i, v in enumerate(ids)}
             union_instance = SteinerInstance.create(
                 union_graph, [label[t] for t in inst.terminals]
             )
             union_order = greedy_degree(union_graph)
-            assert union_order.order == tuple(label[v] for v in sel.elimination.order)
+            order = sel.union.elimination.order
+            assert union_order.order == tuple(label[v] for v in order)
             union_td = decomposition_from_order(union_graph, union_order)
             union_nice = make_nice(union_graph, union_td, label[min(inst.terminals)])
             on_union = exact.dp_solve(union_instance, union_nice)
             back = [(ids[a], ids[b]) for a, b in on_union.edges]
             assert on_host == SteinerSolution.from_edges(inst.graph, back)
-            assert on_host == merge._solve_union(inst, sel, 1 << 20)
+            assert on_host == merge._solve_union(inst, sel.union, 1 << 20)
 
     def test_repeated_capacity_miss_is_skipped_every_round(self, monkeypatch):
         inst, pool = repeating_pool()
@@ -522,16 +518,13 @@ class TestUnionMemo:
         for i, w in enumerate(pool.weights):
             assert state.z[i] == (w,)
 
-    def test_memo_hit_raises_a_fresh_capacity_error(self):
+    def test_memo_hit_returns_none_again_and_runs_no_second_dp(self, monkeypatch):
         inst, pool = repeating_pool()
-        sel = greedy_steiner_union(inst, pool.solutions, 2)
-        errors = []
-        for _ in range(2):
-            with pytest.raises(CapacityError) as info:
-                merge._solve_union(inst, sel, 1)
-            errors.append(info.value)
-        assert errors[0] is not errors[1]
-        assert errors[0].args == errors[1].args
+        solves = count_calls(monkeypatch, "dp_solve", lambda a, k: k["state_budget"])
+        sel = greedy_steiner_union(inst, pool.entries, 2)
+        assert [merge._solve_union(inst, sel.union, 1) for _ in range(2)] == [None, None]
+        assert solves == [1]
+        assert sel.union.solved == {1: None}
 
 
 def rounds_solved_afresh(instance, pool, cfg, state_budget):
@@ -540,7 +533,7 @@ def rounds_solved_afresh(instance, pool, cfg, state_budget):
     Also returns how many rounds hit the state budget, and how many unions
     were trees.
     """
-    sols = pool.solutions
+    sols = pool.entries
     rounds, misses, trees = [], 0, 0
     for it in range(cfg.rank_iterations):
         rng = random.Random(_derive_seed(cfg.seed, merge._RANK_SALT + it))
@@ -549,11 +542,9 @@ def rounds_solved_afresh(instance, pool, cfg, state_budget):
         sel = greedy_steiner_union(
             instance, [sols[p] for p in perm], cfg.rank_width, memo=UnionMemo()
         )
-        try:
-            value = merge._solve_union(instance, sel, state_budget).weight
-        except CapacityError:
-            value = None
-            misses += 1
+        tree = merge._solve_union(instance, sel.union, state_budget)
+        value = None if tree is None else tree.weight
+        misses += tree is None
         trees += sel.union.is_tree
         chosen = tuple(sorted(perm[j] for j in sel.selected))
         rounds.append(RankIteration(it, value, chosen, sel.width))
@@ -628,22 +619,14 @@ def tree_unions():
 
 
 def dp_on_union(instance, selection, **kwargs):
-    """The DP over the union's decomposition; a CapacityError's args instead."""
-    graph = selection.graph
-    td = decomposition_from_order(graph, selection.elimination)
+    """The DP over the union's decomposition; None when it runs out of states."""
+    graph = selection.union.graph
+    td = decomposition_from_order(graph, selection.union.elimination)
     nice = make_nice(graph, td, min(instance.terminals))
     try:
         return exact.dp_solve(instance, nice, **kwargs)
-    except CapacityError as exc:
-        return exc.args
-
-
-def solve_union(instance, selection, budget):
-    """``_solve_union``; a CapacityError's args instead."""
-    try:
-        return merge._solve_union(instance, selection, budget)
-    except CapacityError as exc:
-        return exc.args
+    except CapacityError:
+        return None
 
 
 class TestTreeUnion:
@@ -653,7 +636,7 @@ class TestTreeUnion:
             sel = greedy_steiner_union(inst, trees, 1)
             assert len(sel.selected) == len(trees)
             assert sel.width == min(len(sel.edges), 1)
-            got = merge._solve_union(inst, sel, DEFAULT_STATE_BUDGET)
+            got = merge._solve_union(inst, sel.union, DEFAULT_STATE_BUDGET)
             assert got == dp_on_union(inst, sel)
         assert solves == []
 
@@ -661,25 +644,25 @@ class TestTreeUnion:
         solves = count_calls(monkeypatch, "dp_solve", lambda a, k: k["state_budget"])
         for inst, trees in tree_unions()[::5]:
             sel = greedy_steiner_union(inst, trees, 1)
-            bound = tree_states_bound(sel.graph.n_vertices)
+            bound = tree_states_bound(sel.union.graph.n_vertices)
             # the smallest budget the DP completes within
             lo, hi = 1, bound
             while lo < hi:
                 mid = (lo + hi) // 2
-                if isinstance(dp_on_union(inst, sel, state_budget=mid), tuple):
+                if dp_on_union(inst, sel, state_budget=mid) is None:
                     lo = mid + 1
                 else:
                     hi = mid
             below = sorted({b for b in (1, 8, 64, lo - 1, lo, bound - 1) if b > 0})
             for budget in below:
                 del solves[:]
-                got = solve_union(inst, sel, budget)
+                got = merge._solve_union(inst, sel.union, budget)
                 assert got == dp_on_union(inst, sel, state_budget=budget)
-                assert isinstance(got, tuple) == (budget < lo)
+                assert (got is None) == (budget < lo)
                 assert solves == [budget]
             for budget in (bound, bound + 1):
                 del solves[:]
-                got = solve_union(inst, sel, budget)
+                got = merge._solve_union(inst, sel.union, budget)
                 assert got == dp_on_union(inst, sel, state_budget=budget)
                 assert isinstance(got, SteinerSolution)
                 assert solves == []
@@ -687,9 +670,9 @@ class TestTreeUnion:
     def test_dp_on_a_tree_union_stays_within_the_bound(self):
         for inst, trees in tree_unions():
             sel = greedy_steiner_union(inst, trees, 1)
-            n = sel.graph.n_vertices
-            td = decomposition_from_order(sel.graph, sel.elimination)
-            nice = make_nice(sel.graph, td, min(inst.terminals))
+            n = sel.union.graph.n_vertices
+            td = decomposition_from_order(sel.union.graph, sel.union.elimination)
+            nice = make_nice(sel.union.graph, td, min(inst.terminals))
             stats = []
             exact.dp_solve(inst, nice, state_budget=tree_states_bound(n), stats=stats)
             # the figures the bound is derived from
@@ -703,12 +686,12 @@ class TestTreeUnion:
             memo = UnionMemo()
             sel = greedy_steiner_union(inst, trees[:1], 1, memo=memo)
             assert sel.selected == (0,)
-            order = greedy_degree(sel.graph)
+            order = greedy_degree(sel.union.graph)
             assert sel.width == order.width
             assert checks == []
             assert memo.records[sel.edges].verdict is None
-            assert sel.elimination == order
-            assert memo.records[sel.edges].verdict is sel.elimination
+            assert sel.union.elimination == order
+            assert memo.records[sel.edges].verdict is sel.union.elimination
             assert len(checks) == 1
             del checks[:]
 

@@ -22,7 +22,7 @@ from steinmerge import (
     write_stp,
     write_td,
 )
-from steinmerge.generator import PoolEntry, SolutionPool
+from steinmerge.generator import SolutionPool
 
 INSTANCE = four_cycle()
 VALID_STP = write_stp(INSTANCE)
@@ -30,9 +30,7 @@ VALID_TD = write_td(
     decomposition_from_order(INSTANCE.graph, greedy_degree(INSTANCE.graph)),
     INSTANCE.graph.n_vertices,
 )
-VALID_POOL = write_pool(
-    SolutionPool([PoolEntry(solution_of(INSTANCE, [(0, 1), (1, 2), (2, 3)]), 0, 0, 0)])
-)
+VALID_POOL = write_pool(SolutionPool([solution_of(INSTANCE, [(0, 1), (1, 2), (2, 3)])]))
 
 # the keywords of all three formats, and numbers from small to huge
 WORDS = sorted(
@@ -183,6 +181,6 @@ tree_pool = st.lists(tree_line, max_size=3).map(
 def test_read_pool_matches_reference(text):
     def read(t):
         pool = read_pool(t, INSTANCE)
-        return [(s.canonical_edges(), s.weight) for s in pool.solutions]
+        return [(s.canonical_edges(), s.weight) for s in pool.entries]
 
     assert outcome(read, text) == outcome(lambda t: reference_read_pool(t, INSTANCE), text)

@@ -1,6 +1,7 @@
 """`perfbench/layers.py` traces by rebinding package names; they must all exist."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import steinmerge
@@ -62,3 +63,42 @@ def test_traced_solve_records_merge_spans(tmp_path):
         "merge.union", "treewidth.capped", "treewidth.decompose",
         "treewidth.make_nice", "exact.dp_solve",
     } <= names
+
+
+def traced_op(layers, argv):
+    """Run ``main(argv)`` as one traced operation, the way the benchmark does."""
+    tracer = layers.Tracer()
+    tracer.op = 0
+    with layers.traced(tracer, steinmerge):
+        code = tracer.call("op", steinmerge.cli.main, (argv,), {})
+    assert code == steinmerge.cli.EXIT_OK
+    return tracer.spans
+
+
+def test_layer_metrics_count_the_pool_and_the_dp_states(tmp_path, capsys):
+    layers = load_layers()
+    path = tmp_path / "inst.stp"
+    path.write_text(write_stp(sparse_instance(0, 25, 4)))
+    capsys.readouterr()
+    spans = traced_op(layers, [
+        "solve", str(path), "--pool", "6", "--grasp-iters", "1", "--perturb", "0.7",
+        "--rank-iters", "2", "--format", "json",
+    ])
+    payload = json.loads(capsys.readouterr().out)
+    metrics = layers.layer_metrics(spans)
+    assert metrics["generator.pool_trees"] == len(payload["pool_weights"]) > 1
+    assert metrics["exact.states"] > 0
+
+
+def test_traced_merge_parses_the_instance_and_the_pool(tmp_path):
+    layers = load_layers()
+    path = tmp_path / "inst.stp"
+    path.write_text(write_stp(sparse_instance(0, 25, 4)))
+    pool = tmp_path / "pool.txt"
+    assert steinmerge.cli.main(
+        ["generate", str(path), "--pool", "3", "--grasp-iters", "1", "-o", str(pool)]
+    ) == steinmerge.cli.EXIT_OK
+    spans = traced_op(layers, ["merge", str(path), str(pool), "--format", "json"])
+    parses = [s for s in spans if s[layers.NAME] == "graph.parse"]
+    assert len(parses) == 2
+    assert all(spans[s[layers.PARENT]][layers.NAME] == "op" for s in parses)
