@@ -44,6 +44,7 @@ from .graph import (
     SteinerInstance,
     ValidationError,
     parse_stp_file,
+    text_lines,
 )
 from .merge import MergeConfig, MergeReport, run_smh
 from .treewidth import read_td, validate_decomposition
@@ -80,24 +81,14 @@ def _format_name(raw: str) -> str:
 # gaps and number rendering
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(str(x))
-
-
-def compute_gap(value, best_known) -> Fraction:
+def compute_gap(value: int, best_known: int) -> Fraction:
     """Exact percentage excess of ``value`` over ``best_known``.
 
     Negative when the value beats the best-known bound (a new best).
     """
-    b = _as_fraction(best_known)
-    if b <= 0:
+    if best_known <= 0:
         raise ValidationError("best-known value must be positive")
-    v = _as_fraction(value)
-    return 100 * (v - b) / b
+    return Fraction(100 * (value - best_known), best_known)
 
 
 def _fmt2(x) -> str:
@@ -359,10 +350,7 @@ def _bench_table(ran: list[tuple[dict, float, float]], s: dict) -> str:
 def read_best_known(text: str) -> dict[str, int]:
     """Parse a best-known side file: one `name,value` per line, each name once."""
     out: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for lineno, ln, _ in text_lines(text, "#"):
         parts = [p.strip() for p in ln.split(",")]
         if len(parts) != 2:
             raise ParseError(f"best-known line {lineno}: want 'name,value'")
@@ -384,38 +372,27 @@ def read_best_known(text: str) -> dict[str, int]:
 # argument parsing
 
 
+def _flag(p: argparse.ArgumentParser, name: str, default, cast, help: str | None = None) -> None:
+    """Add ``--name`` (underscores as dashes), read from ``SMH_NAME`` when that is set."""
+    p.add_argument(
+        f"--{name.replace('_', '-')}", type=cast,
+        default=_env(f"SMH_{name.upper()}", default, cast), help=help,
+    )
+
+
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--pool", type=int, default=_env("SMH_POOL", 16, int),
-        help="number of generator runs (default 16)",
-    )
-    p.add_argument(
-        "--grasp-iters", type=int, default=_env("SMH_GRASP_ITERS", 8, int),
-        help="restarts per generator run (default 8)",
-    )
-    p.add_argument(
-        "--perturb", type=float, default=_env("SMH_PERTURB", 0.2, float),
-        help="weight perturbation strength in [0,1) (default 0.2)",
-    )
+    _flag(p, "pool", 16, int, "number of generator runs (default 16)")
+    _flag(p, "grasp_iters", 8, int, "restarts per generator run (default 8)")
+    _flag(p, "perturb", 0.2, float, "weight perturbation strength in [0,1) (default 0.2)")
 
 
 def _add_merge_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--max-width", type=int, default=_env("SMH_MAX_WIDTH", 10, int),
-        help="width cap for the final union (default 10)",
-    )
-    p.add_argument(
-        "--rank-width", type=int, default=_env("SMH_RANK_WIDTH", 8, int),
-        help="width cap during ranking (default 8)",
-    )
-    p.add_argument(
-        "--rank-iters", type=int, default=_env("SMH_RANK_ITERS", 20, int),
-        help="ranking iterations (default 20)",
-    )
-    p.add_argument(
-        "--state-budget", type=int,
-        default=_env("SMH_STATE_BUDGET", DEFAULT_STATE_BUDGET, int),
-        help="max stored DP states before falling back, at least 1 (default "
+    _flag(p, "max_width", 10, int, "width cap for the final union (default 10)")
+    _flag(p, "rank_width", 8, int, "width cap during ranking (default 8)")
+    _flag(p, "rank_iters", 20, int, "ranking iterations (default 20)")
+    _flag(
+        p, "state_budget", DEFAULT_STATE_BUDGET, int,
+        "max stored DP states before falling back, at least 1 (default "
         "2^23, about 3 GB at roughly 360 bytes per state)",
     )
     p.add_argument(
@@ -425,16 +402,13 @@ def _add_merge_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_env("SMH_SEED", 0, int))
-    p.add_argument(
-        "--jobs", type=int, default=_env("SMH_JOBS", 1, int),
-        help="worker processes, at least 1 and at most one per CPU "
+    _flag(p, "seed", 0, int)
+    _flag(
+        p, "jobs", 1, int,
+        "worker processes, at least 1 and at most one per CPU "
         "(pool runs, or bench instances)",
     )
-    p.add_argument(
-        "--time-limit", type=float, default=_env("SMH_TIME_LIMIT", None, float),
-        help="wall-clock budget in seconds for the whole command",
-    )
+    _flag(p, "time_limit", None, float, "wall-clock budget in seconds for the whole command")
 
 
 def _add_format_flag(p: argparse.ArgumentParser) -> None:
@@ -470,9 +444,9 @@ def _merge_arguments(p: argparse.ArgumentParser) -> None:
 
 def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
-    p.add_argument(
-        "--oracle-cap", type=int, default=_env("SMH_ORACLE_CAP", DW_TERMINAL_CAP, int),
-        help=f"refuse more terminals than this (default {DW_TERMINAL_CAP})",
+    _flag(
+        p, "oracle_cap", DW_TERMINAL_CAP, int,
+        f"refuse more terminals than this (default {DW_TERMINAL_CAP})",
     )
     _add_format_flag(p)
 

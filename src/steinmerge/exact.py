@@ -107,8 +107,12 @@ def _cycle_collection_paused():
     """Keep the cyclic garbage collector off for the duration of the block.
 
     DP tables are dicts of tuples and hold no reference cycles, so the
-    collections their growth triggers find nothing; they cost a fifth to a
-    third of a solve. The collector's earlier state is restored on exit.
+    collections their growth triggers find nothing. Left on and timed
+    through ``gc.callbacks`` (Python 3.11), they took 12% of the DP time of
+    ``solve_with_decomposition`` over the first 60 instances of
+    ``test_01_oracle_equivalence`` (2.46 s of 20.1 s, 2,268 collections)
+    and 7% over the DPs of the ``sparse-merge`` benchmark at seed 23
+    (0.013 s of 0.18 s). The collector's earlier state is restored on exit.
     """
     was_enabled = gc.isenabled()
     gc.disable()

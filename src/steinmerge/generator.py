@@ -32,6 +32,7 @@ from .graph import (
     prune,
     solution_violations,
     strip_leaves,
+    text_lines,
 )
 
 _M64 = (1 << 64) - 1
@@ -490,9 +491,9 @@ def local_search(
     repairs one MST per pass instead of building the MST of each G[T - v],
     and ``_ExchangeCheck`` settles once per pass which edges a lighter path
     could replace, so the cheapest-path search runs only for those.
-    ``tree`` must be a tree. An accepted insertion or deletion that is not
-    strictly lighter than the current tree raises InvariantError, so a
-    scoring fault cannot make the descent cycle.
+    ``tree`` must be a tree. An accepted move that is not strictly lighter
+    than the current tree raises InvariantError, so a scoring fault cannot
+    make the descent cycle.
 
     ``memo`` (fresh when not given; a pool's runs share one) remembers in
     ``optima`` the trees a full pass found no improving move for. Moves are
@@ -587,16 +588,16 @@ def local_search(
                 found = _cheapest_reconnect(instance, side, tverts - side, graph.weights[e])
                 if found is None:
                     raise InvariantError("a reconnecting path was found, then lost")
+                # the path is lighter than e, and pruning only sheds weight,
+                # so the first replaceable edge gives a lighter tree
                 rest = set(current.edges)
                 rest.discard(e)
-                cand = prune(instance, rest | set(found[1]))
-                if cand.weight < current.weight:
-                    accepted = cand
-                    break
+                accepted = prune(instance, rest | set(found[1]))
+                break
         if accepted is None:
             optima[current.edges] = (len(candidates), len(removable), len(tree_edges))
             return current
-        current = accepted
+        current = _lighter(accepted, current, "exchange")
 
 
 def _one_run(
@@ -685,17 +686,14 @@ def read_pool(text: str, instance: SteinerInstance) -> SolutionPool:
     weights must match the instance's weights exactly. A tree given twice
     is kept once, in the place of its first line.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _POOL_MAGIC:
+    records = text_lines(text, "#")
+    header = next(records, None)
+    if header is None or header[:2] != (1, _POOL_MAGIC):
         raise ParseError("missing pool header line")
     vertices, weights = instance.graph.vertices, instance.graph.weights
     entries: list[SteinerSolution] = []
     seen: set[frozenset[Edge]] = set()
-    for lineno, raw in enumerate(lines[1:], 2):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        toks = ln.split()
+    for lineno, _, toks in records:
         if toks[0] != "tree" or len(toks) % 2 != 0:
             raise ParseError(f"line {lineno}: malformed tree line")
         try:

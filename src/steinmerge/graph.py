@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -101,6 +101,7 @@ class WeightedGraph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours, ascending; the CSR views are built from it."""
         nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.weights:
             nbrs[u].append(v)
@@ -166,18 +167,23 @@ class WeightedGraph:
         return [weight_map[edge_key(v, u)] for v in range(self.n_vertices) for u in adj[v]]
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        """Whether Kruskal, over the edges in any order, spans every vertex.
+
+        Vertex ids may be any nonnegative ints, as in a union subgraph.
+        """
+        n = len(self.vertices)
+        if n <= 1:
             return True
-        start = min(self.vertices)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.vertices)
+        edges = list(self.weights)
+        forest = minimum_spanning_edges(
+            max(self.vertices) + 1,
+            [u for u, _ in edges],
+            [v for _, v in edges],
+            range(len(edges)),
+            None,
+            n - 1,
+        )
+        return len(forest) == n - 1
 
     def total_weight(self, edges: Iterable[Edge]) -> int:
         return sum(self.weights[edge_key(u, v)] for u, v in edges)
@@ -298,7 +304,20 @@ def solution_violations(instance: SteinerInstance, solution: SteinerSolution) ->
 
 
 # ---------------------------------------------------------------------------
-# STP file format
+# text input and the STP file format
+
+
+def text_lines(text: str, comment: str | None = None) -> Iterator[tuple[int, str, list[str]]]:
+    """Each line of ``text`` that holds a token: (line number, line stripped, tokens).
+
+    Lines count from 1. Blank lines, and lines whose stripped text starts
+    with ``comment``, are skipped. Every file reader walks its input with
+    this, so all share one rule for blanks, comments and line numbers.
+    """
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        ln = raw.strip()
+        if ln and not (comment and ln.startswith(comment)):
+            yield lineno, ln, ln.split()
 
 
 _NAME_RE = re.compile(r'^name\s+"?([^"]*)"?\s*$', re.IGNORECASE)
@@ -312,31 +331,19 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
     line is a ParseError. Raises ParseError for format problems and
     ValidationError for semantic ones (disconnected graph, no terminals).
     """
-    lines = text.splitlines()
-    pos = 0
-
-    def next_line() -> tuple[int, str] | None:
-        nonlocal pos
-        while pos < len(lines):
-            ln = lines[pos].strip()
-            pos += 1
-            if ln:
-                return pos, ln
-        return None
-
-    first = next_line()
+    records = text_lines(text)
+    first = next(records, None)
     if first is None or first[1].lower() != STP_MAGIC.lower():
         raise ParseError("missing or malformed STP header line")
 
-    n_nodes: int | None = None
+    # the Nodes, Edges and Terminals count lines, by lowercase key
+    counts: dict[str, int] = {}
     edge_rows: list[tuple[int, int, int]] = []
-    declared_edges: int | None = None
     terminal_ids: list[int] = []
-    declared_terminals: int | None = None
     comment_name = ""
-    saw_eof = False
-    saw_graph = False
-    saw_terminals = False
+    # the sections that held a line: an empty section counts as missing
+    seen: set[str] = set()
+    section: str | None = None
 
     def parse_int(toks: list[str], i: int, lineno: int, what: str) -> int:
         if i >= len(toks):
@@ -348,85 +355,76 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
                 f"line {lineno}: {what} is not an integer: {toks[i]!r}"
             ) from None
 
-    def count(found: int | None, toks: list[str], lineno: int, what: str) -> int:
-        """A count line's number; a second line of the same key is an error."""
-        if found is not None:
+    def count(toks: list[str], lineno: int, what: str) -> None:
+        """Record a count line's number; a second line of the same key is an error."""
+        key = toks[0].lower()
+        if key in counts:
             raise ParseError(f"line {lineno}: second {toks[0]} line")
-        return parse_int(toks, 1, lineno, what)
+        counts[key] = parse_int(toks, 1, lineno, what)
 
-    while True:
-        item = next_line()
-        if item is None:
-            break
-        lineno, ln = item
-        toks = ln.split()
+    for lineno, ln, toks in records:
         head = toks[0].lower()
-        if head == "eof":
-            saw_eof = True
-            break
-        if head != "section":
-            raise ParseError(f"line {lineno}: expected SECTION or EOF, got {ln!r}")
-        if len(toks) < 2:
-            raise ParseError(f"line {lineno}: SECTION without a name")
-        section = toks[1].lower()
-        while True:
-            item = next_line()
-            if item is None:
-                raise ParseError(f"unterminated SECTION {section}")
-            lineno, ln = item
-            toks = ln.split()
-            head = toks[0].lower()
-            if head == "end":
+        if section is None:
+            if head == "eof":
                 break
-            if section == "graph":
-                saw_graph = True
-                if head == "nodes":
-                    n_nodes = count(n_nodes, toks, lineno, "node count")
-                elif head == "edges":
-                    declared_edges = count(declared_edges, toks, lineno, "edge count")
-                elif head == "e":
-                    if len(toks) != 4:
-                        raise ParseError(f"line {lineno}: edge line needs 'E u v w'")
-                    u = parse_int(toks, 1, lineno, "edge endpoint")
-                    v = parse_int(toks, 2, lineno, "edge endpoint")
-                    try:
-                        w = int(toks[3])
-                    except ValueError:
-                        raise ParseError(
-                            f"line {lineno}: non-integer edge weight {toks[3]!r} "
-                            "(fractional weights are not supported)"
-                        ) from None
-                    edge_rows.append((u, v, w))
-                elif head == "a":
-                    raise ParseError(f"line {lineno}: directed arcs are not supported")
-                # other graph keys (Obstacles, ...) ignored
-            elif section == "terminals":
-                saw_terminals = True
-                if head == "terminals":
-                    declared_terminals = count(
-                        declared_terminals, toks, lineno, "terminal count"
-                    )
-                elif head == "t":
-                    terminal_ids.append(parse_int(toks, 1, lineno, "terminal id"))
-            elif section == "comment":
-                m = _NAME_RE.match(ln)
-                if m:
-                    comment_name = m.group(1).strip()
-            # unknown sections skipped line by line
-
-    if not saw_eof:
+            if head != "section":
+                raise ParseError(f"line {lineno}: expected SECTION or EOF, got {ln!r}")
+            if len(toks) < 2:
+                raise ParseError(f"line {lineno}: SECTION without a name")
+            section = toks[1].lower()
+            continue
+        if head == "end":
+            section = None
+            continue
+        seen.add(section)
+        if section == "graph":
+            if head == "e":
+                if len(toks) != 4:
+                    raise ParseError(f"line {lineno}: edge line needs 'E u v w'")
+                u = parse_int(toks, 1, lineno, "edge endpoint")
+                v = parse_int(toks, 2, lineno, "edge endpoint")
+                try:
+                    w = int(toks[3])
+                except ValueError:
+                    raise ParseError(
+                        f"line {lineno}: non-integer edge weight {toks[3]!r} "
+                        "(fractional weights are not supported)"
+                    ) from None
+                edge_rows.append((u, v, w))
+            elif head == "nodes":
+                count(toks, lineno, "node count")
+            elif head == "edges":
+                count(toks, lineno, "edge count")
+            elif head == "a":
+                raise ParseError(f"line {lineno}: directed arcs are not supported")
+            # other graph keys (Obstacles, ...) ignored
+        elif section == "terminals":
+            if head == "t":
+                terminal_ids.append(parse_int(toks, 1, lineno, "terminal id"))
+            elif head == "terminals":
+                count(toks, lineno, "terminal count")
+        elif section == "comment":
+            m = _NAME_RE.match(ln)
+            if m:
+                comment_name = m.group(1).strip()
+        # unknown sections skipped line by line
+    else:
+        if section is not None:
+            raise ParseError(f"unterminated SECTION {section}")
         raise ParseError("missing EOF line")
-    if not saw_graph or n_nodes is None:
+
+    n_nodes = counts.get("nodes")
+    if "graph" not in seen or n_nodes is None:
         raise ParseError("missing Graph section or node count")
-    if declared_edges is not None and declared_edges != len(edge_rows):
+    if counts.get("edges", len(edge_rows)) != len(edge_rows):
         raise ParseError(
-            f"declared {declared_edges} edges but found {len(edge_rows)} edge lines"
+            f"declared {counts['edges']} edges but found {len(edge_rows)} edge lines"
         )
-    if not saw_terminals:
+    if "terminals" not in seen:
         raise ParseError("missing Terminals section")
-    if declared_terminals is not None and declared_terminals != len(terminal_ids):
+    if counts.get("terminals", len(terminal_ids)) != len(terminal_ids):
         raise ParseError(
-            f"declared {declared_terminals} terminals but found {len(terminal_ids)}"
+            f"declared {counts['terminals']} terminals but found {len(terminal_ids)}"
         )
 
     wmap: dict[Edge, int] = {}

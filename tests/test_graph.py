@@ -85,6 +85,11 @@ class TestWeightedGraph:
         assert not g.is_connected()
         g2 = WeightedGraph.build([0, 1], [(0, 1, 1)])
         assert g2.is_connected()
+        # ids need not be dense, as in a union subgraph
+        assert WeightedGraph.build([2, 5, 9], [(2, 9, 1), (5, 9, 2)]).is_connected()
+        assert not WeightedGraph.build([2, 5, 9], [(2, 9, 1)]).is_connected()
+        assert WeightedGraph.build([3], []).is_connected()
+        assert not WeightedGraph.build([0, 1], []).is_connected()
 
 
 class TestInstanceAndSolution:

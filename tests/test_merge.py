@@ -219,6 +219,8 @@ class TestRunSmh:
         report = run_smh(inst, read_pool(text, inst), mcfg)
         assert "edge_ranks" in inst.graph.__dict__
         assert "csr" not in inst.graph.__dict__
+        # connectivity is checked by Kruskal over the edges, not a DFS
+        assert "adjacency" not in inst.graph.__dict__
         assert report.solution == run_smh(base, read_pool(text, base), mcfg).solution
 
     def test_never_worse_than_pool(self):

@@ -1,16 +1,21 @@
 """Hostile input: every parser returns a value or raises its documented errors.
 
-read_pool also gives the same trees, or the same error, as its reference.
+parse_stp and read_pool also give the same result, or the same error, as
+their references.
 """
 
-from hypothesis import given, settings
+import re
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import four_cycle, solution_of
 from steinmerge import (
     ParseError,
+    SteinerInstance,
     SteinerSolution,
     ValidationError,
+    WeightedGraph,
     decomposition_from_order,
     edge_key,
     greedy_degree,
@@ -23,6 +28,7 @@ from steinmerge import (
     write_td,
 )
 from steinmerge.generator import SolutionPool
+from steinmerge.graph import STP_MAGIC
 
 INSTANCE = four_cycle()
 VALID_STP = write_stp(INSTANCE)
@@ -184,3 +190,177 @@ def test_read_pool_matches_reference(text):
         return [(s.canonical_edges(), s.weight) for s in pool.entries]
 
     assert outcome(read, text) == outcome(lambda t: reference_read_pool(t, INSTANCE), text)
+
+
+_NAME_RE = re.compile(r'^name\s+"?([^"]*)"?\s*$', re.IGNORECASE)
+
+
+def reference_parse_stp(text, name=""):
+    """parse_stp as it was with nested section loops, checking connectivity by DFS."""
+    lines = text.splitlines()
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        while pos < len(lines):
+            ln = lines[pos].strip()
+            pos += 1
+            if ln:
+                return pos, ln
+        return None
+
+    first = next_line()
+    if first is None or first[1].lower() != STP_MAGIC.lower():
+        raise ParseError("missing or malformed STP header line")
+
+    n_nodes = None
+    edge_rows = []
+    declared_edges = None
+    terminal_ids = []
+    declared_terminals = None
+    comment_name = ""
+    saw_eof = False
+    saw_graph = False
+    saw_terminals = False
+
+    def parse_int(toks, i, lineno, what):
+        if i >= len(toks):
+            raise ParseError(f"line {lineno}: missing {what}")
+        try:
+            return int(toks[i])
+        except ValueError:
+            raise ParseError(
+                f"line {lineno}: {what} is not an integer: {toks[i]!r}"
+            ) from None
+
+    def count(found, toks, lineno, what):
+        if found is not None:
+            raise ParseError(f"line {lineno}: second {toks[0]} line")
+        return parse_int(toks, 1, lineno, what)
+
+    while True:
+        item = next_line()
+        if item is None:
+            break
+        lineno, ln = item
+        toks = ln.split()
+        head = toks[0].lower()
+        if head == "eof":
+            saw_eof = True
+            break
+        if head != "section":
+            raise ParseError(f"line {lineno}: expected SECTION or EOF, got {ln!r}")
+        if len(toks) < 2:
+            raise ParseError(f"line {lineno}: SECTION without a name")
+        section = toks[1].lower()
+        while True:
+            item = next_line()
+            if item is None:
+                raise ParseError(f"unterminated SECTION {section}")
+            lineno, ln = item
+            toks = ln.split()
+            head = toks[0].lower()
+            if head == "end":
+                break
+            if section == "graph":
+                saw_graph = True
+                if head == "nodes":
+                    n_nodes = count(n_nodes, toks, lineno, "node count")
+                elif head == "edges":
+                    declared_edges = count(declared_edges, toks, lineno, "edge count")
+                elif head == "e":
+                    if len(toks) != 4:
+                        raise ParseError(f"line {lineno}: edge line needs 'E u v w'")
+                    u = parse_int(toks, 1, lineno, "edge endpoint")
+                    v = parse_int(toks, 2, lineno, "edge endpoint")
+                    try:
+                        w = int(toks[3])
+                    except ValueError:
+                        raise ParseError(
+                            f"line {lineno}: non-integer edge weight {toks[3]!r} "
+                            "(fractional weights are not supported)"
+                        ) from None
+                    edge_rows.append((u, v, w))
+                elif head == "a":
+                    raise ParseError(f"line {lineno}: directed arcs are not supported")
+            elif section == "terminals":
+                saw_terminals = True
+                if head == "terminals":
+                    declared_terminals = count(
+                        declared_terminals, toks, lineno, "terminal count"
+                    )
+                elif head == "t":
+                    terminal_ids.append(parse_int(toks, 1, lineno, "terminal id"))
+            elif section == "comment":
+                m = _NAME_RE.match(ln)
+                if m:
+                    comment_name = m.group(1).strip()
+
+    if not saw_eof:
+        raise ParseError("missing EOF line")
+    if not saw_graph or n_nodes is None:
+        raise ParseError("missing Graph section or node count")
+    if declared_edges is not None and declared_edges != len(edge_rows):
+        raise ParseError(
+            f"declared {declared_edges} edges but found {len(edge_rows)} edge lines"
+        )
+    if not saw_terminals:
+        raise ParseError("missing Terminals section")
+    if declared_terminals is not None and declared_terminals != len(terminal_ids):
+        raise ParseError(
+            f"declared {declared_terminals} terminals but found {len(terminal_ids)}"
+        )
+
+    wmap = {}
+    for u, v, w in edge_rows:
+        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
+            raise ParseError(f"edge ({u}, {v}) endpoint out of range 1..{n_nodes}")
+        if w < 0:
+            raise ParseError(f"negative weight {w} on edge ({u}, {v})")
+        if u == v:
+            continue
+        e = edge_key(u - 1, v - 1)
+        if e not in wmap or w < wmap[e]:
+            wmap[e] = w
+
+    terms = set()
+    for t in terminal_ids:
+        if not (1 <= t <= n_nodes):
+            raise ParseError(f"terminal id out of range: {t}")
+        terms.add(t - 1)
+    if not terms:
+        raise ValidationError("instance has no terminals")
+    if n_nodes > len(wmap) + 1:
+        raise ValidationError(f"{len(wmap)} edges cannot connect {n_nodes} nodes")
+
+    # SteinerInstance.create's checks, with connectivity by DFS
+    nbrs = {v: [] for v in range(n_nodes)}
+    for u, v in wmap:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = {0} if n_nodes else set()
+    stack = list(seen)
+    while stack:
+        for u in nbrs[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != n_nodes:
+        raise ValidationError("instance graph is not connected")
+    graph = WeightedGraph(frozenset(range(n_nodes)), wmap)
+    return SteinerInstance(graph, frozenset(terms), comment_name or name)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated(VALID_STP))
+# STP takes no comment prefix: a `#` line outside a section is an error
+@example(VALID_STP.replace("SECTION Graph", "# note\nSECTION Graph"))
+def test_parse_stp_matches_reference(text):
+    def read(parse):
+        def fields(t):
+            inst = parse(t)
+            return inst.graph.vertices, inst.graph.weights, inst.terminals, inst.name
+
+        return outcome(fields, text)
+
+    assert read(parse_stp) == read(reference_parse_stp)
