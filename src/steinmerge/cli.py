@@ -15,9 +15,10 @@ runs with the same seed emit byte-identical stdout.
 
 Exit codes: 0 success, 1 invalid decomposition (validate-td), 2 usage,
 3 parse or validation failure (input that is not UTF-8 text included), 4
-infeasible, 5 capacity fallback, 6 timeout (bench: the most severe code of
-its instances, a skipped one counting as 6). --jobs sets the worker
-processes, at most one per CPU.
+infeasible, 5 capacity fallback or refusal (any command that runs out of
+memory included: one `capacity:` line, no traceback), 6 timeout (bench:
+the most severe code of its instances, a skipped one counting as 6).
+--jobs sets the worker processes, at most one per CPU.
 """
 
 from __future__ import annotations
@@ -772,6 +773,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")
+        return EXIT_CAPACITY
+    except MemoryError:
+        sys.stderr.write("capacity: out of memory\n")
         return EXIT_CAPACITY
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import heapq
 import time
+from array import array
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -306,12 +307,15 @@ def dreyfus_wagner(
         dp[1 << i] = dist
         tpred.append(pred)
 
-    back: dict[int, list] = {}
+    # back[mask][v] is the split ``sub`` of mask that set v's value, or
+    # ``-1 - u`` for a walk from neighbour u; splits are never 0. One
+    # machine int per cell, not a Python object
+    back: dict[int, array] = {}
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
             continue  # singletons are the seeded Dijkstra rows
         vals = [inf] * n
-        bk: list = [None] * n
+        bk = array("q", [0]) * n
         low = mask & -mask
         sub = (mask - 1) & mask
         while sub:
@@ -321,7 +325,7 @@ def dreyfus_wagner(
                     c = a[v] + b[v]
                     if c < vals[v]:
                         vals[v] = c
-                        bk[v] = ("split", sub)
+                        bk[v] = sub
             sub = (sub - 1) & mask
         heap = [(vals[v], v) for v in range(n) if vals[v] < inf]
         heapq.heapify(heap)
@@ -334,7 +338,7 @@ def dreyfus_wagner(
                 c = d + wts[j]
                 if c < vals[u]:
                     vals[u] = c
-                    bk[u] = ("walk", v)
+                    bk[u] = -1 - v
                     heapq.heappush(heap, (c, u))
         dp[mask] = vals
         back[mask] = bk
@@ -354,12 +358,11 @@ def dreyfus_wagner(
                 cur = p
             continue
         tag = back[mask][v]
-        if tag[0] == "split":
-            sub = tag[1]
-            stack.append((sub, v))
-            stack.append((mask ^ sub, v))
+        if tag > 0:
+            stack.append((tag, v))
+            stack.append((mask ^ tag, v))
         else:
-            u = tag[1]
+            u = -1 - tag
             edges.add(edge_key(v, u))
             stack.append((mask, u))
 

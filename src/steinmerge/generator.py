@@ -101,18 +101,22 @@ class SolutionPool:
 
 def _perturbed_weights(
     instance: SteinerInstance, strength: float, rng: random.Random
-) -> dict[Edge, float] | None:
+) -> list[float] | None:
+    """Each CSR slot's weight scaled by ``1 + rng.random() * strength``.
+
+    One draw per edge, in sorted edge-key order, so the draws and the
+    floats do not depend on the CSR layout.
+    """
     if strength == 0.0:
         return None
-    return {
-        e: w * (1.0 + rng.random() * strength)
-        for e, w in sorted(instance.graph.weights.items())
-    }
+    weights, positions = instance.graph.key_order
+    drawn = [w * (1.0 + rng.random() * strength) for w in weights]
+    return [drawn[k] for k in positions]
 
 
 def sph_construct(
     instance: SteinerInstance,
-    weights: dict[Edge, float] | None,
+    weights: list[float] | None,
     start: int,
     rng: random.Random,
     deadline: float | None = None,
@@ -120,11 +124,11 @@ def sph_construct(
     """Shortest-path construction heuristic.
 
     Starting from one terminal, repeatedly attach the terminal nearest to
-    the current tree (under the given, possibly perturbed, weights) along a
-    shortest path; distance ties are broken by ``rng``. The result is pruned
-    and weighted under the instance's original weights. Returns None when
-    ``deadline`` (a monotonic-clock timestamp) has passed before a terminal
-    is attached.
+    the current tree (under ``weights``, one per CSR slot, or the graph's
+    own weights when None) along a shortest path; distance ties are broken
+    by ``rng``. The result is pruned and weighted under the instance's
+    original weights. Returns None when ``deadline`` (a monotonic-clock
+    timestamp) has passed before a terminal is attached.
     """
     terms = instance.terminals
     if start not in terms:
@@ -133,8 +137,8 @@ def sph_construct(
         return SteinerSolution(frozenset(), 0)
 
     graph = instance.graph
-    indptr, nbr, _ = graph.csr
-    wlist = graph.csr_weight_list(weights)
+    indptr, nbr, wts = graph.csr
+    wlist = wts if weights is None else weights
     n = graph.n_vertices
 
     tree = {start}
@@ -204,6 +208,21 @@ def _induced_tree(
     itself.
     """
     return _stripped_tree(instance, _induced_forest(instance, members), bound)
+
+
+def _insertion_candidates(instance: SteinerInstance, tverts: frozenset[int]) -> list[int]:
+    """The vertices outside ``tverts`` with two or more neighbours in it, ascending.
+
+    Only these can pay off as insertions: a vertex attached by a single
+    edge is pruned right back off. Neighbours are counted over the CSR
+    rows of the tree's vertices, so the scan costs the tree's degree sum,
+    not the graph's size.
+    """
+    indptr, nbr, _ = instance.graph.csr
+    around: list[int] = []
+    for x in tverts:
+        around += nbr[indptr[x] : indptr[x + 1]]
+    return sorted(v for v, c in Counter(around).items() if c > 1 and v not in tverts)
 
 
 def _preorder(
@@ -436,8 +455,9 @@ def _cheapest_reconnect(
     return dist[best_v], path
 
 
-# a tree, as its vertex set and its weight, mapped to each insertion scored
-# on it: vertex -> ``_induced_tree`` of the enlarged set under that weight
+# a tree, as its vertex set and its weight, mapped to each move of one kind
+# scored on it: vertex -> ``_induced_tree`` of the set with that vertex
+# added (an insertion) or removed (a deletion), under that weight
 Verdicts = dict[tuple[frozenset[int], int], dict[int, SteinerSolution | None]]
 
 
@@ -447,11 +467,12 @@ class Optima:
 
     ``optima`` maps each certified local optimum's edge set to the lengths
     of the three lists its certifying pass shuffled; ``verdicts`` keeps
-    every insertion scored.
+    every insertion scored and ``deletions`` every Steiner-vertex deletion.
     """
 
     optima: dict[frozenset[Edge], tuple[int, int, int]] = field(default_factory=dict)
     verdicts: Verdicts = field(default_factory=dict)
+    deletions: Verdicts = field(default_factory=dict)
 
 
 def _lighter(
@@ -503,22 +524,27 @@ def local_search(
     draws depend only on the length, so ``rng`` ends where the full pass
     would have left it. A pass the deadline cuts short records nothing.
 
-    Its ``verdicts`` keep every insertion scored: ``_induced_tree(T + v,
-    w)`` depends only on the tree's vertex set T, its weight w and v, so a
+    Its ``verdicts`` keep every insertion scored and its ``deletions``
+    every deletion: ``_induced_tree(T + v, w)`` and ``_induced_tree(T - v,
+    w)`` depend only on the tree's vertex set T, its weight w and v, so a
     pass over a tree seen before looks each candidate up first and scores
-    only the new ones. The scan order, the deadline checks and the rng
-    draws stay as they were. Within one call no tree repeats, since every
-    accepted move is lighter, so a fresh memo changes nothing.
+    only the new ones; ``_DeletionCheck`` is built only when some removable
+    vertex is not yet scored. The scan order, the deadline checks and the
+    rng draws stay as they were. Within one call no tree repeats, since
+    every accepted move is lighter, so a fresh memo changes nothing.
+
+    Insertion candidates come from the tree's neighbourhood: only the
+    CSR rows of the tree's vertices are read, so a pass costs work in
+    proportion to the tree and its neighbours, not to the graph.
     """
     current = tree
     if len(instance.terminals) == 1:
         return current
     graph = instance.graph
-    indptr, nbr, _ = graph.csr
     terms = instance.terminals
     if memo is None:
         memo = Optima()
-    optima, verdicts = memo.optima, memo.verdicts
+    optima, verdicts, deletions = memo.optima, memo.verdicts, memo.deletions
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() > deadline
@@ -529,14 +555,7 @@ def local_search(
                 rng.shuffle([None] * length)
             return current
         tverts = current.vertices
-        # insertion: only vertices with two tree neighbors can pay off,
-        # anything attached by a single edge is pruned right back off
-        candidates = [
-            v
-            for v in range(graph.n_vertices)
-            if v not in tverts
-            and sum(nbr[i] in tverts for i in range(indptr[v], indptr[v + 1])) >= 2
-        ]
+        candidates = _insertion_candidates(instance, tverts)
         rng.shuffle(candidates)
         scored = verdicts.setdefault((tverts, current.weight), {})
         accepted = None
@@ -555,12 +574,17 @@ def local_search(
 
         removable = [v for v in sorted(tverts) if v not in terms]
         rng.shuffle(removable)
-        if removable:
-            deletion = _DeletionCheck(instance, tverts)
+        dropped = deletions.setdefault((tverts, current.weight), {})
+        deletion = None
         for v in removable:
             if expired():
                 return current
-            accepted = deletion.without(v, current.weight)
+            if v in dropped:
+                accepted = dropped[v]
+            else:
+                if deletion is None:
+                    deletion = _DeletionCheck(instance, tverts)
+                accepted = dropped[v] = deletion.without(v, current.weight)
             if accepted is not None:
                 break
         if accepted is not None:
@@ -610,20 +634,22 @@ def _one_run(
     """Run ``run``'s restarts and return their best tree; None if the
     deadline cut the first one short.
 
-    Run 0 ignores the deadline, so a pool is never empty.
+    Run 0 ignores the deadline until it holds a tree, so a pool is never
+    empty: its first restart always completes, and it starts no other
+    once the deadline has passed.
     """
-    deadline = None if run == 0 else deadline
     rng = random.Random(_derive_seed(cfg.seed, run))
     best: SteinerSolution | None = None
     for _ in range(cfg.iterations_per_run):
-        if deadline is not None and time.monotonic() > deadline:
+        limit = None if run == 0 and best is None else deadline
+        if limit is not None and time.monotonic() > limit:
             break
-        wmap = _perturbed_weights(instance, cfg.perturbation_strength, rng)
+        weights = _perturbed_weights(instance, cfg.perturbation_strength, rng)
         start = rng.choice(sorted(instance.terminals))
-        built = sph_construct(instance, wmap, start, rng, deadline)
+        built = sph_construct(instance, weights, start, rng, limit)
         if built is None:
             break
-        sol = local_search(instance, built, rng, deadline, memo)
+        sol = local_search(instance, built, rng, limit, memo)
         if best is None or sol.weight < best.weight:
             best = sol
     return best
@@ -641,13 +667,14 @@ def generate_pool(
     edge set an earlier run gave is dropped. A pure function of (instance,
     cfg): every run draws from its own derived seed, so the worker count
     never changes the result. ``deadline`` (a monotonic-clock
-    timestamp) cuts the build short, but run 0 ignores it and always
-    completes, so the pool is never empty; any other run whose first
+    timestamp) cuts the build short. Run 0 ignores it until its first
+    restart has finished a tree, so the pool is never empty, and starts
+    no further restart once it has passed; any other run whose first
     construction the deadline cuts short adds nothing.
 
     The runs share one ``local_search`` memo of certified local optima and
-    insertion verdicts, which changes no rng draw; a worker process gets
-    its own copy.
+    insertion and deletion verdicts, which changes no rng draw; a worker
+    process gets its own copy.
     """
     memo = Optima()
     produced = parallel_map(

@@ -159,12 +159,19 @@ class WeightedGraph:
         adj = self.adjacency
         return [rank[edge_key(v, u)] for v in range(self.n_vertices) for u in adj[v]]
 
-    def csr_weight_list(self, weight_map: dict[Edge, float] | None) -> list:
-        """Per-CSR-slot weight list; ``weight_map`` overrides the graph weights."""
-        if weight_map is None:
-            return self.csr[2]
+    @cached_property
+    def key_order(self) -> tuple[list[int], list[int]]:
+        """The weights in sorted edge-key order, and each CSR slot's position in it.
+
+        Only perturbation reads it: a weight drawn per edge in key order
+        reaches its CSR slots as ``drawn[k] for k in positions``.
+        """
+        keys = sorted(self.weights)
+        position = {e: k for k, e in enumerate(keys)}
         adj = self.adjacency
-        return [weight_map[edge_key(v, u)] for v in range(self.n_vertices) for u in adj[v]]
+        return [self.weights[e] for e in keys], [
+            position[edge_key(v, u)] for v in range(self.n_vertices) for u in adj[v]
+        ]
 
     def is_connected(self) -> bool:
         """Whether Kruskal, over the edges in any order, spans every vertex.

@@ -376,6 +376,30 @@ class TestInputChecks:
         assert "# rank width 9 clamped to max width 3\n" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "x.stp"],
+        ["generate", "x.stp"],
+        ["merge", "x.stp", "pool.txt"],
+        ["oracle", "x.stp"],
+        ["validate-td", "x.stp", "x.td"],
+        ["bench", "."],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_memory_exits_capacity(argv, capsys, monkeypatch):
+    # a MemoryError anywhere in a command is one line and exit 5, no traceback
+    def exhausted(args):
+        raise MemoryError
+
+    about, arguments, _ = cli._COMMANDS[argv[0]]
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (about, arguments, exhausted))
+    assert main(argv) == EXIT_CAPACITY
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "capacity: out of memory\n")
+
+
 class TestGenerateAndMerge:
     def test_pipeline_via_files(self, stp, tmp_path, capsys):
         path = stp(sparse_instance(7, 30, 5))

@@ -45,6 +45,7 @@ from steinmerge.generator import (
     _derive_seed,
     _ExchangeCheck,
     _induced_tree,
+    _insertion_candidates,
 )
 from steinmerge.synth import (
     dense_instance,
@@ -129,9 +130,32 @@ class TestConstruction:
         # other route; reported weight still uses the originals
         inst = build_instance([(0, 1, 2), (0, 2, 3), (1, 2, 4)], [1, 2])
         fake = {(1, 2): 100.0, (0, 1): 1.0, (0, 2): 1.0}
-        sol = sph_construct(inst, fake, 1, rng_for())
+        adj = inst.graph.adjacency
+        per_slot = [fake[edge_key(v, u)] for v in range(3) for u in adj[v]]
+        sol = sph_construct(inst, per_slot, 1, rng_for())
         assert sol.edges == frozenset({(0, 1), (0, 2)})
         assert sol.weight == 5
+
+    @given(
+        st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from([0.0, 0.2, 0.5, 0.99])
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_perturbed_weights_match_the_edge_dict(self, seed, draw, strength):
+        # one draw per edge in sorted edge-key order, looked up per CSR slot
+        # through a dict: the same floats, bit for bit, and the same rng state
+        inst = random_connected_instance(seed, 25, 60, 5, max_weight=1000)
+        adj = inst.graph.adjacency
+        ref_rng, rng = rng_for(draw), rng_for(draw)
+        ref = None
+        if strength:
+            drawn = {
+                e: w * (1.0 + ref_rng.random() * strength)
+                for e, w in sorted(inst.graph.weights.items())
+            }
+            ref = [drawn[edge_key(v, u)].hex() for v in range(25) for u in adj[v]]
+        got = generator._perturbed_weights(inst, strength, rng)
+        assert (got and [w.hex() for w in got]) == ref
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestLocalSearch:
@@ -375,6 +399,72 @@ class TestInsertionVerdicts:
         assert memo.verdicts[light.vertices, 8] == {3: None}
 
 
+class TestDeletionVerdicts:
+    """``Optima.deletions``: each deletion scored once per pool, same trees, same draws."""
+
+    @given(st.integers(0, 10**6), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_deletion_verdicts_change_no_tree_and_no_draw(self, seed, draw):
+        # constructed trees seldom keep a Steiner vertex worth deleting, so
+        # the descents start from pruned MSTs of random vertex sets
+        inst = random_connected_instance(seed, 20, 45, 4, max_weight=20)
+        rng = rng_for(draw)
+        starts = []
+        for _ in range(3):
+            members = set(inst.terminals) | {v for v in range(20) if rng.random() < 0.7}
+            start = _induced_tree(inst, members)
+            if start is not None:
+                starts.append(start)
+
+        def descend(start, stream, memo):
+            rng = rng_for(stream)
+            return local_search(inst, start, rng, memo=memo), rng.getstate()
+
+        warm = Optima()
+        for i, start in enumerate(starts):
+            for stream in range(draw + 3 * i, draw + 3 * i + 3):
+                plain = descend(start, stream, None)
+                # keep only the deletion verdicts
+                warm.optima.clear()
+                warm.verdicts.clear()
+                assert descend(start, stream, warm) == plain
+        # every remembered verdict is the one a fresh check gives
+        for (tverts, weight), dropped in warm.deletions.items():
+            check = _DeletionCheck(inst, set(tverts))
+            for v, tree in dropped.items():
+                assert tree == check.without(v, weight)
+
+    def test_no_deletion_is_scored_twice(self, monkeypatch):
+        inst = grid_with_holes(3, 10, 10)
+        start = sph_construct(inst, None, min(inst.terminals), rng_for())
+        real = _DeletionCheck
+
+        def scores(memo):
+            seen = Counter()
+
+            def counted(instance, members):
+                check = real(instance, members)
+                key = frozenset(members)
+
+                def without(v, bound):
+                    seen[key, v, bound] += 1
+                    return real.without(check, v, bound)
+
+                check.without = without
+                return check
+
+            monkeypatch.setattr(generator, "_DeletionCheck", counted)
+            for stream in range(4):
+                local_search(inst, start, rng_for(stream), memo=memo)
+            return seen
+
+        without = scores(None)
+        assert max(without.values()) > 1
+        seen = scores(Optima())
+        assert max(seen.values()) == 1
+        assert set(seen) == set(without)
+
+
 def triangle_with_hub():
     """Terminals 0, 1, 2; the paths 0-1-2 (8) and 1-0-2 (11), the star at 3 (9)."""
     inst = build_instance(
@@ -487,6 +577,21 @@ def reference_reconnect(instance, side, other):
 
 class TestIndexSpaceMoves:
     """The local-search moves against the slower routines they replace."""
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_match_the_full_graph_scan(self, seed, data):
+        inst = tie_heavy_instance(seed, 30, 70, 6)
+        indptr, nbr, _ = inst.graph.csr
+        members, _ = random_tree(inst, data)
+        tverts = frozenset(members)
+        scan = [
+            v
+            for v in range(inst.graph.n_vertices)
+            if v not in tverts
+            and sum(nbr[i] in tverts for i in range(indptr[v], indptr[v + 1])) >= 2
+        ]
+        assert _insertion_candidates(inst, tverts) == scan
 
     @given(st.integers(0, 10**6), st.data())
     @settings(max_examples=150, deadline=None)
@@ -729,12 +834,16 @@ class TestDeadlines:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_zero_ignores_the_deadline(self, monkeypatch, workers):
+        # only until it holds a tree: its first restart completes, its
+        # second, which would find a lighter tree, never starts
         inst = sparse_instance(3, 40, 6)
-        cfg = GeneratorConfig(pool_size=4, iterations_per_run=2, seed=1)
+        cfg = GeneratorConfig(pool_size=4, iterations_per_run=2, seed=4)
         full = generate_pool(inst, cfg)
+        first = generate_pool(inst, GeneratorConfig(pool_size=1, iterations_per_run=1, seed=4))
+        assert first.weights[0] > full.weights[0]
         fake_clock(monkeypatch, 9.0)
         cut = generate_pool(inst, cfg, workers=workers, deadline=5.0)
-        assert cut.entries == full.entries[:1]
+        assert cut.entries == first.entries
 
     def test_run_cut_before_its_first_tree_adds_nothing(self, monkeypatch):
         # run 1 starts before the deadline, which passes before its first
