@@ -13,8 +13,10 @@ those commands (exit 2): SMH_ORACLE_CAP=abc stops `oracle`, not `merge`.
 Machine formats (json, csv) keep wall-clock times on stderr so repeated
 runs with the same seed emit byte-identical stdout.
 
-Exit codes: 0 success, 1 invalid decomposition (validate-td), 2 usage,
-3 parse or validation failure (input that is not UTF-8 text included), 4
+Exit codes: 0 success, 1 invalid decomposition (validate-td), 2 usage or
+I/O error (stdout whose encoding cannot hold the output included: one
+`error:` line, no traceback; --output files are always UTF-8), 3 parse
+or validation failure (input that is not UTF-8 text included), 4
 infeasible, 5 capacity fallback or refusal (any command that runs out of
 memory included: one `capacity:` line, no traceback), 6 timeout (bench:
 the most severe code of its instances, a skipped one counting as 6).
@@ -596,7 +598,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     seconds = time.monotonic() - t0
     text = write_pool(pool)
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     sys.stderr.write(f"# {len(pool.entries)} trees in {seconds:.3f}s\n")
@@ -714,7 +716,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         text = _bench_table(ran, summary)
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     if machine:
@@ -779,6 +781,9 @@ def main(argv=None) -> int:
         return EXIT_CAPACITY
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except UnicodeEncodeError as exc:
+        sys.stderr.write(f"error: cannot encode output: {exc}\n")
         return EXIT_USAGE
 
 

@@ -10,7 +10,6 @@ the terminal count instead, kept as an independent oracle for testing.
 from __future__ import annotations
 
 import gc
-import heapq
 import time
 from array import array
 from contextlib import contextmanager
@@ -283,7 +282,9 @@ def dreyfus_wagner(
 
     Cost grows with 3^|Q|, so the call refuses terminal sets larger than
     ``terminal_cap``. Intended for cross-checking other solvers at test
-    scale, not for production runs.
+    scale, not for production runs. Every terminal-subset row is one
+    ``kernels.dijkstra_multi`` call: a singleton's row is seeded at its
+    terminal, a larger row at each vertex's best split of the subset.
     """
     q = sorted(instance.terminals)
     k = len(q)
@@ -300,47 +301,35 @@ def dreyfus_wagner(
     full = (1 << len(base)) - 1
     inf = float("inf")
 
-    tpred: list[list[int]] = []
-    dp: dict[int, list] = {}
-    for i, t in enumerate(base):
-        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [t], n)
-        dp[1 << i] = dist
-        tpred.append(pred)
-
-    # back[mask][v] is the split ``sub`` of mask that set v's value, or
-    # ``-1 - u`` for a walk from neighbour u; splits are never 0. One
-    # machine int per cell, not a Python object
-    back: dict[int, array] = {}
+    # back[mask][v] is the split ``sub`` of mask that set v's value,
+    # ``-1 - u`` for a walk from neighbour u, or 0 at a singleton's own
+    # terminal; splits are never 0. One machine int per cell, not a
+    # Python object
+    dp: list = [None] * (full + 1)
+    back: list = [None] * (full + 1)
     for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue  # singletons are the seeded Dijkstra rows
-        vals = [inf] * n
         bk = array("q", [0]) * n
-        low = mask & -mask
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:  # enumerate each split once
-                a, b = dp[sub], dp[mask ^ sub]
-                for v in range(n):
-                    c = a[v] + b[v]
-                    if c < vals[v]:
-                        vals[v] = c
-                        bk[v] = sub
-            sub = (sub - 1) & mask
-        heap = [(vals[v], v) for v in range(n) if vals[v] < inf]
-        heapq.heapify(heap)
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > vals[v]:
-                continue
-            for j in range(indptr[v], indptr[v + 1]):
-                u = nbr[j]
-                c = d + wts[j]
-                if c < vals[u]:
-                    vals[u] = c
-                    bk[u] = -1 - v
-                    heapq.heappush(heap, (c, u))
-        dp[mask] = vals
+        if mask & (mask - 1) == 0:
+            seeds = [(0, base[mask.bit_length() - 1])]
+        else:
+            vals = [inf] * n
+            low = mask & -mask
+            sub = (mask - 1) & mask
+            while sub:
+                if sub & low:  # enumerate each split once
+                    a, b = dp[sub], dp[mask ^ sub]
+                    for v in range(n):
+                        c = a[v] + b[v]
+                        if c < vals[v]:
+                            vals[v] = c
+                            bk[v] = sub
+                sub = (sub - 1) & mask
+            seeds = zip(vals, range(n))  # the kernel skips unreached vertices
+        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, seeds, n)
+        for v, u in enumerate(pred):
+            if u >= 0:
+                bk[v] = -1 - u
+        dp[mask] = dist
         back[mask] = bk
 
     value = dp[full][root]
@@ -348,20 +337,11 @@ def dreyfus_wagner(
     stack = [(full, root)]
     while stack:
         mask, v = stack.pop()
-        if mask & (mask - 1) == 0:
-            i = mask.bit_length() - 1
-            src = base[i]
-            cur = v
-            while cur != src:
-                p = tpred[i][cur]
-                edges.add(edge_key(cur, p))
-                cur = p
-            continue
         tag = back[mask][v]
         if tag > 0:
             stack.append((tag, v))
             stack.append((mask ^ tag, v))
-        else:
+        elif tag < 0:
             u = -1 - tag
             edges.add(edge_key(v, u))
             stack.append((mask, u))

@@ -133,8 +133,6 @@ def sph_construct(
     terms = instance.terminals
     if start not in terms:
         raise ValidationError("construction must start at a terminal")
-    if len(terms) == 1:
-        return SteinerSolution(frozenset(), 0)
 
     graph = instance.graph
     indptr, nbr, wts = graph.csr
@@ -147,7 +145,9 @@ def sph_construct(
     while remaining:
         if deadline is not None and time.monotonic() > deadline:
             return None
-        dist, pred = kernels.dijkstra_multi(indptr, nbr, wlist, sorted(tree), n)
+        dist, pred = kernels.dijkstra_multi(
+            indptr, nbr, wlist, [(0, s) for s in sorted(tree)], n
+        )
         best = min(dist[t] for t in remaining)
         candidates = sorted(t for t in remaining if dist[t] == best)
         target = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
@@ -184,18 +184,6 @@ def _induced_forest(
     )
 
 
-def _stripped_tree(
-    instance: SteinerInstance, forest: list[int], bound: float
-) -> SteinerSolution | None:
-    """``strip_leaves`` of ``forest`` as a solution, or None unless below ``bound``."""
-    stripped = strip_leaves(instance, forest)
-    if stripped is None or stripped[1] >= bound:
-        return None
-    kept, weight = stripped
-    edges = instance.graph.edge_ranks.edges
-    return SteinerSolution(frozenset(edges[r] for r in kept), weight)
-
-
 def _induced_tree(
     instance: SteinerInstance, members: set[int], bound: float = inf
 ) -> SteinerSolution | None:
@@ -207,7 +195,7 @@ def _induced_tree(
     because the MST that ``prune`` would take of it first is the forest
     itself.
     """
-    return _stripped_tree(instance, _induced_forest(instance, members), bound)
+    return strip_leaves(instance, _induced_forest(instance, members), bound)
 
 
 def _insertion_candidates(instance: SteinerInstance, tverts: frozenset[int]) -> list[int]:
@@ -334,7 +322,7 @@ class _DeletionCheck:
             return None
         forest = [r for r in self.mst if tail[r] != v and head[r] != v]
         forest += joined
-        return _stripped_tree(self.instance, forest, bound)
+        return strip_leaves(self.instance, forest, bound)
 
 
 class _ExchangeCheck:
@@ -442,7 +430,7 @@ def _cheapest_reconnect(
     """
     indptr, nbr, wts = instance.graph.csr
     n = instance.graph.n_vertices
-    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, side, n, limit)
+    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [(0, s) for s in side], n, limit)
     best_v = min(sorted(other), key=dist.__getitem__)
     if dist[best_v] >= limit:
         return None
@@ -455,9 +443,9 @@ def _cheapest_reconnect(
     return dist[best_v], path
 
 
-# a tree, as its vertex set and its weight, mapped to each move of one kind
-# scored on it: vertex -> ``_induced_tree`` of the set with that vertex
-# added (an insertion) or removed (a deletion), under that weight
+# a tree, as its vertex set T and its weight w, mapped to every move scored
+# on it: vertex v -> ``_induced_tree`` of T with v added (v outside T, an
+# insertion) or removed (v in T, a deletion), under w
 Verdicts = dict[tuple[frozenset[int], int], dict[int, SteinerSolution | None]]
 
 
@@ -467,12 +455,13 @@ class Optima:
 
     ``optima`` maps each certified local optimum's edge set to the lengths
     of the three lists its certifying pass shuffled; ``verdicts`` keeps
-    every insertion scored and ``deletions`` every Steiner-vertex deletion.
+    every insertion and every Steiner-vertex deletion scored, one table
+    for both, since a vertex's membership in the tree says which move it
+    was.
     """
 
     optima: dict[frozenset[Edge], tuple[int, int, int]] = field(default_factory=dict)
     verdicts: Verdicts = field(default_factory=dict)
-    deletions: Verdicts = field(default_factory=dict)
 
 
 def _lighter(
@@ -524,12 +513,13 @@ def local_search(
     draws depend only on the length, so ``rng`` ends where the full pass
     would have left it. A pass the deadline cuts short records nothing.
 
-    Its ``verdicts`` keep every insertion scored and its ``deletions``
-    every deletion: ``_induced_tree(T + v, w)`` and ``_induced_tree(T - v,
-    w)`` depend only on the tree's vertex set T, its weight w and v, so a
-    pass over a tree seen before looks each candidate up first and scores
-    only the new ones; ``_DeletionCheck`` is built only when some removable
-    vertex is not yet scored. The scan order, the deadline checks and the
+    Its ``verdicts`` keep every insertion and deletion scored, in one dict
+    per tree: ``_induced_tree(T + v, w)`` and ``_induced_tree(T - v, w)``
+    depend only on the tree's vertex set T, its weight w and v, and v's
+    membership in T says which of the two it is. So a pass over a tree
+    seen before looks each candidate up first and scores only the new
+    ones; ``_DeletionCheck`` is built only when some removable vertex is
+    not yet scored. The scan order, the deadline checks and the
     rng draws stay as they were. Within one call no tree repeats, since
     every accepted move is lighter, so a fresh memo changes nothing.
 
@@ -544,7 +534,7 @@ def local_search(
     terms = instance.terminals
     if memo is None:
         memo = Optima()
-    optima, verdicts, deletions = memo.optima, memo.verdicts, memo.deletions
+    optima, verdicts = memo.optima, memo.verdicts
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() > deadline
@@ -574,17 +564,16 @@ def local_search(
 
         removable = [v for v in sorted(tverts) if v not in terms]
         rng.shuffle(removable)
-        dropped = deletions.setdefault((tverts, current.weight), {})
         deletion = None
         for v in removable:
             if expired():
                 return current
-            if v in dropped:
-                accepted = dropped[v]
+            if v in scored:
+                accepted = scored[v]
             else:
                 if deletion is None:
                     deletion = _DeletionCheck(instance, tverts)
-                accepted = dropped[v] = deletion.without(v, current.weight)
+                accepted = scored[v] = deletion.without(v, current.weight)
             if accepted is not None:
                 break
         if accepted is not None:

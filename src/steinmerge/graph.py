@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -540,37 +541,32 @@ def prune(instance: SteinerInstance, edges: Iterable[Edge]) -> SteinerSolution:
     Kruskal over a forest returns that forest unchanged.
     """
     g = instance.graph
-    terms = instance.terminals
     es = {edge_key(u, v) for u, v in edges}
     for e in es:
         if e not in g.weights:
             raise ValidationError(f"edge {e} is not part of the instance graph")
-    if not es:
-        if len(terms) == 1:
-            return SteinerSolution(frozenset(), 0)
-        raise InfeasibleError("terminals are not connected by the given edges")
-
     ranks = g.edge_ranks
     forest = minimum_spanning_edges(
         g.n_vertices, ranks.tail, ranks.head, sorted(ranks.rank[e] for e in es)
     )
-    stripped = strip_leaves(instance, forest)
-    if stripped is None:
+    solution = strip_leaves(instance, forest)
+    if solution is None:
         raise InfeasibleError("terminals are not connected by the given edges")
-    kept, weight = stripped
-    return SteinerSolution(frozenset(ranks.edges[r] for r in kept), weight)
+    return solution
 
 
 def strip_leaves(
-    instance: SteinerInstance, forest: Sequence[int]
-) -> tuple[list[int], int] | None:
+    instance: SteinerInstance, forest: Sequence[int], bound: float = inf
+) -> SteinerSolution | None:
     """Pruned Steiner tree inside a forest given as edge ranks.
 
     Strips non-terminal leaves until every leaf is a terminal. A component
     without terminals vanishes entirely, so what is left is the unique
     smallest subtree of the forest spanning the terminals, whatever order
-    the leaves go in. Returns its ranks and total weight, or None when the
-    forest does not connect the terminals. ``forest`` must be acyclic.
+    the leaves go in. Returns that tree, or None when the forest does not
+    connect the terminals or the tree is not lighter than ``bound``; the
+    bound is checked before the tree's edge set is built. ``forest`` must
+    be acyclic.
     """
     ranks = instance.graph.edge_ranks
     tail, head, weight = ranks.tail, ranks.head, ranks.weight
@@ -613,4 +609,7 @@ def strip_leaves(
     if components != 1:
         return None
     kept = [r for r in forest if r not in dropped]
-    return kept, sum(weight[r] for r in kept)
+    total = sum(weight[r] for r in kept)
+    if total >= bound:
+        return None
+    return SteinerSolution(frozenset(ranks.edges[r] for r in kept), total)

@@ -84,21 +84,24 @@ def eliminate(masks, cap):
 # shortest paths
 
 
-def dijkstra_multi(indptr, nbrs, wts, sources, n, limit=inf):
+def dijkstra_multi(indptr, nbrs, wts, seeds, n, limit=inf):
     """Multi-source Dijkstra over CSR arrays; returns (dist, pred) lists.
 
+    ``seeds`` are (distance, vertex) pairs; (0, s) makes s a plain source.
     Distances of ``limit`` or more are never kept: such vertices, like
-    unreached ones, end at ``limit`` with pred -1, as sources do with 0.
-    Every vertex closer than ``limit`` gets the distance and predecessor
-    the unbounded search gives it. Ties resolve deterministically (first
-    strict improvement wins, heap breaks equal distances by vertex index).
+    unreached ones, end at ``limit`` with pred -1, as do seeds that
+    nothing improves. Every vertex closer than ``limit`` gets the distance
+    and predecessor the unbounded search gives it. Ties resolve
+    deterministically (first strict improvement wins, heap breaks equal
+    distances by vertex index).
     """
     dist = [limit] * n
     pred = [-1] * n
     heap = []
-    for s in sources:
-        dist[s] = 0
-        heap.append((0, s))
+    for d, s in seeds:
+        if d < dist[s]:
+            dist[s] = d
+            heap.append((d, s))
     heapq.heapify(heap)
     while heap:
         d, v = heapq.heappop(heap)

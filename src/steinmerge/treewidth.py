@@ -148,7 +148,9 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
     """Check the three decomposition conditions plus the width field.
 
     Returns every violation found as a human-readable string; an empty list
-    means the decomposition is valid for the graph.
+    means the decomposition is valid for the graph. Messages name vertices,
+    edges and bags by their file ids (internal id + 1), as the .stp and .td
+    files number them.
     """
     out: list[str] = []
     n = len(td.bags)
@@ -157,7 +159,7 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
     for i, j in td.tree_edges:
         if not (0 <= i < n and 0 <= j < n):
-            out.append(f"tree edge ({i}, {j}) references a missing node")
+            out.append(f"tree edge ({i + 1}, {j + 1}) references a missing node")
             continue
         adj[i].append(j)
         adj[j].append(i)
@@ -178,8 +180,8 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
     holding = _holding(td.bags)
     covered = set(holding)
     if covered != graph.vertices:
-        missing = sorted(graph.vertices - covered)
-        extra = sorted(covered - graph.vertices)
+        missing = [v + 1 for v in sorted(graph.vertices - covered)]
+        extra = [v + 1 for v in sorted(covered - graph.vertices)]
         if missing:
             out.append(f"condition 1: vertices in no bag: {missing}")
         if extra:
@@ -187,7 +189,7 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
 
     for u, v in sorted(graph.weights):
         if _covering_bag(td.bags, holding, u, v) is None:
-            out.append(f"condition 2: edge ({u}, {v}) not inside any bag")
+            out.append(f"condition 2: edge ({u + 1}, {v + 1}) not inside any bag")
 
     for v in sorted(graph.vertices):
         nodes = holding.get(v)
@@ -203,7 +205,7 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
                     reach.add(j)
                     stack.append(j)
         if len(reach) != len(nodes):
-            out.append(f"condition 3: bags containing vertex {v} are not connected")
+            out.append(f"condition 3: bags containing vertex {v + 1} are not connected")
 
     true_width = max(len(b) for b in td.bags) - 1
     if td.width != true_width:
@@ -337,7 +339,9 @@ def make_nice(
 
 
 def validate_nice(graph: WeightedGraph, nice: NiceDecomposition) -> list[str]:
-    """Structural check of a nice decomposition against its graph."""
+    """Structural check of a nice decomposition against its graph.
+
+    Its own messages use internal ids, those of ``validate_decomposition`` file ids."""
     out: list[str] = []
     nodes = nice.nodes
     t0 = nice.root_vertex

@@ -102,7 +102,7 @@ def brute_force_weight(instance):
 def path_distance(instance, a, b):
     """Shortest-path distance inside the instance graph."""
     indptr, nbr, wts = instance.graph.csr
-    dist, _ = kernels.dijkstra_multi(indptr, nbr, wts, [a], instance.graph.n_vertices)
+    dist, _ = kernels.dijkstra_multi(indptr, nbr, wts, [(0, a)], instance.graph.n_vertices)
     return dist[b]
 
 

@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, formats, env overrides, bench files."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from steinmerge import (
     write_stp,
     write_td,
 )
+import steinmerge
 from steinmerge import cli, generate_pool
 from steinmerge.cli import (
     BENCH_COLUMNS,
@@ -34,7 +39,7 @@ from steinmerge.cli import (
 )
 from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance
 
-from helpers import four_cycle, in_process_pool
+from helpers import build_instance, four_cycle, in_process_pool
 
 
 @pytest.fixture()
@@ -483,6 +488,17 @@ class TestValidateTdCommand:
         assert out.out.strip() != ""
 
 
+    def test_messages_name_file_ids(self, stp, tmp_path, capsys):
+        # the path 1-2-3 of the file: no bag holds its edge 2-3, and bag 2
+        # names a vertex 4 the instance does not have
+        path = stp(build_instance([(0, 1, 1), (1, 2, 1)], [0, 2]))
+        td_path = tmp_path / "short.td"
+        td_path.write_text("s td 2 2 3\nb 1 1 2\nb 2 3 4\n1 2\n")
+        assert main(["validate-td", path, str(td_path)]) == 1
+        out = capsys.readouterr().out
+        assert "condition 2: edge (2, 3) not inside any bag" in out
+        assert "condition 1: bags mention non-vertices: [4]" in out
+
     @pytest.mark.parametrize("td", ["s td 1 2 4\nb x 1 2\n", "s td 1 2 4\nb 1 1 2\n1\n"])
     def test_malformed_file_is_a_parse_error(self, stp, tmp_path, capsys, td):
         td_path = tmp_path / "bad.td"
@@ -495,6 +511,51 @@ class TestValidateTdCommand:
         td_path.write_text("s td 99999999999999 2 2\n")
         assert main(["validate-td", stp(four_cycle()), str(td_path)]) == EXIT_PARSE
         assert "bags declared" in capsys.readouterr().err
+
+
+class TestUnencodableOutput:
+    """Under the C locale, stdout is ASCII: a non-ASCII instance name must
+    give one error line and exit 2 there, and reach an ``--output`` file
+    as UTF-8."""
+
+    NAME = "Zürich-名"
+
+    @pytest.fixture()
+    def folder(self, tmp_path):
+        folder = tmp_path / "instances"
+        folder.mkdir()
+        named = dataclasses.replace(sparse_instance(1, 20, 4), name=self.NAME)
+        (folder / "a.stp").write_text(write_stp(named), encoding="utf-8")
+        return folder
+
+    def run(self, *argv):
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("PYTHONIOENCODING", "LANG") and not k.startswith("LC_")
+        }
+        env.update(
+            LC_ALL="C",
+            PYTHONUTF8="0",
+            PYTHONPATH=str(Path(steinmerge.__file__).resolve().parents[1]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "steinmerge.cli", *map(str, argv),
+             "--pool", "2", "--grasp-iters", "1"],
+            env=env, capture_output=True, timeout=120,
+        )
+        return done.returncode, done.stderr.decode("ascii", "backslashreplace")
+
+    def test_stdout_that_cannot_encode_is_one_error_line(self, folder):
+        code, err = self.run("solve", folder / "a.stp", "--format", "csv")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot encode output: ")
+        assert "Traceback" not in err
+
+    def test_output_file_is_utf8(self, folder, tmp_path):
+        out = tmp_path / "out.csv"
+        code, err = self.run("bench", folder, "--format", "csv", "-o", out)
+        assert code == EXIT_OK, err
+        assert self.NAME in out.read_text(encoding="utf-8")
 
 
 # sha256 of `--format json` stdout, captured on the code before the merge

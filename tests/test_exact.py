@@ -1,5 +1,7 @@
 """Both exact solvers: the decomposition DP and the terminal-subset DP."""
 
+import heapq
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +14,7 @@ from helpers import (
     four_cycle,
     path_distance,
     reversed_ids,
+    tie_heavy_instance,
 )
 from steinmerge import (
     CapacityError,
@@ -22,8 +25,10 @@ from steinmerge import (
     decomposition_from_order,
     dp_solve,
     dreyfus_wagner,
+    edge_key,
     greedy_degree,
     make_nice,
+    prune,
     solution_violations,
     solve_with_decomposition,
 )
@@ -122,6 +127,109 @@ class TestDreyfusWagner:
             inst = small_instance(seed)
             sol = dreyfus_wagner(inst)
             assert solution_violations(inst, sol) == []
+
+
+def reference_dreyfus_wagner(instance):
+    """``dreyfus_wagner`` before its larger rows went through the kernel:
+    those rows run a heap loop of their own, and the singleton rows keep
+    their predecessor lists, walked back to the terminal."""
+    q = sorted(instance.terminals)
+    k = len(q)
+    if k == 1:
+        return SteinerSolution(frozenset(), 0)
+
+    graph = instance.graph
+    indptr, nbr, wts = graph.csr
+    n = graph.n_vertices
+    base = q[:-1]
+    root = q[-1]
+    full = (1 << len(base)) - 1
+    inf = float("inf")
+
+    tpred = []
+    dp = {}
+    for i, t in enumerate(base):
+        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [(0, t)], n)
+        dp[1 << i] = dist
+        tpred.append(pred)
+
+    back = {}
+    for mask in range(1, full + 1):
+        if mask & (mask - 1) == 0:
+            continue
+        vals = [inf] * n
+        bk = array("q", [0]) * n
+        low = mask & -mask
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & low:
+                a, b = dp[sub], dp[mask ^ sub]
+                for v in range(n):
+                    c = a[v] + b[v]
+                    if c < vals[v]:
+                        vals[v] = c
+                        bk[v] = sub
+            sub = (sub - 1) & mask
+        heap = [(vals[v], v) for v in range(n) if vals[v] < inf]
+        heapq.heapify(heap)
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > vals[v]:
+                continue
+            for j in range(indptr[v], indptr[v + 1]):
+                u = nbr[j]
+                c = d + wts[j]
+                if c < vals[u]:
+                    vals[u] = c
+                    bk[u] = -1 - v
+                    heapq.heappush(heap, (c, u))
+        dp[mask] = vals
+        back[mask] = bk
+
+    value = dp[full][root]
+    edges = set()
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        if mask & (mask - 1) == 0:
+            i = mask.bit_length() - 1
+            src = base[i]
+            cur = v
+            while cur != src:
+                p = tpred[i][cur]
+                edges.add(edge_key(cur, p))
+                cur = p
+            continue
+        tag = back[mask][v]
+        if tag > 0:
+            stack.append((tag, v))
+            stack.append((mask ^ tag, v))
+        else:
+            u = -1 - tag
+            edges.add(edge_key(v, u))
+            stack.append((mask, u))
+    tree = prune(instance, edges)
+    assert tree.weight == value
+    return tree
+
+
+class TestDreyfusWagnerRows:
+    """Every row through ``kernels.dijkstra_multi`` gives the same trees."""
+
+    def test_same_tree_as_the_reference(self):
+        cases = []
+        for seed in range(120):
+            # weights 0..3: many ties and zero-weight edges; 1 to 6 terminals
+            cases.append(tie_heavy_instance(seed, 14, 30, 1 + seed % 6))
+        for seed in range(60):
+            n = 15 + seed % 40
+            cases.append(random_connected_instance(seed, n, n + n // 2, 2 + seed % 5))
+        for seed in range(40):
+            # dense, weights 1..3
+            cases.append(random_connected_instance(seed, 12, 60, 3, max_weight=3))
+        for inst in cases:
+            assert dreyfus_wagner(inst) == reference_dreyfus_wagner(inst)
+        assert {len(inst.terminals) for inst in cases} >= {1, 2}
 
 
 class TestDpSolve:

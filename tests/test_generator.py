@@ -400,7 +400,7 @@ class TestInsertionVerdicts:
 
 
 class TestDeletionVerdicts:
-    """``Optima.deletions``: each deletion scored once per pool, same trees, same draws."""
+    """Deletions in ``Optima.verdicts``: each scored once per pool, same trees, same draws."""
 
     @given(st.integers(0, 10**6), st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
@@ -424,15 +424,17 @@ class TestDeletionVerdicts:
         for i, start in enumerate(starts):
             for stream in range(draw + 3 * i, draw + 3 * i + 3):
                 plain = descend(start, stream, None)
-                # keep only the deletion verdicts
+                # keep only the deletion verdicts: the vertices scored inside a tree
                 warm.optima.clear()
-                warm.verdicts.clear()
+                for (tverts, _), scored in warm.verdicts.items():
+                    for v in scored.keys() - tverts:
+                        del scored[v]
                 assert descend(start, stream, warm) == plain
-        # every remembered verdict is the one a fresh check gives
-        for (tverts, weight), dropped in warm.deletions.items():
+        # every remembered deletion verdict is the one a fresh check gives
+        for (tverts, weight), scored in warm.verdicts.items():
             check = _DeletionCheck(inst, set(tverts))
-            for v, tree in dropped.items():
-                assert tree == check.without(v, weight)
+            for v in scored.keys() & tverts:
+                assert scored[v] == check.without(v, weight)
 
     def test_no_deletion_is_scored_twice(self, monkeypatch):
         inst = grid_with_holes(3, 10, 10)
@@ -463,6 +465,35 @@ class TestDeletionVerdicts:
         seen = scores(Optima())
         assert max(seen.values()) == 1
         assert set(seen) == set(without)
+
+
+class TestOneVerdictTable:
+    """Insertions and deletions of one tree share its ``Optima.verdicts`` entry."""
+
+    def test_each_move_reads_back_its_own_verdict(self, monkeypatch):
+        # the path 0-2-1 weighs 4: inserting 3 gains nothing, deleting the
+        # Steiner vertex 2 leaves the edge 0-1, weight 3
+        inst = build_instance(
+            [(0, 2, 2), (1, 2, 2), (0, 1, 3), (0, 3, 10), (1, 3, 10)], [0, 1]
+        )
+        path = solution_of(inst, [(0, 2), (1, 2)])
+        edge = solution_of(inst, [(0, 1)])
+        memo = Optima()
+        rng = rng_for()
+        assert local_search(inst, path, rng, memo=memo) == edge
+        assert memo.verdicts[path.vertices, 4] == {3: None, 2: edge}
+        state = rng.getstate()
+
+        # scored again, each move would fail; both must come from the table
+        def unscored(*args):
+            raise AssertionError("a remembered move was scored again")
+
+        monkeypatch.setattr(generator, "_induced_tree", unscored)
+        monkeypatch.setattr(generator, "_DeletionCheck", unscored)
+        memo.optima.clear()
+        rng = rng_for()
+        assert local_search(inst, path, rng, memo=memo) == edge
+        assert rng.getstate() == state
 
 
 def triangle_with_hub():
@@ -563,7 +594,7 @@ def reference_reconnect(instance, side, other):
     """Cheapest side-to-other path from an unbounded ``dijkstra_multi`` run."""
     indptr, nbr, wts = instance.graph.csr
     n = instance.graph.n_vertices
-    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, sorted(side), n)
+    dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [(0, s) for s in sorted(side)], n)
     best = min(sorted(other), key=dist.__getitem__)
     if dist[best] == inf:
         return None

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_instance, solution_of
+from helpers import build_instance, solution_of, tie_heavy_instance
 from steinmerge import (
     InfeasibleError,
     ParseError,
@@ -18,7 +18,7 @@ from steinmerge import (
     solution_violations,
     write_stp,
 )
-from steinmerge.graph import minimum_spanning_edges
+from steinmerge.graph import minimum_spanning_edges, strip_leaves
 from steinmerge.synth import random_connected_instance
 
 STP_HEADER = "33D32945 STP File, STP Format Version 1.0"
@@ -305,6 +305,24 @@ class TestAlgorithms:
         inst = random_connected_instance(seed, 14, 25, 4)
         sol = prune(inst, inst.graph.edges)
         assert solution_violations(inst, sol) == []
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_strip_leaves_is_prune_of_a_forest_below_the_bound(self, seed, data):
+        inst = tie_heavy_instance(seed)
+        ranks = inst.graph.edge_ranks
+        picked = data.draw(st.sets(st.sampled_from(range(len(ranks.edges)))))
+        forest = minimum_spanning_edges(
+            inst.graph.n_vertices, ranks.tail, ranks.head, sorted(picked)
+        )
+        try:
+            tree = prune(inst, [ranks.edges[r] for r in forest])
+        except InfeasibleError:
+            assert strip_leaves(inst, forest) is None
+            return
+        assert strip_leaves(inst, forest) == tree
+        assert strip_leaves(inst, forest, tree.weight + 1) == tree
+        assert strip_leaves(inst, forest, tree.weight) is None
 
     def test_edge_key_orders(self):
         assert edge_key(5, 2) == (2, 5)

@@ -3,8 +3,10 @@ contract the benchmark tracer relies on."""
 
 import random
 from collections import Counter
+from math import inf
 
 import steinmerge
+from helpers import tie_heavy_instance
 from steinmerge import GeneratorConfig, MergeConfig, generate_pool, kernels, run_smh
 from steinmerge.synth import sparse_instance
 
@@ -97,7 +99,7 @@ class TestKernelContracts:
         indptr = [0, 2, 4, 6]
         nbr = [1, 2, 0, 2, 0, 1]
         wts = [2, 10, 2, 3, 10, 3]
-        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [0], 3)
+        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [(0, 0)], 3)
         assert list(dist) == [0, 2, 5]
         assert list(pred) == [-1, 0, 1]  # 2 is reached through the middle vertex
 
@@ -107,11 +109,31 @@ class TestKernelContracts:
         wts = [2, 10, 2, 3, 10, 3]
         # vertex 2 lies at 5: at a limit of 5 or less it stays at the limit
         for limit in (3, 5):
-            dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [0], 3, limit)
+            dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [(0, 0)], 3, limit)
             assert dist == [0, 2, limit]
             assert pred == [-1, 0, -1]
-        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [0], 3, 6)
+        dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, [(0, 0)], 3, 6)
         assert (dist, pred) == ([0, 2, 5], [-1, 0, 1])
+
+    def test_seeds_act_as_one_extra_source(self):
+        # seeding s at distance d is searching from one extra vertex n,
+        # joined to each seed s by an edge of weight d, with or without a limit
+        for seed in range(200):
+            rng = random.Random(seed)
+            inst = tie_heavy_instance(seed)
+            indptr, nbr, wts = inst.graph.csr
+            n = inst.graph.n_vertices
+            seeds = [(rng.randint(0, 6), s) for s in rng.sample(range(n), rng.randint(1, 5))]
+            extra = (
+                indptr + [indptr[-1] + len(seeds)],
+                nbr + [s for _, s in seeds],
+                wts + [d for d, _ in seeds],
+            )
+            for limit in (inf, rng.randint(0, 8)):
+                dist, pred = kernels.dijkstra_multi(indptr, nbr, wts, seeds, n, limit)
+                far, via = kernels.dijkstra_multi(*extra, [(0, n)], n + 1, limit)
+                assert dist == far[:n]
+                assert pred == [-1 if p == n else p for p in via[:n]]
 
     def test_pipeline_calls_kernels_through_the_module(self, monkeypatch):
         """perfbench traces the pipeline by rebinding these module attributes

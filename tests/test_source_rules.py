@@ -142,3 +142,26 @@ def test_environment_read_only_in_cli_env(path):
     strays = [f"{name}:{line}" for name, line in reads if name != allowed]
     assert strays == [], f"{path.name} reads the environment outside cli._env"
     assert reads or allowed is None, "cli._env no longer reads the environment"
+
+
+# one shortest-path loop: kernels.dijkstra_multi, plus the heap of the
+# elimination kernel beside it. The generator keeps the exchange check's
+# own search, which labels owners and records walks as it settles vertices
+HEAP_USERS = ["generator.py", "kernels.py"]
+
+
+def _imports_heapq(tree):
+    return any(
+        (isinstance(node, ast.Import) and any(a.name == "heapq" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "heapq")
+        for node in ast.walk(tree)
+    )
+
+
+def test_heapq_imported_only_by_the_kernels_and_the_generator():
+    users = [
+        path.name
+        for path in SOURCES
+        if _imports_heapq(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert users == HEAP_USERS

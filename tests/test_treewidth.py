@@ -129,7 +129,8 @@ class TestDecomposition:
         td = TreeDecomposition(
             (frozenset([0, 1]), frozenset([2])), ((0, 1),), 1
         )
-        assert any("edge (1, 2)" in v for v in validate_decomposition(g, td))
+        # internal edge (1, 2), named by its file ids
+        assert any("edge (2, 3)" in v for v in validate_decomposition(g, td))
 
     def test_validator_flags_missing_vertex(self):
         g = path_graph(3)
@@ -164,7 +165,7 @@ class TestDecomposition:
 
 def reference_validate_decomposition(graph, td):
     """``validate_decomposition`` as first written: conditions 2 and 3 scan
-    every bag for each edge and each vertex."""
+    every bag for each edge and each vertex. Messages use file ids."""
     out = []
     n = len(td.bags)
     if n == 0:
@@ -172,7 +173,7 @@ def reference_validate_decomposition(graph, td):
     adj = {i: [] for i in range(n)}
     for i, j in td.tree_edges:
         if not (0 <= i < n and 0 <= j < n):
-            out.append(f"tree edge ({i}, {j}) references a missing node")
+            out.append(f"tree edge ({i + 1}, {j + 1}) references a missing node")
             continue
         adj[i].append(j)
         adj[j].append(i)
@@ -192,15 +193,15 @@ def reference_validate_decomposition(graph, td):
     for b in td.bags:
         covered |= b
     if covered != graph.vertices:
-        missing = sorted(graph.vertices - covered)
-        extra = sorted(covered - graph.vertices)
+        missing = [v + 1 for v in sorted(graph.vertices - covered)]
+        extra = [v + 1 for v in sorted(covered - graph.vertices)]
         if missing:
             out.append(f"condition 1: vertices in no bag: {missing}")
         if extra:
             out.append(f"condition 1: bags mention non-vertices: {extra}")
     for u, v in sorted(graph.weights):
         if not any(u in b and v in b for b in td.bags):
-            out.append(f"condition 2: edge ({u}, {v}) not inside any bag")
+            out.append(f"condition 2: edge ({u + 1}, {v + 1}) not inside any bag")
     for v in sorted(graph.vertices):
         nodes = [i for i in range(n) if v in td.bags[i]]
         if not nodes:
@@ -215,7 +216,7 @@ def reference_validate_decomposition(graph, td):
                     reach.add(j)
                     stack.append(j)
         if len(reach) != len(nodes):
-            out.append(f"condition 3: bags containing vertex {v} are not connected")
+            out.append(f"condition 3: bags containing vertex {v + 1} are not connected")
     true_width = max(len(b) for b in td.bags) - 1
     if td.width != true_width:
         out.append(f"width field {td.width} != largest bag size minus one {true_width}")
