@@ -46,8 +46,6 @@ from .merge import (
     MergeConfig,
     MergeReport,
     RankingState,
-    UnionMemo,
-    UnionSelection,
     greedy_steiner_union,
     ranking_procedure,
     run_smh,
@@ -88,8 +86,6 @@ __all__ = [
     "SteinerInstance",
     "SteinerSolution",
     "TreeDecomposition",
-    "UnionMemo",
-    "UnionSelection",
     "ValidationError",
     "WeightedGraph",
     "decomposition_from_order",

@@ -71,9 +71,9 @@ def _bell(n: int) -> int:
 def tree_states_bound(n_vertices: int) -> int:
     """A state budget that ``dp_solve`` provably stays within on a tree.
 
-    The decomposition is the one ``_solve_union`` builds: from the greedy
-    minimum-degree order of a tree with ``n_vertices`` vertices, pinned at
-    a terminal. A tree always has a vertex of degree at most 1, and
+    The decomposition is the one ``merge._Union.solve`` builds: from the
+    greedy minimum-degree order of a tree with ``n_vertices`` vertices,
+    pinned at a terminal. A tree always has a vertex of degree at most 1, and
     removing it adds no fill edge, so each decomposition bag is a vertex
     plus at most one later neighbour: 2 vertices, 3 with the pinned one.
     ``make_nice`` then emits a leaf node and at most 2 introduces for each
@@ -107,12 +107,13 @@ def _cycle_collection_paused():
     """Keep the cyclic garbage collector off for the duration of the block.
 
     DP tables are dicts of tuples and hold no reference cycles, so the
-    collections their growth triggers find nothing. Left on and timed
-    through ``gc.callbacks`` (Python 3.11), they took 12% of the DP time of
-    ``solve_with_decomposition`` over the first 60 instances of
-    ``test_01_oracle_equivalence`` (2.46 s of 20.1 s, 2,268 collections)
-    and 7% over the DPs of the ``sparse-merge`` benchmark at seed 23
-    (0.013 s of 0.18 s). The collector's earlier state is restored on exit.
+    collections their growth triggers find nothing. Timed on the wall
+    clock over 60 ``solve_with_decomposition`` calls on
+    ``random_connected_instance`` graphs of 6-25 vertices and up to 3n
+    edges (7 of them run out of states), in 4 rounds in one process that
+    alternate the two sides, the calls took 52.0-58.4 s (median 54.5)
+    with the pause and 56.4-60.4 s (median 59.5) without it (Python
+    3.11, 2 vCPUs). The collector's earlier state is restored on exit.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -146,7 +146,7 @@ def sph_construct(
         if deadline is not None and time.monotonic() > deadline:
             return None
         dist, pred = kernels.dijkstra_multi(
-            indptr, nbr, wlist, [(0, s) for s in sorted(tree)], n
+            indptr, nbr, wlist, [(0, s) for s in tree], n
         )
         best = min(dist[t] for t in remaining)
         candidates = sorted(t for t in remaining if dist[t] == best)

@@ -4,8 +4,9 @@ Vertices are dense 0-based integers internally. STP files use 1-based ids,
 so file id = internal id + 1 everywhere in the toolkit; readers and writers
 apply that mapping consistently.
 
-Edge weights are nonnegative 64-bit integers. Fractional weights in input
-files are rejected so that all weight comparisons stay exact.
+Edge weights are nonnegative 64-bit integers, at most ``MAX_WEIGHT``.
+Fractional weights in input files are rejected so that all weight
+comparisons stay exact.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from typing import Iterable, Iterator, Sequence
 Edge = tuple[int, int]
 
 STP_MAGIC = "33D32945 STP File, STP Format Version 1.0"
+
+# the largest edge weight: the largest signed 64-bit integer, which the
+# perturbed searches can still turn into a float
+MAX_WEIGHT = 2**63 - 1
 
 
 class SteinerError(Exception):
@@ -74,6 +79,8 @@ class WeightedGraph:
                 raise ValidationError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
             if w < 0:
                 raise ValidationError(f"negative weight {w} on edge ({u}, {v})")
+            if w > MAX_WEIGHT:
+                raise ValidationError(f"weight {w} on edge ({u}, {v}) exceeds {MAX_WEIGHT}")
             e = edge_key(u, v)
             if e in wmap and wmap[e] != w:
                 raise ValidationError(
@@ -441,6 +448,8 @@ def parse_stp(text: str, name: str = "") -> SteinerInstance:
             raise ParseError(f"edge ({u}, {v}) endpoint out of range 1..{n_nodes}")
         if w < 0:
             raise ParseError(f"negative weight {w} on edge ({u}, {v})")
+        if w > MAX_WEIGHT:
+            raise ParseError(f"weight {w} on edge ({u}, {v}) exceeds {MAX_WEIGHT}")
         if u == v:
             continue  # self-loops dropped
         e = edge_key(u - 1, v - 1)

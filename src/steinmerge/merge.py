@@ -5,8 +5,9 @@ tree but still sparse enough for the width-bounded exact solver. Selection
 keeps adding pool trees while the union's greedy elimination width stays
 within a cap; the ranking phase scores each tree by how good the unions it
 joins turn out to be; the final pass solves the union of the best-ranked
-trees exactly. One ``UnionMemo`` per ``run_smh`` call lets every round
-reuse the width checks and exact solves of earlier rounds.
+trees exactly. Each ``run_smh`` call keeps one memo, a dict from every
+union edge set it meets to that union's ``_Union`` record, so every round
+reuses the width checks and exact solves of earlier rounds.
 """
 
 from __future__ import annotations
@@ -143,46 +144,64 @@ class _Union:
             return min(len(self.edges), 1)
         return self.elimination.width
 
+    def solve(self, state_budget: int, deadline: float | None = None) -> SteinerSolution | None:
+        """Exact solve of the instance restricted to the union subgraph, or
+        None when the DP runs out of states.
 
-@dataclass
-class UnionMemo:
-    """Every union edge set met so far, each mapped to its one ``_Union``.
+        The DP runs over the union's decomposition but against the host
+        instance: it reads only edge weights and terminals, which the union
+        shares with the host, and pruning over the host's edge ranks keeps
+        the same (w, u, v) order, so the tree is the one the union alone
+        would give.
 
-    ``run_smh`` keeps one for its ranking rounds and final pass and drops
-    it on return, so a union's graph lives for one run and is built at
-    most once in it.
-    """
+        A tree union's optimum is its pruned subtree, the one minimal
+        subtree spanning the terminals, which every connected
+        terminal-spanning subgraph of it contains; the DP's own pruning
+        strips its result down to that subtree. So when ``state_budget`` is
+        at least ``tree_states_bound``, below which the DP might run out of
+        states, the tree is pruned directly and no graph, decomposition or
+        DP is built. Below that budget the DP runs as for any union.
 
-    records: dict[frozenset[Edge], _Union] = field(default_factory=dict)
+        A budget this record has seen returns the same answer, tree or
+        None, without a second DP. A deadline stop is not stored: its
+        DeadlineError propagates.
+        """
+        if state_budget in self.solved:
+            return self.solved[state_budget]
+        instance = self.instance
+        if self.is_tree and state_budget >= tree_states_bound(self.n_vertices):
+            tree = prune(instance, self.edges)
+        else:
+            graph = self.graph
+            td = decomposition_from_order(graph, self.elimination)
+            nice = make_nice(graph, td, min(instance.terminals))
+            try:
+                tree = dp_solve(instance, nice, state_budget=state_budget, deadline=deadline)
+            except CapacityError:
+                tree = None
+        self.solved[state_budget] = tree
+        return tree
 
-    def union(self, instance: SteinerInstance, edges: frozenset[Edge]) -> _Union:
-        found = self.records.get(edges)
-        if found is None:
-            found = self.records[edges] = _Union(instance, edges)
-        return found
 
-
-@dataclass(frozen=True)
-class UnionSelection:
-    """Outcome of the greedy union step: who made it in, and their union."""
-
-    selected: tuple[int, ...]
-    edges: frozenset[Edge]
-    union: _Union = field(repr=False, compare=False)
-
-    @property
-    def width(self) -> int:
-        return self.union.width
+def _record(
+    memo: dict[frozenset[Edge], _Union], instance: SteinerInstance, edges: frozenset[Edge]
+) -> _Union:
+    """The memo's record of ``edges``, made and stored on first meeting."""
+    found = memo.get(edges)
+    if found is None:
+        found = memo[edges] = _Union(instance, edges)
+    return found
 
 
 def greedy_steiner_union(
     instance: SteinerInstance,
     solutions: Sequence[SteinerSolution],
     width_cap: int,
-    memo: UnionMemo | None = None,
-) -> UnionSelection:
+    memo: dict[frozenset[Edge], _Union] | None = None,
+) -> tuple[tuple[int, ...], _Union]:
     """Greedily fold solutions into a union while its width stays in bounds.
 
+    Returns the indices that made it in and the record of their union.
     The first solution is always taken, unchecked (a tree eliminates at
     width 1, or 0 without edges); each later one joins only if the capped
     greedy elimination of the tentative union stays within ``width_cap``.
@@ -196,63 +215,19 @@ def greedy_steiner_union(
     if not solutions:
         raise ValidationError("cannot select from an empty pool")
     if memo is None:
-        memo = UnionMemo()
-    union = memo.union(instance, solutions[0].edges)
+        memo = {}
+    union = _record(memo, instance, solutions[0].edges)
     selected = [0]
     for i, tree in enumerate(solutions[1:], 1):
         edges = union.joined.get(tree.edges)
         if edges is None:
-            joined = memo.union(instance, union.edges | tree.edges)
+            joined = _record(memo, instance, union.edges | tree.edges)
             edges = union.joined[tree.edges] = joined.edges
-        tentative = memo.records[edges]
+        tentative = memo[edges]
         if tentative.within(width_cap):
             selected.append(i)
             union = tentative
-    return UnionSelection(tuple(selected), union.edges, union)
-
-
-def _solve_union(
-    instance: SteinerInstance,
-    union: _Union,
-    state_budget: int,
-    deadline: float | None = None,
-) -> SteinerSolution | None:
-    """Exact solve of the instance restricted to the union subgraph, or
-    None when the DP runs out of states.
-
-    The DP runs over the union's decomposition but against the host
-    instance: it reads only edge weights and terminals, which the union
-    shares with the host, and pruning over the host's edge ranks keeps the
-    same (w, u, v) order, so the tree is the one the union alone would give.
-
-    A union with one edge fewer than its vertices (the terminals and the
-    edges' endpoints) is a tree: pool trees span the terminals, so their
-    union is connected. Its optimum is its pruned subtree, the one
-    minimal subtree spanning the terminals, which every connected
-    terminal-spanning subgraph of it contains; the DP's own pruning strips
-    its result down to that subtree. So when ``state_budget`` is at least
-    ``tree_states_bound``, below which the DP might run out of states, the
-    tree is pruned directly and no graph, decomposition or DP is built.
-    Below that budget the DP runs as for any union.
-
-    A budget the union's record has seen returns the same answer, tree or
-    None, without a second DP. A deadline stop is not stored: its
-    DeadlineError propagates.
-    """
-    if state_budget in union.solved:
-        return union.solved[state_budget]
-    if union.is_tree and state_budget >= tree_states_bound(union.n_vertices):
-        tree = prune(instance, union.edges)
-    else:
-        graph = union.graph
-        td = decomposition_from_order(graph, union.elimination)
-        nice = make_nice(graph, td, min(instance.terminals))
-        try:
-            tree = dp_solve(instance, nice, state_budget=state_budget, deadline=deadline)
-        except CapacityError:
-            tree = None
-    union.solved[state_budget] = tree
-    return tree
+    return tuple(selected), union
 
 
 @dataclass(frozen=True)
@@ -282,7 +257,7 @@ def ranking_procedure(
     cfg: MergeConfig,
     state_budget: int = DEFAULT_STATE_BUDGET,
     deadline: float | None = None,
-    memo: UnionMemo | None = None,
+    memo: dict[frozenset[Edge], _Union] | None = None,
 ) -> RankingState:
     """Score pool members by the union optima they contribute to.
 
@@ -295,13 +270,14 @@ def ranking_procedure(
     the config asks for it.
 
     Small pools make most rounds pick a union an earlier round already
-    solved. ``memo`` (fresh when not given) answers those width checks and
-    solves from the earlier round; every round still logs its value, or
-    its skip, as if it had solved the union itself. A deadline that passes,
-    between rounds or inside a DP, ends the ranking.
+    solved. ``memo`` (fresh when not given) maps each union edge set met
+    so far to its record, whose width checks and solves answer the later
+    rounds; every round still logs its value, or its skip, and the width
+    its record reads, as if it had solved the union itself. A deadline
+    that passes, between rounds or inside a DP, ends the ranking.
     """
     if memo is None:
-        memo = UnionMemo()
+        memo = {}
     sols = pool.entries
     observed: dict[int, list[int]] = {i: [s.weight] for i, s in enumerate(sols)}
     incumbent: SteinerSolution | None = None
@@ -313,23 +289,23 @@ def ranking_procedure(
         rng = random.Random(_derive_seed(cfg.seed, _RANK_SALT + it))
         perm = list(range(len(sols)))
         rng.shuffle(perm)
-        selection = greedy_steiner_union(
+        selected, union = greedy_steiner_union(
             instance, [sols[p] for p in perm], cfg.rank_width, memo=memo
         )
-        chosen = tuple(sorted(perm[j] for j in selection.selected))
+        chosen = tuple(sorted(perm[j] for j in selected))
         try:
-            tree = _solve_union(instance, selection.union, state_budget, deadline)
+            tree = union.solve(state_budget, deadline)
         except DeadlineError:
             break
         if tree is None:
             skipped += 1
-            iterations.append(RankIteration(it, None, chosen, selection.width))
+            iterations.append(RankIteration(it, None, chosen, union.width))
             continue
         for i in chosen:
             observed[i].append(tree.weight)
         if incumbent is None or tree.weight < incumbent.weight:
             incumbent = tree
-        iterations.append(RankIteration(it, tree.weight, chosen, selection.width))
+        iterations.append(RankIteration(it, tree.weight, chosen, union.width))
     f_a = {i: Fraction(sum(zs), len(zs)) for i, zs in observed.items()}
     return RankingState(
         z={i: tuple(zs) for i, zs in observed.items()},
@@ -377,14 +353,15 @@ def run_smh(
     never worse than the best pool tree. A final-stage budget or deadline
     miss degrades gracefully to the other candidates and flags the report.
 
-    One ``UnionMemo`` serves the ranking rounds and the final pass and is
-    dropped on return. When the final union is one ranking already solved,
+    One memo of union records serves the ranking rounds and the final
+    pass and is dropped on return; the report's width is the final
+    union record's. When the final union is one ranking already solved,
     the final pass gets the same tree back and, as the final-dp result,
     wins the tie with the ranking incumbent.
     """
     if not pool.entries:
         raise ValidationError("merge needs a nonempty pool")
-    memo = UnionMemo()
+    memo: dict[frozenset[Edge], _Union] = {}
     t_rank = time.monotonic()
     ranking = ranking_procedure(instance, pool, cfg, state_budget, deadline, memo)
     rank_seconds = time.monotonic() - t_rank
@@ -394,7 +371,7 @@ def run_smh(
         range(len(sols)), key=lambda i: (ranking.f_a[i], sols[i].weight, i)
     )
     t_final = time.monotonic()
-    selection = greedy_steiner_union(
+    selected, union = greedy_steiner_union(
         instance, [sols[i] for i in order], cfg.final_width, memo=memo
     )
     final_tree: SteinerSolution | None = None
@@ -402,7 +379,7 @@ def run_smh(
     timed_out = deadline is not None and time.monotonic() > deadline
     if not timed_out:
         try:
-            final_tree = _solve_union(instance, selection.union, state_budget, deadline)
+            final_tree = union.solve(state_budget, deadline)
         except DeadlineError:
             timed_out = True
         else:
@@ -426,8 +403,8 @@ def run_smh(
         solution=solution,
         weight=weight,
         source=source,
-        trees_used=len(selection.selected),
-        union_width=selection.width,
+        trees_used=len(selected),
+        union_width=union.width,
         ranking=ranking,
         capacity_fallback=capacity_fallback,
         timed_out=timed_out,

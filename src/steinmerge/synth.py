@@ -72,17 +72,11 @@ def dense_instance(
 def tree_instance(
     seed: int, n_vertices: int, n_terminals: int, max_weight: int = 100
 ) -> SteinerInstance:
-    """Random tree (every vertex degree-bounded only by chance)."""
-    rng = random.Random(seed)
-    verts = list(range(n_vertices))
-    rng.shuffle(verts)
-    weights: dict[Edge, int] = {}
-    for i in range(1, n_vertices):
-        u, v = verts[rng.randrange(i)], verts[i]
-        weights[edge_key(u, v)] = rng.randint(1, max_weight)
-    graph = WeightedGraph(frozenset(range(n_vertices)), weights)
-    terms = _pick_terminals(rng, graph.vertices, n_terminals)
-    return SteinerInstance.create(graph, terms, f"tree-{seed}")
+    """Random tree (every vertex degree-bounded only by chance): the
+    spanning tree of ``random_connected_instance``, with no extra edge."""
+    return random_connected_instance(
+        seed, n_vertices, n_vertices - 1, n_terminals, max_weight, name=f"tree-{seed}"
+    )
 
 
 def cycle_instance(n_vertices: int, n_terminals: int = 2, max_weight: int = 10, seed: int = 0) -> SteinerInstance:

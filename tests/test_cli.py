@@ -288,6 +288,21 @@ class TestInputChecks:
         assert main(argv) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "generate", "bench"])
+    def test_weight_beyond_64_bits_is_a_parse_error(self, tmp_path, capsys, command):
+        # a weight too large for a float stops at the parser, not in generation
+        bad = tmp_path / "huge.stp"
+        bad.write_text(write_stp(four_cycle()).replace("E 1 4 10", f"E 1 4 {10**400}"))
+        argv = {
+            "solve": ["solve", str(bad)],
+            "generate": ["generate", str(bad), "--pool", "1", "--grasp-iters", "1"],
+            "bench": ["bench", str(tmp_path)],
+        }[command]
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("command", ["solve", "generate", "merge", "bench"])
     def test_jobs_below_one_rejected(self, stp, tmp_path, capsys, monkeypatch, command, jobs):

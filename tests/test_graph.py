@@ -68,6 +68,11 @@ class TestWeightedGraph:
         with pytest.raises(ValidationError):
             WeightedGraph.build([0, 1], [(0, 1, -1)])
 
+    def test_weight_beyond_64_bits_rejected(self):
+        assert WeightedGraph.build([0, 1], [(0, 1, 2**63 - 1)]).weight(0, 1) == 2**63 - 1
+        with pytest.raises(ValidationError, match="exceeds"):
+            WeightedGraph.build([0, 1], [(0, 1, 2**63)])
+
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(ValidationError):
             WeightedGraph.build([0, 1], [(0, 1, 2), (1, 0, 3)])
@@ -204,6 +209,12 @@ class TestStpFormat:
         bad = SAMPLE.replace(line, f"{key} 9\n{line}")
         with pytest.raises(ParseError, match=rf"line \d+: second {key} line"):
             parse_stp(bad)
+
+    def test_weight_bound_is_the_largest_signed_64_bit_integer(self):
+        top = parse_stp(SAMPLE.replace("E 1 4 10", f"E 1 4 {2**63 - 1}"))
+        assert top.graph.weight(0, 3) == 2**63 - 1
+        with pytest.raises(ParseError, match=r"weight \d+ on edge \(1, 4\) exceeds"):
+            parse_stp(SAMPLE.replace("E 1 4 10", f"E 1 4 {2**63}"))
 
     def test_huge_node_count_is_rejected_before_allocation(self):
         with pytest.raises(ValidationError, match="cannot connect"):

@@ -15,7 +15,6 @@ from steinmerge import (
     MergeConfig,
     SteinerInstance,
     SteinerSolution,
-    UnionMemo,
     ValidationError,
     WeightedGraph,
     decomposition_from_order,
@@ -75,23 +74,23 @@ class TestGreedyUnion:
     def test_identical_trees_all_join(self):
         inst = star_instance()
         tree = solution_of(inst, [(0, 3), (1, 3), (2, 3)])
-        sel = greedy_steiner_union(inst, [tree, tree, tree], 1)
-        assert sel.selected == (0, 1, 2)
-        assert sel.width == 1
+        selected, union = greedy_steiner_union(inst, [tree, tree, tree], 1)
+        assert selected == (0, 1, 2)
+        assert union.width == 1
 
     def test_first_tree_unconditional(self):
         inst = star_instance()
         tree = solution_of(inst, [(0, 3), (1, 3), (2, 3)])
         # width cap below 1 still admits the seed tree
-        sel = greedy_steiner_union(inst, [tree], 0)
-        assert sel.selected == (0,)
+        selected, _ = greedy_steiner_union(inst, [tree], 0)
+        assert selected == (0,)
 
     def test_cap_blocks_widening_union(self):
         inst = k4_instance()
         t1 = solution_of(inst, [(0, 1), (1, 2), (2, 3)])
         t2 = solution_of(inst, [(0, 2), (0, 3), (1, 3)])
-        sel = greedy_steiner_union(inst, [t1, t2], 2)
-        assert sel.selected == (0,)
+        selected, _ = greedy_steiner_union(inst, [t1, t2], 2)
+        assert selected == (0,)
         # the rejection was real: the two trees together fill out K4
         assert greedy_degree(inst.graph).width == 3
 
@@ -99,23 +98,23 @@ class TestGreedyUnion:
         inst = k4_instance()
         t1 = solution_of(inst, [(0, 1), (1, 2), (2, 3)])
         t2 = solution_of(inst, [(0, 2), (0, 3), (1, 3)])
-        sel = greedy_steiner_union(inst, [t1, t2], 3)
-        assert sel.selected == (0, 1)
-        assert sel.width == 3
+        selected, union = greedy_steiner_union(inst, [t1, t2], 3)
+        assert selected == (0, 1)
+        assert union.width == 3
 
     def test_union_keeps_original_weights(self):
         inst = star_instance()
         t1 = solution_of(inst, [(0, 3), (1, 3), (1, 2)])
         t2 = solution_of(inst, [(1, 3), (2, 3), (0, 1)])
-        sel = greedy_steiner_union(inst, [t1, t2], 4)
-        for e, w in sel.union.graph.weights.items():
+        _, union = greedy_steiner_union(inst, [t1, t2], 4)
+        for e, w in union.graph.weights.items():
             assert inst.graph.weights[e] == w
 
     def test_union_includes_all_terminals(self):
         # a single-vertex tree brings no edges, the terminal still shows up
         inst = build_instance([(0, 1, 2)], [0])
-        sel = greedy_steiner_union(inst, [solution_of(inst, [])], 2)
-        assert 0 in sel.union.graph.vertices
+        _, union = greedy_steiner_union(inst, [solution_of(inst, [])], 2)
+        assert 0 in union.graph.vertices
 
 
 class TestRanking:
@@ -336,6 +335,12 @@ def count_calls(monkeypatch, name, key):
     return seen
 
 
+def outcome(selection):
+    """A selection's indices and union edge set, comparable across memos."""
+    selected, union = selection
+    return selected, union.edges
+
+
 class TestUnionMemo:
     def test_one_solve_and_one_width_check_per_distinct_key(self, monkeypatch):
         inst, pool = repeating_pool()
@@ -390,27 +395,27 @@ class TestUnionMemo:
     def test_memo_changes_no_result(self):
         inst, pool = repeating_pool()
         sols = pool.entries
-        memo = UnionMemo()
+        memo = {}
         for perm in ([0, 1, 2, 3, 4], [4, 2, 0, 1, 3], [0, 1, 2, 3, 4]):
             trees = [sols[p] for p in perm]
             for cap in (1, 2, 3):
-                plain = greedy_steiner_union(inst, trees, cap)
-                assert greedy_steiner_union(inst, trees, cap, memo=memo) == plain
+                plain = outcome(greedy_steiner_union(inst, trees, cap))
+                assert outcome(greedy_steiner_union(inst, trees, cap, memo=memo)) == plain
 
     def test_accepted_union_answers_every_cap(self, monkeypatch):
         inst = k4_instance()
         t1 = solution_of(inst, [(0, 1), (1, 2), (2, 3)])
         t2 = solution_of(inst, [(0, 2), (0, 3), (1, 3)])
         caps = (3, 5, 4, 2, 1, 3)
-        plain = [greedy_steiner_union(inst, [t1, t2], cap) for cap in caps]
+        plain = [outcome(greedy_steiner_union(inst, [t1, t2], cap)) for cap in caps]
         checks = count_calls(monkeypatch, "greedy_degree_capped", lambda a, k: a[1])
-        memo = UnionMemo()
-        got = [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps]
+        memo = {}
+        got = [outcome(greedy_steiner_union(inst, [t1, t2], cap, memo=memo)) for cap in caps]
         assert got == plain
         # K4 is accepted at cap 3 with width 3; that order answers the
         # caps above and rejects the caps below
         assert checks == [3]
-        assert [sel.selected for sel in got] == [(0, 1)] * 3 + [(0,)] * 2 + [(0, 1)]
+        assert [selected for selected, _ in got] == [(0, 1)] * 3 + [(0,)] * 2 + [(0, 1)]
 
     def test_rejected_union_answers_every_cap_below_its_breaking_degree(
         self, monkeypatch
@@ -420,19 +425,39 @@ class TestUnionMemo:
         t2 = solution_of(inst, [(0, 2), (0, 3), (1, 3)])
         union = t1.edges | t2.edges
         caps = (1, 0, 2, 1, 3, 2)
-        plain = [greedy_steiner_union(inst, [t1, t2], cap) for cap in caps]
+        plain = [outcome(greedy_steiner_union(inst, [t1, t2], cap)) for cap in caps]
         checks = count_calls(monkeypatch, "greedy_degree_capped", lambda a, k: a[1])
-        memo = UnionMemo()
-        got = [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps[:4]]
+        memo = {}
+        got = [
+            outcome(greedy_steiner_union(inst, [t1, t2], cap, memo=memo)) for cap in caps[:4]
+        ]
         # every vertex of K4 has degree 3, so cap 1 breaks at degree 3 and
         # that answers caps 0 and 2 as well
-        assert memo.records[union].verdict == EliminationOrder(None, 3)
+        assert memo[union].verdict == EliminationOrder(None, 3)
         assert checks == [1]
         # cap 3 reaches the breaking degree: one more elimination, accepted
-        got += [greedy_steiner_union(inst, [t1, t2], cap, memo=memo) for cap in caps[4:]]
+        got += [
+            outcome(greedy_steiner_union(inst, [t1, t2], cap, memo=memo)) for cap in caps[4:]
+        ]
         assert checks == [1, 3]
         assert got == plain
-        assert [sel.selected for sel in got] == [(0,)] * 4 + [(0, 1), (0,)]
+        assert [selected for selected, _ in got] == [(0,)] * 4 + [(0, 1), (0,)]
+
+    def test_one_union_reached_twice_is_one_record(self):
+        # two orders, and two selections of one order, give one edge set
+        inst = k4_instance()
+        t1 = solution_of(inst, [(0, 1), (1, 2), (2, 3)])
+        t2 = solution_of(inst, [(0, 2), (0, 3), (1, 3)])
+        memo = {}
+        first = greedy_steiner_union(inst, [t1, t2], 3, memo=memo)
+        swapped = greedy_steiner_union(inst, [t2, t1], 3, memo=memo)
+        again = greedy_steiner_union(inst, [t1, t2], 3, memo=memo)
+        assert first[0] == swapped[0] == again[0] == (0, 1)
+        assert swapped[1] is first[1]
+        assert again[1] is first[1]
+        assert memo[t1.edges | t2.edges] is first[1]
+        # a fresh memo makes a record of its own for the same edge set
+        assert greedy_steiner_union(inst, [t1, t2], 3)[1] is not first[1]
 
     def test_repeated_union_of_the_same_trees_builds_no_edge_set(self):
         inst, pool = repeating_pool()
@@ -444,7 +469,7 @@ class TestUnionMemo:
                 return CountingEdges(frozenset.__or__(self, other))
 
         trees = [SteinerSolution(CountingEdges(s.edges), s.weight) for s in pool.entries]
-        memo = UnionMemo()
+        memo = {}
         first = greedy_steiner_union(inst, trees, 2, memo=memo)
         built = len(unions)
         assert built == len(trees) - 1
@@ -453,7 +478,7 @@ class TestUnionMemo:
         again = greedy_steiner_union(inst, trees, 2, memo=memo)
         assert len(unions) == built
         assert again == first
-        assert again == greedy_steiner_union(inst, trees, 2)
+        assert outcome(again) == outcome(greedy_steiner_union(inst, trees, 2))
 
     def test_a_dropped_memo_is_freed_without_the_collector(self):
         # a tree whose edges lie inside the union it is tried with must not
@@ -463,7 +488,7 @@ class TestUnionMemo:
         gc.collect()
         gc.disable()
         try:
-            memo = UnionMemo()
+            memo = {}
             for _ in range(2):
                 greedy_steiner_union(inst, [sols[0], sols[1], sols[0]], 8, memo=memo)
             del memo
@@ -482,26 +507,26 @@ class TestUnionMemo:
             for _ in range(rng.randint(1, 3)):
                 weights = {e: rng.random() for e in inst.graph.weights}
                 trees.append(prune(inst, spanning_tree(inst, weights)))
-            sel = greedy_steiner_union(inst, trees, 6)
-            td = decomposition_from_order(sel.union.graph, sel.union.elimination)
-            nice = make_nice(sel.union.graph, td, min(inst.terminals))
+            _, union = greedy_steiner_union(inst, trees, 6)
+            td = decomposition_from_order(union.graph, union.elimination)
+            nice = make_nice(union.graph, td, min(inst.terminals))
             on_host = exact.dp_solve(inst, nice)
             # the union as an instance of its own, relabelled monotonically
             # onto 0..k-1, whose elimination is the same order mapped across
-            union_graph, ids = compacted(sel.union.graph)
+            union_graph, ids = compacted(union.graph)
             label = {v: i for i, v in enumerate(ids)}
             union_instance = SteinerInstance.create(
                 union_graph, [label[t] for t in inst.terminals]
             )
             union_order = greedy_degree(union_graph)
-            order = sel.union.elimination.order
+            order = union.elimination.order
             assert union_order.order == tuple(label[v] for v in order)
             union_td = decomposition_from_order(union_graph, union_order)
             union_nice = make_nice(union_graph, union_td, label[min(inst.terminals)])
             on_union = exact.dp_solve(union_instance, union_nice)
             back = [(ids[a], ids[b]) for a, b in on_union.edges]
             assert on_host == SteinerSolution.from_edges(inst.graph, back)
-            assert on_host == merge._solve_union(inst, sel.union, 1 << 20)
+            assert on_host == union.solve(1 << 20)
 
     def test_repeated_capacity_miss_is_skipped_every_round(self, monkeypatch):
         inst, pool = repeating_pool()
@@ -523,10 +548,10 @@ class TestUnionMemo:
     def test_memo_hit_returns_none_again_and_runs_no_second_dp(self, monkeypatch):
         inst, pool = repeating_pool()
         solves = count_calls(monkeypatch, "dp_solve", lambda a, k: k["state_budget"])
-        sel = greedy_steiner_union(inst, pool.entries, 2)
-        assert [merge._solve_union(inst, sel.union, 1) for _ in range(2)] == [None, None]
+        _, union = greedy_steiner_union(inst, pool.entries, 2)
+        assert [union.solve(1) for _ in range(2)] == [None, None]
         assert solves == [1]
-        assert sel.union.solved == {1: None}
+        assert union.solved == {1: None}
 
 
 def rounds_solved_afresh(instance, pool, cfg, state_budget):
@@ -541,15 +566,15 @@ def rounds_solved_afresh(instance, pool, cfg, state_budget):
         rng = random.Random(_derive_seed(cfg.seed, merge._RANK_SALT + it))
         perm = list(range(len(sols)))
         rng.shuffle(perm)
-        sel = greedy_steiner_union(
-            instance, [sols[p] for p in perm], cfg.rank_width, memo=UnionMemo()
+        selected, union = greedy_steiner_union(
+            instance, [sols[p] for p in perm], cfg.rank_width, memo={}
         )
-        tree = merge._solve_union(instance, sel.union, state_budget)
+        tree = union.solve(state_budget)
         value = None if tree is None else tree.weight
         misses += tree is None
-        trees += sel.union.is_tree
-        chosen = tuple(sorted(perm[j] for j in sel.selected))
-        rounds.append(RankIteration(it, value, chosen, sel.width))
+        trees += union.is_tree
+        chosen = tuple(sorted(perm[j] for j in selected))
+        rounds.append(RankIteration(it, value, chosen, union.width))
     return rounds, misses, trees
 
 
@@ -620,10 +645,10 @@ def tree_unions():
     return cases
 
 
-def dp_on_union(instance, selection, **kwargs):
+def dp_on_union(instance, union, **kwargs):
     """The DP over the union's decomposition; None when it runs out of states."""
-    graph = selection.union.graph
-    td = decomposition_from_order(graph, selection.union.elimination)
+    graph = union.graph
+    td = decomposition_from_order(graph, union.elimination)
     nice = make_nice(graph, td, min(instance.terminals))
     try:
         return exact.dp_solve(instance, nice, **kwargs)
@@ -635,46 +660,46 @@ class TestTreeUnion:
     def test_tree_union_gives_the_dp_tree_without_a_dp(self, monkeypatch):
         solves = count_calls(monkeypatch, "dp_solve", lambda a, k: None)
         for inst, trees in tree_unions():
-            sel = greedy_steiner_union(inst, trees, 1)
-            assert len(sel.selected) == len(trees)
-            assert sel.width == min(len(sel.edges), 1)
-            got = merge._solve_union(inst, sel.union, DEFAULT_STATE_BUDGET)
-            assert got == dp_on_union(inst, sel)
+            selected, union = greedy_steiner_union(inst, trees, 1)
+            assert len(selected) == len(trees)
+            assert union.width == min(len(union.edges), 1)
+            got = union.solve(DEFAULT_STATE_BUDGET)
+            assert got == dp_on_union(inst, union)
         assert solves == []
 
     def test_dp_runs_below_the_bound_and_not_from_it(self, monkeypatch):
         solves = count_calls(monkeypatch, "dp_solve", lambda a, k: k["state_budget"])
         for inst, trees in tree_unions()[::5]:
-            sel = greedy_steiner_union(inst, trees, 1)
-            bound = tree_states_bound(sel.union.graph.n_vertices)
+            _, union = greedy_steiner_union(inst, trees, 1)
+            bound = tree_states_bound(union.graph.n_vertices)
             # the smallest budget the DP completes within
             lo, hi = 1, bound
             while lo < hi:
                 mid = (lo + hi) // 2
-                if dp_on_union(inst, sel, state_budget=mid) is None:
+                if dp_on_union(inst, union, state_budget=mid) is None:
                     lo = mid + 1
                 else:
                     hi = mid
             below = sorted({b for b in (1, 8, 64, lo - 1, lo, bound - 1) if b > 0})
             for budget in below:
                 del solves[:]
-                got = merge._solve_union(inst, sel.union, budget)
-                assert got == dp_on_union(inst, sel, state_budget=budget)
+                got = union.solve(budget)
+                assert got == dp_on_union(inst, union, state_budget=budget)
                 assert (got is None) == (budget < lo)
                 assert solves == [budget]
             for budget in (bound, bound + 1):
                 del solves[:]
-                got = merge._solve_union(inst, sel.union, budget)
-                assert got == dp_on_union(inst, sel, state_budget=budget)
+                got = union.solve(budget)
+                assert got == dp_on_union(inst, union, state_budget=budget)
                 assert isinstance(got, SteinerSolution)
                 assert solves == []
 
     def test_dp_on_a_tree_union_stays_within_the_bound(self):
         for inst, trees in tree_unions():
-            sel = greedy_steiner_union(inst, trees, 1)
-            n = sel.union.graph.n_vertices
-            td = decomposition_from_order(sel.union.graph, sel.union.elimination)
-            nice = make_nice(sel.union.graph, td, min(inst.terminals))
+            _, union = greedy_steiner_union(inst, trees, 1)
+            n = union.graph.n_vertices
+            td = decomposition_from_order(union.graph, union.elimination)
+            nice = make_nice(union.graph, td, min(inst.terminals))
             stats = []
             exact.dp_solve(inst, nice, state_budget=tree_states_bound(n), stats=stats)
             # the figures the bound is derived from
@@ -685,15 +710,15 @@ class TestTreeUnion:
     def test_lone_tree_is_eliminated_only_when_its_order_is_read(self, monkeypatch):
         checks = count_calls(monkeypatch, "greedy_degree", lambda a, k: a[0])
         for inst, trees in tree_unions():
-            memo = UnionMemo()
-            sel = greedy_steiner_union(inst, trees[:1], 1, memo=memo)
-            assert sel.selected == (0,)
-            order = greedy_degree(sel.union.graph)
-            assert sel.width == order.width
+            memo = {}
+            selected, union = greedy_steiner_union(inst, trees[:1], 1, memo=memo)
+            assert selected == (0,)
+            order = greedy_degree(union.graph)
+            assert union.width == order.width
             assert checks == []
-            assert memo.records[sel.edges].verdict is None
-            assert sel.union.elimination == order
-            assert memo.records[sel.edges].verdict is sel.union.elimination
+            assert memo[union.edges].verdict is None
+            assert union.elimination == order
+            assert memo[union.edges].verdict is union.elimination
             assert len(checks) == 1
             del checks[:]
 
@@ -714,13 +739,13 @@ class TestDeadlineInsideTheDp:
     def test_expiry_ends_ranking_and_is_not_memoized(self, monkeypatch):
         inst, pool = repeating_pool()
         cfg = MergeConfig(final_width=2, rank_width=2, rank_iterations=4, seed=3)
-        memo = UnionMemo()
+        memo = {}
         far = 1e18  # never reached by the real clock between rounds
         expiring_clock(monkeypatch, 3)
         stopped = ranking_procedure(inst, pool, cfg, deadline=far, memo=memo)
         assert stopped.iterations == ()
         assert stopped.skipped == 0
-        assert [u.solved for u in memo.records.values()] == [{}] * len(memo.records)
+        assert [u.solved for u in memo.values()] == [{}] * len(memo)
         # with time left, the same memo solves round 0 as a fresh run does
         monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
         resumed = ranking_procedure(inst, pool, cfg, deadline=far, memo=memo)

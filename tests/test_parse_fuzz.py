@@ -196,7 +196,8 @@ _NAME_RE = re.compile(r'^name\s+"?([^"]*)"?\s*$', re.IGNORECASE)
 
 
 def reference_parse_stp(text, name=""):
-    """parse_stp as it was with nested section loops, checking connectivity by DFS."""
+    """parse_stp as it was with nested section loops, checking connectivity by
+    DFS, with the 64-bit weight bound added."""
     lines = text.splitlines()
     pos = 0
 
@@ -317,6 +318,8 @@ def reference_parse_stp(text, name=""):
             raise ParseError(f"edge ({u}, {v}) endpoint out of range 1..{n_nodes}")
         if w < 0:
             raise ParseError(f"negative weight {w} on edge ({u}, {v})")
+        if w > 2**63 - 1:
+            raise ParseError(f"weight {w} on edge ({u}, {v}) exceeds {2**63 - 1}")
         if u == v:
             continue
         e = edge_key(u - 1, v - 1)
