@@ -574,8 +574,6 @@ def _run_pipeline(
         instance, pool, pipeline.merge,
         state_budget=pipeline.state_budget, deadline=deadline,
     )
-    if deadline is not None and time.monotonic() > deadline and not report.timed_out:
-        report.timed_out = True
     return report, gen_seconds
 
 

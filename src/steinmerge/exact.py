@@ -54,6 +54,10 @@ class DeadlineError(SteinerError):
 # 6.7M states, stored plus predicted.
 DEFAULT_STATE_BUDGET = 1 << 23
 DW_TERMINAL_CAP = 12
+# A Dreyfus-Wagner cell (value plus backref) costs about 46 bytes: peak RSS
+# 110.6 MB against 16.9 MB before one call of 2,047 x 1,000 cells. So 2^26
+# cells hold about 3 GB, as the state budget does.
+DW_CELL_BUDGET = 1 << 26
 
 
 @lru_cache(maxsize=None)
@@ -282,10 +286,12 @@ def dreyfus_wagner(
     """Optimal Steiner tree by the terminal-subset dynamic program.
 
     Cost grows with 3^|Q|, so the call refuses terminal sets larger than
-    ``terminal_cap``. Intended for cross-checking other solvers at test
-    scale, not for production runs. Every terminal-subset row is one
-    ``kernels.dijkstra_multi`` call: a singleton's row is seeded at its
-    terminal, a larger row at each vertex's best split of the subset.
+    ``terminal_cap``, and, before building it, a table (2^(|Q|-1) - 1 rows
+    of one cell per vertex) above ``DW_CELL_BUDGET`` cells. Intended for
+    cross-checking other solvers at test scale, not for production runs.
+    Every terminal-subset row is one ``kernels.dijkstra_multi`` call: a
+    singleton's row is seeded at its terminal, a larger row at each
+    vertex's best split of the subset.
     """
     q = sorted(instance.terminals)
     k = len(q)
@@ -300,6 +306,8 @@ def dreyfus_wagner(
     base = q[:-1]
     root = q[-1]
     full = (1 << len(base)) - 1
+    if full * n > DW_CELL_BUDGET:
+        raise CapacityError(f"oracle table of {full} x {n} cells exceeds {DW_CELL_BUDGET} cells")
     inf = float("inf")
 
     # back[mask][v] is the split ``sub`` of mask that set v's value,

@@ -120,15 +120,16 @@ def sph_construct(
     start: int,
     rng: random.Random,
     deadline: float | None = None,
-) -> SteinerSolution | None:
+) -> SteinerSolution:
     """Shortest-path construction heuristic.
 
     Starting from one terminal, repeatedly attach the terminal nearest to
     the current tree (under ``weights``, one per CSR slot, or the graph's
     own weights when None) along a shortest path; distance ties are broken
-    by ``rng``. The result is pruned and weighted under the instance's
-    original weights. Returns None when ``deadline`` (a monotonic-clock
-    timestamp) has passed before a terminal is attached.
+    by ``rng``. Once ``deadline`` (a monotonic-clock timestamp), read after
+    each search, has passed, every remaining terminal joins along that
+    search's predecessor paths, a forest rooted in the tree. The result is
+    pruned and weighted under the instance's original weights.
     """
     terms = instance.terminals
     if start not in terms:
@@ -143,20 +144,21 @@ def sph_construct(
     edges: set[Edge] = set()
     remaining = terms - tree
     while remaining:
-        if deadline is not None and time.monotonic() > deadline:
-            return None
         dist, pred = kernels.dijkstra_multi(
             indptr, nbr, wlist, [(0, s) for s in tree], n
         )
-        best = min(dist[t] for t in remaining)
-        candidates = sorted(t for t in remaining if dist[t] == best)
-        target = candidates[0] if len(candidates) == 1 else rng.choice(candidates)
-        cur = target
-        while cur not in tree:
-            p = pred[cur]
-            edges.add(edge_key(cur, p))
-            tree.add(cur)
-            cur = p
+        if deadline is not None and time.monotonic() > deadline:
+            targets = sorted(remaining)
+        else:
+            best = min(dist[t] for t in remaining)
+            candidates = sorted(t for t in remaining if dist[t] == best)
+            targets = [candidates[0] if len(candidates) == 1 else rng.choice(candidates)]
+        for cur in targets:
+            while cur not in tree:
+                p = pred[cur]
+                edges.add(edge_key(cur, p))
+                tree.add(cur)
+                cur = p
         remaining -= tree
     return prune(instance, edges)
 
@@ -620,25 +622,19 @@ def _one_run(
     memo: Optima,
     run: int,
 ) -> SteinerSolution | None:
-    """Run ``run``'s restarts and return their best tree; None if the
-    deadline cut the first one short.
-
-    Run 0 ignores the deadline until it holds a tree, so a pool is never
-    empty: its first restart always completes, and it starts no other
-    once the deadline has passed.
+    """Run ``run``'s restarts and return their best tree, or None if none
+    started. Only run 0's first restart starts past the deadline, so a pool
+    is never empty; a restart the deadline cuts short still returns its tree.
     """
     rng = random.Random(_derive_seed(cfg.seed, run))
     best: SteinerSolution | None = None
-    for _ in range(cfg.iterations_per_run):
-        limit = None if run == 0 and best is None else deadline
-        if limit is not None and time.monotonic() > limit:
+    for restart in range(cfg.iterations_per_run):
+        if (run or restart) and deadline is not None and time.monotonic() > deadline:
             break
         weights = _perturbed_weights(instance, cfg.perturbation_strength, rng)
         start = rng.choice(sorted(instance.terminals))
-        built = sph_construct(instance, weights, start, rng, limit)
-        if built is None:
-            break
-        sol = local_search(instance, built, rng, limit, memo)
+        built = sph_construct(instance, weights, start, rng, deadline)
+        sol = local_search(instance, built, rng, deadline, memo)
         if best is None or sol.weight < best.weight:
             best = sol
     return best
@@ -656,10 +652,8 @@ def generate_pool(
     edge set an earlier run gave is dropped. A pure function of (instance,
     cfg): every run draws from its own derived seed, so the worker count
     never changes the result. ``deadline`` (a monotonic-clock
-    timestamp) cuts the build short. Run 0 ignores it until its first
-    restart has finished a tree, so the pool is never empty, and starts
-    no further restart once it has passed; any other run whose first
-    construction the deadline cuts short adds nothing.
+    timestamp) cuts the build short: no restart but run 0's first starts
+    once it has passed, so the pool is never empty.
 
     The runs share one ``local_search`` memo of certified local optima and
     insertion and deletion verdicts, which changes no rng draw; a worker
@@ -707,8 +701,7 @@ def read_pool(text: str, instance: SteinerInstance) -> SolutionPool:
     if header is None or header[:2] != (1, _POOL_MAGIC):
         raise ParseError("missing pool header line")
     vertices, weights = instance.graph.vertices, instance.graph.weights
-    entries: list[SteinerSolution] = []
-    seen: set[frozenset[Edge]] = set()
+    first: dict[frozenset[Edge], SteinerSolution] = {}
     for lineno, _, toks in records:
         if toks[0] != "tree" or len(toks) % 2 != 0:
             raise ParseError(f"line {lineno}: malformed tree line")
@@ -740,9 +733,7 @@ def read_pool(text: str, instance: SteinerInstance) -> SolutionPool:
         problems = solution_violations(instance, sol)
         if problems:
             raise ValidationError(f"line {lineno}: {problems[0]}")
-        if sol.edges not in seen:
-            seen.add(sol.edges)
-            entries.append(sol)
-    if not entries:
+        first.setdefault(sol.edges, sol)
+    if not first:
         raise ParseError("pool file contains no trees")
-    return SolutionPool(entries)
+    return SolutionPool(list(first.values()))

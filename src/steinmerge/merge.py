@@ -38,7 +38,6 @@ from .graph import (
 from .treewidth import (
     EliminationOrder,
     decomposition_from_order,
-    greedy_degree,
     greedy_degree_capped,
     make_nice,
 )
@@ -127,10 +126,9 @@ class _Union:
 
         A union of several trees passed a width check that left its
         elimination in ``verdict``. A lone tree is taken unchecked, so it is
-        eliminated only when something reads it.
+        eliminated only when read, at a cap no vertex's degree can exceed.
         """
-        if self.verdict is None or self.verdict.exceeded:
-            self.verdict = greedy_degree(self.graph)
+        self.within(self.n_vertices)
         return self.verdict
 
     @property
@@ -351,7 +349,8 @@ def run_smh(
     The returned tree is the minimum over the final union's optimum, the
     ranking incumbent (when kept), and the best raw pool member, so it is
     never worse than the best pool tree. A final-stage budget or deadline
-    miss degrades gracefully to the other candidates and flags the report.
+    miss degrades gracefully to the other candidates and flags the report,
+    as does a deadline passed by the end of the final pass.
 
     One memo of union records serves the ranking rounds and the final
     pass and is dropped on return; the report's width is the final
@@ -385,6 +384,7 @@ def run_smh(
         else:
             capacity_fallback = final_tree is None
     final_seconds = time.monotonic() - t_final
+    timed_out = timed_out or (deadline is not None and time.monotonic() > deadline)
 
     best_idx = pool.best_index()
     candidates: list[tuple[int, int, SteinerSolution, str]] = [

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import random
+import time
 from itertools import combinations
 
-from steinmerge import SteinerInstance, SteinerSolution, WeightedGraph, kernels
+from steinmerge import SteinerInstance, SteinerSolution, WeightedGraph, kernels, merge
 from steinmerge.synth import random_connected_instance
 
 
@@ -141,3 +142,17 @@ def in_process_pool(monkeypatch):
     # parallel_map imports the name from the package each time it runs
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return built
+
+
+def late_union_solves(monkeypatch):
+    """Hold every clock at 0.0 until a union solve returns, then at 9.0."""
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    real = merge._Union.solve
+
+    def solve(self, *args):
+        tree = real(self, *args)
+        now[0] = 9.0
+        return tree
+
+    monkeypatch.setattr(merge._Union, "solve", solve)

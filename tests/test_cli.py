@@ -22,7 +22,7 @@ from steinmerge import (
     write_td,
 )
 import steinmerge
-from steinmerge import cli, generate_pool
+from steinmerge import GeneratorConfig, cli, exact, generate_pool, kernels, write_pool
 from steinmerge.cli import (
     BENCH_COLUMNS,
     EXIT_CAPACITY,
@@ -39,7 +39,7 @@ from steinmerge.cli import (
 )
 from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance
 
-from helpers import build_instance, four_cycle, in_process_pool
+from helpers import build_instance, four_cycle, in_process_pool, late_union_solves
 
 
 @pytest.fixture()
@@ -477,6 +477,38 @@ class TestOracleCommand:
         garbage.write_text("not an instance\n")
         assert main(["oracle", str(garbage)]) == EXIT_PARSE
         assert "--oracle-cap (SMH_ORACLE_CAP) must be at least 1" in capsys.readouterr().err
+
+    def test_table_above_the_cell_budget_is_refused(self, stp, capsys, monkeypatch):
+        # 6 terminals: 31 subset rows of 40 cells, refused before any row
+        path = stp(sparse_instance(11, 40, 6))
+        monkeypatch.setattr(exact, "DW_CELL_BUDGET", 31 * 40 - 1)
+
+        def search(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(kernels, "dijkstra_multi", search)
+        assert main(["oracle", path]) == EXIT_CAPACITY
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "capacity: oracle table of 31 x 40 cells exceeds 1239 cells\n"
+
+
+@pytest.mark.parametrize("command", ["merge", "solve"])
+def test_deadline_passing_in_the_final_pass_exits_timeout(
+    stp, tmp_path, capsys, monkeypatch, command
+):
+    # the final DP finishes after the limit: merge reports and exits as
+    # solve does
+    inst = sparse_instance(7, 30, 5)
+    path = stp(inst)
+    pool_path = tmp_path / "pool.txt"
+    pool = generate_pool(inst, GeneratorConfig(pool_size=3, iterations_per_run=1))
+    pool_path.write_text(write_pool(pool))
+    late_union_solves(monkeypatch)
+    argv = [command, path] + ([str(pool_path)] if command == "merge" else ["--pool", "3"])
+    code = main(argv + ["--rank-iters", "0", "--time-limit", "5", "--format", "json"])
+    assert code == EXIT_TIMEOUT
+    assert json.loads(capsys.readouterr().out)["timed_out"] is True
 
 
 class TestValidateTdCommand:

@@ -117,6 +117,26 @@ class TestDreyfusWagner:
             dreyfus_wagner(inst)
         dreyfus_wagner(inst, terminal_cap=DW_TERMINAL_CAP + 1)
 
+    def test_cell_budget_refuses_before_any_row(self, monkeypatch):
+        # 6 terminals on 40 vertices: 31 subset rows of 40 cells
+        inst = sparse_instance(0, 40, 6)
+        expected = reference_dreyfus_wagner(inst)
+        searches = []
+        real = kernels.dijkstra_multi
+
+        def recording(*args):
+            searches.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "dijkstra_multi", recording)
+        monkeypatch.setattr(exact, "DW_CELL_BUDGET", 31 * 40 - 1)
+        with pytest.raises(CapacityError, match="31 x 40 cells"):
+            dreyfus_wagner(inst)
+        assert searches == []
+        monkeypatch.setattr(exact, "DW_CELL_BUDGET", 31 * 40)
+        assert dreyfus_wagner(inst) == expected
+        assert len(searches) == 31
+
     def test_matches_exhaustive_search(self):
         for seed in range(25):
             inst = random_connected_instance(seed, 8, 13, 3, max_weight=12)

@@ -853,41 +853,112 @@ def fake_clock(monkeypatch, *readings):
     monkeypatch.setattr(generator, "time", SimpleNamespace(monotonic=monotonic))
 
 
+def count_searches(monkeypatch):
+    """Record each ``kernels.dijkstra_multi`` call the generator makes."""
+    seen = []
+    real = kernels.dijkstra_multi
+
+    def recording(*args):
+        seen.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "dijkstra_multi", recording)
+    return seen
+
+
+def joined_along_one_search(inst, start, weights=None):
+    """Every terminal joined to ``start`` along one search's predecessor paths, pruned."""
+    indptr, nbr, wts = inst.graph.csr
+    dist, pred = kernels.dijkstra_multi(
+        indptr, nbr, wts if weights is None else weights, [(0, start)], inst.graph.n_vertices
+    )
+    edges = set()
+    for t in inst.terminals:
+        while t != start:
+            edges.add(edge_key(t, pred[t]))
+            t = pred[t]
+    return prune(inst, edges)
+
+
+def first_restart_cut_at_once(inst, cfg, run):
+    """Run ``run``'s first tree when its construction's first clock read
+    is past the deadline: its draws, then one search."""
+    rng = random.Random(_derive_seed(cfg.seed, run))
+    weights = generator._perturbed_weights(inst, cfg.perturbation_strength, rng)
+    start = rng.choice(sorted(inst.terminals))
+    return joined_along_one_search(inst, start, weights)
+
+
+def forbid_moves(monkeypatch):
+    """Fail on any scored local-search move."""
+
+    def unscored(*args):
+        raise AssertionError("a local-search move was scored past the deadline")
+
+    for name in ("_induced_tree", "_DeletionCheck", "_cheapest_reconnect"):
+        monkeypatch.setattr(generator, name, unscored)
+
+
 class TestDeadlines:
     def test_construction_stops_between_terminals(self, monkeypatch):
+        # and finishes its tree along the search it has just run
         inst = sparse_instance(3, 40, 6)
         start = min(inst.terminals)
-        fake_clock(monkeypatch, 0.0, 0.0, 9.0)
-        assert sph_construct(inst, None, start, rng_for(), deadline=5.0) is None
+        expected = joined_along_one_search(inst, start)
+        searches = count_searches(monkeypatch)
+        whole = sph_construct(inst, None, start, rng_for())
+        assert len(searches) > 2
+        # the first round attaches the nearest terminal; the second reads
+        # the clock past the deadline and joins every other terminal along
+        # its own search: one more search, then the prune
+        fake_clock(monkeypatch, 0.0, 9.0)
+        del searches[:]
+        cut = sph_construct(inst, None, start, rng_for(), deadline=5.0)
+        assert len(searches) == 2
+        assert solution_violations(inst, cut) == []
+        assert cut != whole
+        # past the deadline at the first read, the tree is the first search's
+        fake_clock(monkeypatch, 9.0)
+        del searches[:]
+        assert sph_construct(inst, None, start, rng_for(), deadline=5.0) == expected
+        assert len(searches) == 1
+        assert solution_violations(inst, expected) == []
+        # a deadline that never passes changes nothing
         fake_clock(monkeypatch, 0.0)
-        whole = sph_construct(inst, None, start, rng_for(), deadline=5.0)
-        assert whole == sph_construct(inst, None, start, rng_for())
+        assert sph_construct(inst, None, start, rng_for(), deadline=5.0) == whole
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_zero_ignores_the_deadline(self, monkeypatch, workers):
-        # only until it holds a tree: its first restart completes, its
-        # second, which would find a lighter tree, never starts
+    def test_run_zero_always_starts_its_first_restart(self, monkeypatch, workers):
+        # and only that one: its construction finishes along its first
+        # search, its descent scores no move, and no other restart starts
         inst = sparse_instance(3, 40, 6)
         cfg = GeneratorConfig(pool_size=4, iterations_per_run=2, seed=4)
         full = generate_pool(inst, cfg)
-        first = generate_pool(inst, GeneratorConfig(pool_size=1, iterations_per_run=1, seed=4))
-        assert first.weights[0] > full.weights[0]
+        first = first_restart_cut_at_once(inst, cfg, 0)
+        assert solution_violations(inst, first) == []
+        assert first.weight > min(full.weights)
         fake_clock(monkeypatch, 9.0)
+        forbid_moves(monkeypatch)
         cut = generate_pool(inst, cfg, workers=workers, deadline=5.0)
-        assert cut.entries == first.entries
+        assert cut.entries == [first]
 
-    def test_run_cut_before_its_first_tree_adds_nothing(self, monkeypatch):
-        # run 1 starts before the deadline, which passes before its first
-        # construction attaches a terminal; run 2 never starts. Without a
-        # deadline, run 1 adds a tree of its own.
+    def test_run_cut_in_its_first_construction_adds_its_finished_tree(
+        self, monkeypatch
+    ):
+        # run 1 starts before the deadline, which passes at its
+        # construction's first clock read: the run still returns a tree,
+        # finished along that search, and starts no second restart
         inst = sparse_instance(3, 40, 6)
         cfg = GeneratorConfig(pool_size=3, iterations_per_run=2, seed=0)
-        full = generate_pool(inst, cfg)
-        assert len(full) == 2
-        assert full.entries[1] == generator._one_run(inst, cfg, None, generator.Optima(), 1)
+        whole = generator._one_run(inst, cfg, None, Optima(), 1)
+        first = first_restart_cut_at_once(inst, cfg, 1)
+        assert first != whole
         fake_clock(monkeypatch, 0.0, 9.0)
-        pool = generate_pool(inst, cfg, deadline=5.0)
-        assert pool.entries == full.entries[:1]
+        forbid_moves(monkeypatch)
+        assert generator._one_run(inst, cfg, 5.0, Optima(), 1) == first
+        # a run that would start past the deadline adds nothing
+        fake_clock(monkeypatch, 9.0)
+        assert generator._one_run(inst, cfg, 5.0, Optima(), 1) is None
 
 
 class TestGeneratePool:

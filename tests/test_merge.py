@@ -7,7 +7,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import build_instance, compacted, solution_of, tie_heavy_instance
+from helpers import (
+    build_instance,
+    compacted,
+    late_union_solves,
+    solution_of,
+    tie_heavy_instance,
+)
 from steinmerge import (
     CapacityError,
     DEFAULT_STATE_BUDGET,
@@ -276,6 +282,19 @@ class TestRunSmh:
         assert report.ranking.iterations == ()
         assert report.weight == min(pool.weights)
         assert report.source == "pool"
+
+    def test_deadline_passing_during_the_final_pass_times_out(self, monkeypatch):
+        # the final DP finishes, but the deadline has passed when the pass
+        # ends: the report says so, and keeps the DP's tree
+        inst = sparse_instance(7, 30, 5)
+        pool = generate_pool(inst, GeneratorConfig(pool_size=3, iterations_per_run=2))
+        cfg = MergeConfig(rank_iterations=0)
+        plain = run_smh(inst, pool, cfg)
+        late_union_solves(monkeypatch)
+        report = run_smh(inst, pool, cfg, deadline=5.0)
+        assert report.timed_out
+        assert not report.capacity_fallback
+        assert (report.solution, report.source) == (plain.solution, plain.source)
 
     def test_report_bookkeeping(self):
         inst = sparse_instance(8, 30, 5)
@@ -708,7 +727,9 @@ class TestTreeUnion:
             assert sum(size for _, _, _, size in stats) + 80 <= tree_states_bound(n)
 
     def test_lone_tree_is_eliminated_only_when_its_order_is_read(self, monkeypatch):
-        checks = count_calls(monkeypatch, "greedy_degree", lambda a, k: a[0])
+        # read, it is eliminated once, at a cap no degree reaches, which
+        # gives the uncapped elimination
+        checks = count_calls(monkeypatch, "greedy_degree_capped", lambda a, k: a[1])
         for inst, trees in tree_unions():
             memo = {}
             selected, union = greedy_steiner_union(inst, trees[:1], 1, memo=memo)
@@ -719,7 +740,7 @@ class TestTreeUnion:
             assert memo[union.edges].verdict is None
             assert union.elimination == order
             assert memo[union.edges].verdict is union.elimination
-            assert len(checks) == 1
+            assert checks == [union.n_vertices]
             del checks[:]
 
 

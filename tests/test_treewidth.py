@@ -346,6 +346,135 @@ class TestNiceForm:
         assert validate_nice(inst.graph, broken)
 
 
+def _nice_for_mutation():
+    inst = random_connected_instance(11, 14, 26, 4)
+    td = decomposition_from_order(inst.graph, greedy_degree(inst.graph))
+    return inst.graph, make_nice(inst.graph, td, min(inst.terminals))
+
+
+def _first(nodes, kind):
+    return next(i for i, nd in enumerate(nodes) if nd.kind == kind)
+
+
+def _edited(nodes, i, **fields):
+    return nodes[:i] + (nodes[i]._replace(**fields),) + nodes[i + 1 :]
+
+
+def _dropped(nodes, i):
+    """``nodes`` without node ``i``, whose parent adopts its one child."""
+    (child,) = nodes[i].children
+    kept = nodes[:i] + nodes[i + 1 :]
+    return tuple(
+        nd._replace(
+            children=tuple(child if c == i else c - (c > i) for c in nd.children)
+        )
+        for nd in kept
+    )
+
+
+def _spare_leaf_first(nodes, t0):
+    """A leaf nothing refers to, put before every other node."""
+    shifted = tuple(nd._replace(children=tuple(c + 1 for c in nd.children)) for nd in nodes)
+    return (NiceNode(LEAF, (t0,)),) + shifted
+
+
+def _mutation(rule, graph, nodes, t0):
+    """(the mutated nodes, the message ``rule`` gives for them)."""
+    if rule == "no nodes":
+        return (), "no nodes"
+    if rule == "root bag":
+        return _edited(nodes, len(nodes) - 1, bag=()), f"root bag () is not ({t0},)"
+    if rule == "pinned vertex":
+        i = _first(nodes, INTRODUCE)
+        bag = tuple(v for v in nodes[i].bag if v != t0)
+        return _edited(nodes, i, bag=bag), f"node {i}: pinned vertex {t0} missing from bag"
+    if rule == "non-vertex":
+        return _edited(nodes, 0, bag=(t0, 10**6)), "node 0: bag contains non-vertices"
+    if rule == "post-order":
+        i = _first(nodes, INTRODUCE)
+        return _edited(nodes, i, children=(i,)), f"node {i}: child {i} does not precede it"
+    if rule == "unknown kind":
+        return _edited(nodes, 1, kind="twig"), "node 1: unknown kind 'twig'"
+    if rule == "child count":
+        i = _first(nodes, INTRODUCE)
+        return _edited(nodes, i, kind=LEAF), f"node {i}: {LEAF} has 1 children"
+    if rule == "leaf bag":
+        i = _first(nodes, INTRODUCE)
+        v = nodes[i].vertex
+        return _edited(nodes, 0, bag=tuple(sorted((t0, v)))), "node 0: leaf bag"
+    if rule == "introduce":
+        i = _first(nodes, INTRODUCE)
+        return _edited(nodes, i, vertex=t0), f"node {i}: introduce({t0}) bag mismatch"
+    if rule == "forget":
+        i = _first(nodes, FORGET)
+        return _edited(nodes, i, vertex=t0), f"node {i}: forget({t0}) bag mismatch"
+    if rule == "edge bag":
+        i = _first(nodes, INTRODUCE_EDGE)
+        extra = min(graph.vertices - set(nodes[i].bag))
+        bag = tuple(sorted(nodes[i].bag + (extra,)))
+        return _edited(nodes, i, bag=bag), f"node {i}: edge node changes the bag"
+    if rule == "no edge":
+        i = _first(nodes, INTRODUCE_EDGE)
+        return _edited(nodes, i, edge=None), f"node {i}: edge node without an edge"
+    if rule == "non-edge":
+        i, e = next(
+            (i, (a, b))
+            for i, nd in enumerate(nodes)
+            if nd.kind == INTRODUCE_EDGE
+            for a in nd.bag
+            for b in nd.bag
+            if a < b and (a, b) not in graph.weights
+        )
+        return _edited(nodes, i, edge=e), f"node {i}: edge {e} not in the graph"
+    if rule == "edge outside the bag":
+        i = _first(nodes, INTRODUCE_EDGE)
+        e = next(e for e in sorted(graph.weights) if not set(e) <= set(nodes[i].bag))
+        return _edited(nodes, i, edge=e), f"node {i}: edge {e} endpoints not in the bag"
+    if rule == "join bags":
+        i = _first(nodes, JOIN)
+        bag = tuple(v for v in nodes[i].bag if v != max(nodes[i].bag))
+        c = nodes[i].children[0]
+        return _edited(nodes, i, bag=bag), f"node {i}: join child {c} bag differs"
+    if rule == "unreachable":
+        return _spare_leaf_first(nodes, t0), "node 0 is not reachable from the root"
+    if rule == "edge count":
+        i = _first(nodes, INTRODUCE_EDGE)
+        e = nodes[i].edge
+        return _dropped(nodes, i), f"edge {e} introduced 0 times (want exactly 1)"
+    raise KeyError(rule)
+
+
+NICE_RULES = [
+    "no nodes",
+    "root bag",
+    "pinned vertex",
+    "non-vertex",
+    "post-order",
+    "unknown kind",
+    "child count",
+    "leaf bag",
+    "introduce",
+    "forget",
+    "edge bag",
+    "no edge",
+    "non-edge",
+    "edge outside the bag",
+    "join bags",
+    "unreachable",
+    "edge count",
+]
+
+
+@pytest.mark.parametrize("rule", NICE_RULES)
+def test_validate_nice_names_each_broken_rule(rule):
+    # one mutation of a valid refinement per rule; its message must appear
+    graph, nice = _nice_for_mutation()
+    assert validate_nice(graph, nice) == []
+    nodes, message = _mutation(rule, graph, nice.nodes, nice.root_vertex)
+    broken = NiceDecomposition(nodes, nice.root_vertex, nice.width)
+    assert any(line.startswith(message) for line in validate_nice(graph, broken))
+
+
 class TestTdFormat:
     def test_roundtrip(self):
         g = random_connected_instance(2, 10, 18, 3).graph
