@@ -38,7 +38,13 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .exact import DEFAULT_STATE_BUDGET, DW_TERMINAL_CAP, CapacityError, dreyfus_wagner
+from .exact import (
+    DEFAULT_STATE_BUDGET,
+    DW_TERMINAL_CAP,
+    CapacityError,
+    DeadlineError,
+    dreyfus_wagner,
+)
 from .generator import GeneratorConfig, generate_pool, parallel_map, read_pool, write_pool
 from .graph import (
     InfeasibleError,
@@ -411,6 +417,10 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
         "worker processes, at least 1 and at most one per CPU "
         "(pool runs, or bench instances)",
     )
+    _add_time_limit_flag(p)
+
+
+def _add_time_limit_flag(p: argparse.ArgumentParser) -> None:
     _flag(p, "time_limit", None, float, "wall-clock budget in seconds for the whole command")
 
 
@@ -451,6 +461,7 @@ def _oracle_arguments(p: argparse.ArgumentParser) -> None:
         p, "oracle_cap", DW_TERMINAL_CAP, int,
         f"refuse more terminals than this (default {DW_TERMINAL_CAP})",
     )
+    _add_time_limit_flag(p)
     _add_format_flag(p)
 
 
@@ -621,9 +632,10 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     _at_least_one(args, "oracle_cap")
+    deadline = _deadline(args)
     instance = parse_stp_file(args.instance)
     t0 = time.monotonic()
-    solution = dreyfus_wagner(instance, terminal_cap=args.oracle_cap)
+    solution = dreyfus_wagner(instance, terminal_cap=args.oracle_cap, deadline=deadline)
     seconds = time.monotonic() - t0
     row = {
         "instance": instance.name,
@@ -774,6 +786,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         sys.stderr.write(f"capacity: {exc}\n")
         return EXIT_CAPACITY
+    except DeadlineError as exc:
+        sys.stderr.write(f"timeout: {exc}\n")
+        return EXIT_TIMEOUT
     except MemoryError:
         sys.stderr.write("capacity: out of memory\n")
         return EXIT_CAPACITY

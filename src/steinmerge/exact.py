@@ -137,8 +137,10 @@ def dp_solve(
 ) -> SteinerSolution:
     """Minimum Steiner tree via dynamic programming over a nice decomposition.
 
-    Each table maps (chosen-subset bitmask over the bag, canonical block
-    labels of the chosen vertices) to (best partial cost, backref). Terminals
+    Each table maps (chosen-subset bitmask over the bag, id of the chosen
+    vertices' canonical block labels) to (best partial cost, backref); one
+    ``kernels.Partitions`` per call interns the label tuples, and the
+    transforms memo their partition transitions in it. Terminals
     are forced into the chosen set when introduced; forgetting a vertex whose
     block has no other bag member kills the state, so only fully connected
     partial solutions survive to the root. The answer is the root state where
@@ -173,6 +175,7 @@ def _dp_solve(
         raise ValidationError("the decomposition's pinned vertex must be a terminal")
     nodes = nice.nodes
     tables: list[dict | None] = [None] * len(nodes)
+    parts = kernels.Partitions()
     stored = 0
     # the most states a table over a bag of b vertices can hold; no bag
     # of a nice decomposition holds more than width + 1 vertices
@@ -192,21 +195,23 @@ def _dp_solve(
                 raise _over_budget(state_budget)
             table = kernels.dp_introduce_edge(
                 child, nd.bag.index(u), nd.bag.index(v), weights[edge_key(u, v)],
-                deadline,
+                parts, deadline,
             )
         elif kind == INTRODUCE:
             child = tables[nd.children[0]]
             if stored + 2 * len(child) > state_budget:
                 raise _over_budget(state_budget)
             table = kernels.dp_introduce_vertex(
-                child, nd.bag.index(nd.vertex), nd.vertex in terminals, deadline
+                child, nd.bag.index(nd.vertex), nd.vertex in terminals, parts, deadline
             )
         elif kind == FORGET:
             c = nd.children[0]
             child = tables[c]
             if stored + len(child) > state_budget:
                 raise _over_budget(state_budget)
-            table = kernels.dp_forget(child, nodes[c].bag.index(nd.vertex), deadline)
+            table = kernels.dp_forget(
+                child, nodes[c].bag.index(nd.vertex), parts, deadline
+            )
         elif kind == JOIN:
             left, right = tables[nd.children[0]], tables[nd.children[1]]
             # a join pairs the states of both sides that choose the same mask
@@ -218,7 +223,7 @@ def _dp_solve(
                 pairs += per_mask.get(mask, 0)
             if stored + pairs > state_budget:
                 raise _over_budget(state_budget)
-            table = kernels.dp_join(left, right, deadline)
+            table = kernels.dp_join(left, right, parts, deadline)
         elif kind == LEAF:
             table = kernels.dp_leaf()
         else:
@@ -235,7 +240,7 @@ def _dp_solve(
         if stats is not None:
             stats.append((idx, kind, len(nd.bag), len(table)))
 
-    root_key = (1, (0,))
+    root_key = (1, 0)  # the pinned root chosen, alone in partition id 0: (0,)
     root_table = tables[-1]
     if root_key not in root_table:
         raise InfeasibleError("terminals cannot be connected in this graph")
@@ -281,7 +286,9 @@ def solve_with_decomposition(
 
 
 def dreyfus_wagner(
-    instance: SteinerInstance, terminal_cap: int = DW_TERMINAL_CAP
+    instance: SteinerInstance,
+    terminal_cap: int = DW_TERMINAL_CAP,
+    deadline: float | None = None,
 ) -> SteinerSolution:
     """Optimal Steiner tree by the terminal-subset dynamic program.
 
@@ -291,7 +298,9 @@ def dreyfus_wagner(
     cross-checking other solvers at test scale, not for production runs.
     Every terminal-subset row is one ``kernels.dijkstra_multi`` call: a
     singleton's row is seeded at its terminal, a larger row at each
-    vertex's best split of the subset.
+    vertex's best split of the subset. Raises DeadlineError once
+    ``time.monotonic()`` passes ``deadline``, read before each row and
+    before each split of a row.
     """
     q = sorted(instance.terminals)
     k = len(q)
@@ -317,6 +326,8 @@ def dreyfus_wagner(
     dp: list = [None] * (full + 1)
     back: list = [None] * (full + 1)
     for mask in range(1, full + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineError(f"oracle stopped at its deadline, row {mask} of {full}")
         bk = array("q", [0]) * n
         if mask & (mask - 1) == 0:
             seeds = [(0, base[mask.bit_length() - 1])]
@@ -326,6 +337,10 @@ def dreyfus_wagner(
             sub = (mask - 1) & mask
             while sub:
                 if sub & low:  # enumerate each split once
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise DeadlineError(
+                            f"oracle stopped at its deadline, row {mask} of {full}"
+                        )
                     a, b = dp[sub], dp[mask ^ sub]
                     for v in range(n):
                         c = a[v] + b[v]

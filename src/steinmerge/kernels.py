@@ -5,11 +5,12 @@ never ``from .kernels import ...``), so a tracer such as ``perfbench/``
 can rebind them for the length of a run.
 
 Dynamic-program tables map a state key to (value, backref). A key is
-(mask, labels): ``mask`` marks the bag positions chosen into the partial
-solution, ``labels`` assigns a block id to each chosen position in ascending
-position order, relabelled so block ids appear in first-occurrence order.
-That relabelling makes the key canonical, so equal partial solutions always
-collide and the minimum is kept.
+(mask, partition id): ``mask`` marks the bag positions chosen into the
+partial solution, and the id names, in the DP's ``Partitions``, a label
+tuple that assigns a block id to each chosen position in ascending position
+order, relabelled so block ids appear in first-occurrence order. That
+relabelling makes the tuple canonical and interning gives each tuple one
+id, so equal partial solutions always collide and the minimum is kept.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ def eliminate(masks, cap):
             nu = (adj[u] | nb) & ~(1 << u) & not_v
             adj[u] = nu
             du = nu.bit_count()
-            deg[u] = du
-            heapq.heappush(heap, (du, u))
+            # u's entry at its current degree is already in the heap
+            if du != deg[u]:
+                deg[u] = du
+                heapq.heappush(heap, (du, u))
     return width, order, bags
 
 
@@ -134,12 +137,42 @@ def canon_labels(labels):
     return tuple(out)
 
 
+class Partitions:
+    """The canonical label tuples of one DP, each interned once under an id.
+
+    ``labels[i]`` is the tuple of id i and ``ids`` maps a tuple to its id;
+    id 0 is ``(0,)``, the partition of the leaf and of the root. The
+    transforms memo each partition transition they compute: an introduce
+    or a forget under (id, j), where j counts the chosen positions below
+    the transformed one, an introduce-edge under (id, a, b), the two blocks
+    a < b it merges, and a join each right partition's tie getter.
+    """
+
+    __slots__ = ("labels", "ids", "introduced", "forgotten", "merged", "ties")
+
+    def __init__(self):
+        self.labels = [(0,)]
+        self.ids = {(0,): 0}
+        self.introduced = {}
+        self.forgotten = {}
+        self.merged = {}
+        self.ties = {}
+
+    def intern(self, labels):
+        """The id of a canonical label tuple, assigned on first sight."""
+        pid = self.ids.get(labels)
+        if pid is None:
+            pid = self.ids[labels] = len(self.labels)
+            self.labels.append(labels)
+        return pid
+
+
 def dp_leaf():
     # single pinned vertex, chosen, in its own block, cost 0
-    return {(1, (0,)): (0, None)}
+    return {(1, 0): (0, None)}
 
 
-def dp_introduce_vertex(table, pos, is_terminal, deadline=None):
+def dp_introduce_vertex(table, pos, is_terminal, parts, deadline=None):
     """Bag gains a vertex at position pos.
 
     Non-terminals branch into an excluded copy and an included-as-singleton
@@ -152,30 +185,38 @@ def dp_introduce_vertex(table, pos, is_terminal, deadline=None):
     out = {}
     low = (1 << pos) - 1
     bit = 1 << pos
+    memo = parts.introduced
     for key, entry in table.items():
         if deadline is not None and time.monotonic() > deadline:
             return None
-        mask, labels = key
-        val = entry[0]
+        mask, pid = key
+        # both branches keep the value and point back at this key
+        kept = (entry[0], key)
         nm = (mask & low) | ((mask >> pos) << (pos + 1))
         if not is_terminal:
-            out[(nm, labels)] = (val, key)
+            out[(nm, pid)] = kept
         j = (mask & low).bit_count()
-        # the new block takes the first id not used before position j and
-        # the later ids move up by one, which keeps first-occurrence order
-        if j == len(labels):
-            nl = labels + (max(labels, default=-1) + 1,)
-        elif j:
-            head = labels[:j]
-            b = max(head) + 1
-            nl = head + (b,) + tuple([x + (x >= b) for x in labels[j:]])
-        else:
-            nl = (0,) + tuple([x + 1 for x in labels])
-        out[(nm | bit, nl)] = (val, key)
+        ck = (pid, j)
+        npid = memo.get(ck)
+        if npid is None:
+            labels = parts.labels[pid]
+            # the new block takes the first id not used before position j
+            # and the later ids move up by one, which keeps first-occurrence
+            # order
+            if j == len(labels):
+                nl = labels + (max(labels, default=-1) + 1,)
+            elif j:
+                head = labels[:j]
+                b = max(head) + 1
+                nl = head + (b,) + tuple([x + (x >= b) for x in labels[j:]])
+            else:
+                nl = (0,) + tuple([x + 1 for x in labels])
+            npid = memo[ck] = parts.intern(nl)
+        out[(nm | bit, npid)] = kept
     return out
 
 
-def dp_introduce_edge(table, pu, pv, w, deadline=None):
+def dp_introduce_edge(table, pu, pv, w, parts, deadline=None):
     """Offer one graph edge: a state may pay w to merge its endpoints' blocks.
 
     Returns None once ``time.monotonic()`` passes ``deadline``, read before
@@ -187,6 +228,8 @@ def dp_introduce_edge(table, pu, pv, w, deadline=None):
     both = bu | bv
     lowu = bu - 1
     lowv = bv - 1
+    memo = parts.merged
+    labels_of = parts.labels
     for key, entry in table.items():
         if deadline is not None and time.monotonic() > deadline:
             return None
@@ -194,17 +237,24 @@ def dp_introduce_edge(table, pu, pv, w, deadline=None):
         cur = out.get(key)
         if cur is None or val < cur[0]:
             out[key] = (val, (key, False))
-        mask, labels = key
+        mask, pid = key
         if mask & both == both:
+            labels = labels_of[pid]
             lu = labels[(mask & lowu).bit_count()]
             lv = labels[(mask & lowv).bit_count()]
             if lu == lv:
                 continue  # edge inside a block only adds weight
             if lu > lv:
                 lu, lv = lv, lu
-            # block lv joins the earlier block lu and the later ids close
-            # the gap, which keeps the labels in first-occurrence order
-            nk = (mask, tuple([lu if x == lv else x - (x > lv) for x in labels]))
+            ck = (pid, lu, lv)
+            npid = memo.get(ck)
+            if npid is None:
+                # block lv joins the earlier block lu and the later ids
+                # close the gap, which keeps first-occurrence order
+                npid = memo[ck] = parts.intern(
+                    tuple([lu if x == lv else x - (x > lv) for x in labels])
+                )
+            nk = (mask, npid)
             nv = val + w
             cur = out.get(nk)
             if cur is None or nv < cur[0]:
@@ -212,7 +262,7 @@ def dp_introduce_edge(table, pu, pv, w, deadline=None):
     return out
 
 
-def dp_forget(table, pos, deadline=None):
+def dp_forget(table, pos, parts, deadline=None):
     """Bag drops the vertex at position pos.
 
     A chosen vertex may leave only if its block keeps another bag vertex;
@@ -223,23 +273,34 @@ def dp_forget(table, pos, deadline=None):
     out = {}
     bit = 1 << pos
     low = bit - 1
+    memo = parts.forgotten
     for key, entry in table.items():
         if deadline is not None and time.monotonic() > deadline:
             return None
-        mask, labels = key
+        mask, pid = key
         val = entry[0]
         if mask & bit:
             j = (mask & low).bit_count()
-            lab = labels[j]
-            rest = labels[:j] + labels[j + 1 :]
-            if lab not in rest:
+            ck = (pid, j)
+            npid = memo.get(ck)
+            if npid is None:
+                labels = parts.labels[pid]
+                lab = labels[j]
+                rest = labels[:j] + labels[j + 1 :]
+                if lab not in rest:
+                    npid = -1
+                else:
+                    # dropping a later member of a block keeps
+                    # first-occurrence order
+                    npid = parts.intern(
+                        rest if labels.index(lab) < j else canon_labels(rest)
+                    )
+                memo[ck] = npid
+            if npid < 0:
                 continue
-            # dropping a later member of a block keeps first-occurrence order
-            nl = rest if labels.index(lab) < j else canon_labels(rest)
         else:
-            nl = labels
-        nm = (mask & low) | ((mask >> (pos + 1)) << pos)
-        nk = (nm, nl)
+            npid = pid
+        nk = ((mask & low) | ((mask >> (pos + 1)) << pos), npid)
         cur = out.get(nk)
         if cur is None or val < cur[0]:
             out[nk] = (val, key)
@@ -286,7 +347,21 @@ def _join_relabel(c, ends):
     return tuple(ids)
 
 
-def dp_join(left, right, deadline=None):
+def _tie_getter(labels):
+    """What a right partition ties: each later member of a block to its
+    first one, as a getter of those positions' left blocks (None: no ties)."""
+    firsts = []
+    ties = []
+    for i, lab in enumerate(labels):
+        if lab == len(firsts):
+            firsts.append(i)
+        else:
+            ties.append(firsts[lab])
+            ties.append(i)
+    return itemgetter(*ties) if ties else None
+
+
+def dp_join(left, right, parts, deadline=None):
     """Combine sibling tables over an identical bag.
 
     States pair up on equal chosen sets; values add and blocks coarsen to
@@ -294,37 +369,39 @@ def dp_join(left, right, deadline=None):
     None once ``time.monotonic()`` passes ``deadline``, read before each
     left state when one is set.
     """
-    # a right state ties position pairs together: each later member of a
-    # block to its first one; the getter reads those positions' left blocks
+    labels_of = parts.labels
+    getters = parts.ties
     by_mask = {}
     for key, entry in right.items():
-        firsts = []
-        ties = []
-        for i, lab in enumerate(key[1]):
-            if lab == len(firsts):
-                firsts.append(i)
-            else:
-                ties.append(firsts[lab])
-                ties.append(i)
-        get = itemgetter(*ties) if ties else None
+        rpid = key[1]
+        get = getters.get(rpid, False)
+        if get is False:
+            get = getters[rpid] = _tie_getter(labels_of[rpid])
         by_mask.setdefault(key[0], []).append((key, entry[0], get))
+    ids_of = parts.ids
     out = {}
     for lkey, lentry in left.items():
         if deadline is not None and time.monotonic() > deadline:
             return None
-        mask, llabels = lkey
+        mask, lpid = lkey
         matches = by_mask.get(mask)
         if not matches:
             continue
         lval = lentry[0]
+        llabels = labels_of[lpid]
         c = len(llabels)
+        # relabels this state's blocks; only two or more blocks can merge
+        pick = itemgetter(*llabels) if c > 1 else None
         for rkey, rval, get in matches:
-            labels = llabels
+            npid = lpid
             if get is not None:
                 ids = _join_relabel(c, get(llabels))
                 if ids is not None:
-                    labels = tuple(map(ids.__getitem__, llabels))
-            nk = (mask, labels)
+                    labels = pick(ids)
+                    npid = ids_of.get(labels)
+                    if npid is None:
+                        npid = parts.intern(labels)
+            nk = (mask, npid)
             nv = lval + rval
             cur = out.get(nk)
             if cur is None or nv < cur[0]:

@@ -8,7 +8,7 @@ exact dynamic program.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -98,22 +98,30 @@ def decomposition_from_order(
     if len(seq) != graph.n_vertices or set(seq) != graph.vertices:
         raise ValidationError("order is not a permutation of the graph's vertices")
 
-    position = {v: p for p, v in enumerate(seq)}
+    # each graph position's elimination index: a bag's parent node is its
+    # earliest-eliminated member after its own vertex
+    n = len(vs)
+    step = [0] * n
+    at = dict(zip(vs, range(n)))
+    for p, v in enumerate(seq):
+        step[at[v]] = p
     bags: list[frozenset[int]] = []
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
     for p, bm in enumerate(elimination.bags):
         members = []
+        parent = n
         m = bm
         while m:
             low = m & -m
-            members.append(vs[low.bit_length() - 1])
+            i = low.bit_length() - 1
+            members.append(vs[i])
+            if p < step[i] < parent:
+                parent = step[i]
             m ^= low
         bags.append(frozenset(members))
-        higher = [u for u in members if u != seq[p]]
-        if higher:
-            parent = min(higher, key=lambda u: position[u])
-            edges.append((p, position[parent]))
+        if parent < n:
+            edges.append((p, parent))
         else:
             roots.append(p)
     # one root per connected component; chain extras so the result is a tree
@@ -255,28 +263,41 @@ def make_nice(
     root_vertex is inserted into every bag (width grows by at most one) so
     the root collapses to the single bag {root_vertex} and every partial
     component stays visible until the top. Each graph edge is assigned to
-    exactly one introduce-edge node whose bag contains both endpoints.
+    exactly one introduce-edge node whose bag contains both endpoints: that
+    of the lowest-index bag holding both.
+
+    The tree is rooted at bag 0 and walked children first, in reverse
+    breadth-first order. A leaf bag becomes a leaf node and one introduce
+    per vertex, ascending; each child link forgets, then introduces, the
+    vertices its two bags differ by, ascending; joins combine the adapted
+    children left to right, and the bag's introduce-edge nodes follow in
+    edge order. A malformed tree edge or a disconnected tree is a
+    ValidationError.
     """
     if root_vertex not in graph.vertices:
         raise ValidationError(f"root vertex {root_vertex} is not in the graph")
     if not td.bags:
         raise ValidationError("cannot refine an empty decomposition")
 
-    bags = [frozenset(b) | {root_vertex} for b in td.bags]
+    pin = frozenset((root_vertex,))
+    bags = [frozenset(b) | pin for b in td.bags]
     n = len(bags)
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in td.tree_edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValidationError(f"tree edge ({i}, {j}) references a missing node")
         adj[i].append(j)
         adj[j].append(i)
 
     # root the decomposition tree at node 0, order children before parents
     parent = [-1] * n
+    seen = [False] * n
+    seen[0] = True
     bfs = [0]
-    seen = {0}
     for i in bfs:
         for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
+            if not seen[j]:
+                seen[j] = True
                 parent[j] = i
                 bfs.append(j)
     if len(bfs) != n:
@@ -285,54 +306,76 @@ def make_nice(
     for j in bfs[1:]:
         children[parent[j]].append(j)
 
-    # each graph edge goes to the lowest-index node covering both endpoints
-    holding = _holding(bags)
+    # each graph edge goes to the lowest-index node covering both
+    # endpoints, found among the bags of whichever endpoint has fewer
+    holding: dict[int, list[int]] = {}
+    for i, bag in enumerate(bags):
+        for v in bag:
+            held = holding.get(v)
+            if held is None:
+                holding[v] = [i]
+            else:
+                held.append(i)
     assigned: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v in sorted(graph.weights):
-        i = _covering_bag(bags, holding, u, v)
-        if i is None:
+    for e in sorted(graph.weights):
+        u, v = e
+        hu, hv = holding.get(u, ()), holding.get(v, ())
+        scan, other = (hu, v) if len(hu) <= len(hv) else (hv, u)
+        for i in scan:
+            if other in bags[i]:
+                assigned[i].append(e)
+                break
+        else:
             raise ValidationError(f"edge ({u}, {v}) is covered by no bag")
-        assigned[i].append((u, v))
 
+    # nodes are built positionally, straight from their field tuples
+    new = tuple.__new__
     sorted_bags = [tuple(sorted(b)) for b in bags]
     nodes: list[NiceNode] = []
-
-    def chain(cur: int, bag: list[int], drop, add) -> int:
-        # forget ``drop``, then introduce ``add``, on top of node ``cur``;
-        # ``bag`` is the sorted bag of ``cur`` and is kept sorted
-        for v in drop:
-            bag.remove(v)
-            nodes.append(NiceNode(FORGET, tuple(bag), (cur,), v))
-            cur = len(nodes) - 1
-        for v in add:
-            insort(bag, v)
-            nodes.append(NiceNode(INTRODUCE, tuple(bag), (cur,), v))
-            cur = len(nodes) - 1
-        return cur
-
     top_of = [0] * n
     for i in reversed(bfs):  # children first
         bag = bags[i]
         kids = children[i]
         if not kids:
-            nodes.append(NiceNode(LEAF, (root_vertex,)))
-            cur = chain(len(nodes) - 1, [root_vertex], (), sorted(bag - {root_vertex}))
+            nodes.append(new(NiceNode, (LEAF, (root_vertex,), (), -1, None)))
+            cur = len(nodes) - 1
+            grow = [root_vertex]
+            for v in sorted(bag - pin):
+                insort(grow, v)
+                nodes.append(new(NiceNode, (INTRODUCE, tuple(grow), (cur,), v, None)))
+                cur += 1
         else:
-            adapted = [
-                chain(top_of[c], list(sorted_bags[c]), sorted(bags[c] - bag),
-                      sorted(bag - bags[c]))
-                for c in kids
-            ]
+            # adapt each child's bag to this one: forget what it alone
+            # holds, then introduce what it lacks, keeping the bag sorted
+            adapted = []
+            for c in kids:
+                cur = top_of[c]
+                grow = list(sorted_bags[c])
+                child = bags[c]
+                for v in sorted(child - bag):
+                    del grow[bisect_left(grow, v)]
+                    nodes.append(new(NiceNode, (FORGET, tuple(grow), (cur,), v, None)))
+                    cur = len(nodes) - 1
+                for v in sorted(bag - child):
+                    insort(grow, v)
+                    nodes.append(new(NiceNode, (INTRODUCE, tuple(grow), (cur,), v, None)))
+                    cur = len(nodes) - 1
+                adapted.append(cur)
             cur = adapted[0]
             for a in adapted[1:]:
-                nodes.append(NiceNode(JOIN, sorted_bags[i], (cur, a)))
+                nodes.append(new(NiceNode, (JOIN, sorted_bags[i], (cur, a), -1, None)))
                 cur = len(nodes) - 1
         for e in assigned[i]:
-            nodes.append(NiceNode(INTRODUCE_EDGE, sorted_bags[i], (cur,), -1, e))
+            nodes.append(new(NiceNode, (INTRODUCE_EDGE, sorted_bags[i], (cur,), -1, e)))
             cur = len(nodes) - 1
         top_of[i] = cur
 
-    chain(top_of[0], list(sorted_bags[0]), sorted(bags[0] - {root_vertex}), ())
+    cur = top_of[0]
+    grow = list(sorted_bags[0])
+    for v in sorted(bags[0] - pin):
+        del grow[bisect_left(grow, v)]
+        nodes.append(new(NiceNode, (FORGET, tuple(grow), (cur,), v, None)))
+        cur = len(nodes) - 1
     # every node's bag lies inside some decomposition bag
     width = max(len(b) for b in bags) - 1
     return NiceDecomposition(tuple(nodes), root_vertex, width)

@@ -493,6 +493,32 @@ class TestOracleCommand:
         assert out.err == "capacity: oracle table of 31 x 40 cells exceeds 1239 cells\n"
 
 
+    def test_time_limit_exits_timeout(self, stp, capsys, monkeypatch):
+        # 6 terminals, 31 rows: the clock passes the limit after the fourth
+        # row has started, and the oracle stops inside the table
+        path = stp(sparse_instance(11, 40, 6))
+        reads = []
+
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) <= 6 else 9.0
+
+        monkeypatch.setattr(time, "monotonic", monotonic)
+        code = main(["oracle", path, "--time-limit", "5", "--format", "json"])
+        out = capsys.readouterr()
+        assert code == EXIT_TIMEOUT
+        assert out.out == ""
+        assert out.err.startswith("timeout: oracle stopped at its deadline, row ")
+        assert out.err.count("\n") == 1
+        assert "Traceback" not in out.err
+        # a limit that never passes changes nothing
+        monkeypatch.setattr(time, "monotonic", lambda: 0.0)
+        assert main(["oracle", path, "--time-limit", "5", "--format", "json"]) == EXIT_OK
+        timed = capsys.readouterr().out
+        assert main(["oracle", path, "--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == timed
+
+
 @pytest.mark.parametrize("command", ["merge", "solve"])
 def test_deadline_passing_in_the_final_pass_exits_timeout(
     stp, tmp_path, capsys, monkeypatch, command
@@ -696,7 +722,7 @@ HELP_DIGESTS = {
     ("solve", "-h"): "e54821ceaa7e566799a9934400174d216cf6b98c035f30c330a6538f4e73a923",
     ("generate", "-h"): "e551bc97a813d727a540ca0ccd88488e6b4c72f014c773ad094d538e5cb981c9",
     ("merge", "-h"): "6b839ac552f77bf27fdd211102b3c51aeeabda36d39df916f93f551a04510c31",
-    ("oracle", "-h"): "7f8cd2feee928bd83705d79db42af7e269972f78a424738007360433dce4eb5a",
+    ("oracle", "-h"): "b39d1758cb42ad509b769de4bc430a4630bba7abbb1abadd1a4708051c6fb84b",
     ("validate-td", "-h"): "bac831915c400bd3a3b331d17507d26767c2fe5109f34ccc9734db73813552e6",
     ("bench", "-h"): "fdf04f39df76d11b0e8dc4701937cd6bb1b9e0074a9bab8df1d2bc7ab3e9a178",
 }

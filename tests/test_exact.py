@@ -137,6 +137,36 @@ class TestDreyfusWagner:
         assert dreyfus_wagner(inst) == expected
         assert len(searches) == 31
 
+    def test_deadline_stops_between_rows_and_inside_a_split(self, monkeypatch):
+        # 4 terminals: rows 1 and 2 are singletons, row 3 has one split
+        inst = sparse_instance(0, 30, 4)
+        whole = dreyfus_wagner(inst)
+        rows = []
+        real = kernels.dijkstra_multi
+
+        def recording(*args):
+            rows.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "dijkstra_multi", recording)
+        for passed_after, where in ((1, "row 2 of 7"), (3, "row 3 of 7")):
+            reads = []
+
+            def clock():
+                reads.append(None)
+                return 0.0 if len(reads) <= passed_after else 2.0
+
+            monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=clock))
+            rows.clear()
+            with pytest.raises(DeadlineError, match=where):
+                dreyfus_wagner(inst, deadline=1.0)
+            # the read after the last one before the deadline stopped it:
+            # before row 2, or before row 3's split once row 3 had begun
+            assert len(reads) == passed_after + 1
+            assert len(rows) == min(passed_after, 2)
+        monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        assert dreyfus_wagner(inst, deadline=1.0) == whole
+
     def test_matches_exhaustive_search(self):
         for seed in range(25):
             inst = random_connected_instance(seed, 8, 13, 3, max_weight=12)
@@ -348,13 +378,13 @@ class TestDpSolve:
         joins = []
         real_join = kernels.dp_join
 
-        def recording(left, right, deadline=None):
-            joins.append((left, right))
-            return real_join(left, right, deadline)
+        def recording(left, right, parts, deadline=None):
+            joins.append((left, right, parts))
+            return real_join(left, right, parts, deadline)
 
         monkeypatch.setattr(kernels, "dp_join", recording)
         whole = dp_solve(inst, nice)
-        left, right = max(joins, key=lambda pair: len(pair[0]))
+        left, right, parts = max(joins, key=lambda join: len(join[0]))
         assert len(left) > 3
         reads = []
 
@@ -364,10 +394,10 @@ class TestDpSolve:
             return 0.0 if len(reads) <= 3 else 2.0
 
         monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=clock))
-        assert real_join(left, right, 1.0) is None
+        assert real_join(left, right, parts, 1.0) is None
         assert len(reads) == 4
         monkeypatch.setattr(kernels, "time", SimpleNamespace(monotonic=lambda: 0.0))
-        assert real_join(left, right, 1.0) == real_join(left, right)
+        assert real_join(left, right, parts, 1.0) == real_join(left, right, parts)
         # in the DP, with only the joins given the deadline: the nodes' own
         # checks never see it pass, the first join does
         monkeypatch.setattr(exact, "time", SimpleNamespace(monotonic=lambda: 0.0))
@@ -444,6 +474,7 @@ def reference_budget_needs(instance, nice):
     for a join) must fit; after it, the stored total must.
     """
     tables = []
+    parts = kernels.Partitions()
     stored = 0
     needs = []
     for nd in nice.nodes:
@@ -453,23 +484,24 @@ def reference_budget_needs(instance, nice):
         elif nd.kind == INTRODUCE:
             predicted = 2 * len(child[0])
             table = kernels.dp_introduce_vertex(
-                child[0], nd.bag.index(nd.vertex), nd.vertex in instance.terminals
+                child[0], nd.bag.index(nd.vertex), nd.vertex in instance.terminals, parts
             )
         elif nd.kind == INTRODUCE_EDGE:
             u, v = nd.edge
             predicted = 2 * len(child[0])
             table = kernels.dp_introduce_edge(
-                child[0], nd.bag.index(u), nd.bag.index(v), instance.graph.weight(u, v)
+                child[0], nd.bag.index(u), nd.bag.index(v), instance.graph.weight(u, v),
+                parts,
             )
         elif nd.kind == FORGET:
             predicted = len(child[0])
             table = kernels.dp_forget(
-                child[0], nice.nodes[nd.children[0]].bag.index(nd.vertex)
+                child[0], nice.nodes[nd.children[0]].bag.index(nd.vertex), parts
             )
         else:
             left, right = child
             predicted = sum(1 for a in left for b in right if a[0] == b[0])
-            table = kernels.dp_join(left, right)
+            table = kernels.dp_join(left, right, parts)
         needs.append(max(stored + predicted, stored + len(table)))
         stored += len(table)
         tables.append(table)

@@ -21,18 +21,39 @@ def random_masks(rng, n, p=0.3):
     return masks
 
 
-def grow_table(mod, ops):
+def grow_table(ops, parts):
     """Replay a recorded op sequence against the kernel transforms."""
-    table = mod.dp_leaf()
+    table = kernels.dp_leaf()
     for op in ops:
-        kind = op[0]
-        if kind == "intro":
-            table = mod.dp_introduce_vertex(table, op[1], op[2])
-        elif kind == "edge":
-            table = mod.dp_introduce_edge(table, op[1], op[2], op[3])
-        elif kind == "forget":
-            table = mod.dp_forget(table, op[1])
+        table = apply_op(table, op, parts)
     return table
+
+
+def apply_op(table, op, parts):
+    kind = op[0]
+    if kind == "intro":
+        return kernels.dp_introduce_vertex(table, op[1], op[2], parts)
+    if kind == "edge":
+        return kernels.dp_introduce_edge(table, op[1], op[2], op[3], parts)
+    return kernels.dp_forget(table, op[1], parts)
+
+
+def labelled(table, parts):
+    """``table`` with every key, and every key in a backref, in the
+    (mask, label tuple) form of the reference loops."""
+    def key(k):
+        return (k[0], parts.labels[k[1]])
+
+    def back(b):
+        if b is None:
+            return None
+        if isinstance(b[0], int):  # an introduce or a forget: the child key
+            return key(b)
+        if isinstance(b[1], bool):  # an introduce-edge: (child key, taken)
+            return (key(b[0]), b[1])
+        return (key(b[0]), key(b[1]))  # a join: both child keys
+
+    return {key(k): (val, back(b)) for k, (val, b) in table.items()}
 
 
 def random_ops(rng, length):
@@ -260,27 +281,33 @@ class TestPythonTransformsMatchReference:
         for seed in range(150):
             rng = random.Random(1100 + seed)
             ops, bag = random_ops(rng, rng.randint(0, 12))
-            table = grow_table(self.py, ops)
+            parts = self.py.Partitions()
+            table = grow_table(ops, parts)
+            ref = labelled(table, parts)
             pos = rng.randrange(bag + 1)
             for is_terminal in (False, True):
                 self.same(
-                    self.py.dp_introduce_vertex(table, pos, is_terminal),
-                    ref_introduce_vertex(table, pos, is_terminal),
+                    labelled(self.py.dp_introduce_vertex(table, pos, is_terminal, parts), parts),
+                    ref_introduce_vertex(ref, pos, is_terminal),
                 )
 
     def test_introduce_edge_and_forget(self):
         for seed in range(150):
             rng = random.Random(700 + seed)
             ops, bag = random_ops(rng, rng.randint(1, 14))
-            table = grow_table(self.py, ops)
+            parts = self.py.Partitions()
+            table = grow_table(ops, parts)
+            ref = labelled(table, parts)
             if bag >= 2:
                 pu, pv = rng.sample(range(bag), 2)
                 self.same(
-                    self.py.dp_introduce_edge(table, pu, pv, 3),
-                    ref_introduce_edge(table, pu, pv, 3),
+                    labelled(self.py.dp_introduce_edge(table, pu, pv, 3, parts), parts),
+                    ref_introduce_edge(ref, pu, pv, 3),
                 )
             pos = rng.randrange(bag)
-            self.same(self.py.dp_forget(table, pos), ref_forget(table, pos))
+            self.same(
+                labelled(self.py.dp_forget(table, pos, parts), parts), ref_forget(ref, pos)
+            )
 
     def test_join(self):
         for seed in range(150):
@@ -292,7 +319,61 @@ class TestPythonTransformsMatchReference:
                 for _ in range(rng.randint(0, 5) if bag >= 2 else 0):
                     pu, pv = rng.sample(range(bag), 2)
                     ops.append(("edge", pu, pv, rng.randint(0, 3)))
-                return grow_table(self.py, ops)
+                return grow_table(ops, parts)
 
+            parts = self.py.Partitions()
             left, right = branch(), branch()
-            self.same(self.py.dp_join(left, right), ref_join(left, right))
+            self.same(
+                labelled(self.py.dp_join(left, right, parts), parts),
+                ref_join(labelled(left, parts), labelled(right, parts)),
+            )
+
+
+class TestPartitions:
+    def test_equal_partitions_share_an_id_and_distinct_ones_never_do(self):
+        parts = kernels.Partitions()
+        assert parts.labels[0] == (0,)
+        for seed in range(40):
+            rng = random.Random(1500 + seed)
+            ops, _ = random_ops(rng, rng.randint(1, 14))
+            grow_table(ops, parts)
+        assert len(parts.labels) > 20
+        assert len(set(parts.labels)) == len(parts.labels)
+        assert len(parts.ids) == len(parts.labels)
+        for pid, labels in enumerate(parts.labels):
+            assert kernels.canon_labels(labels) == labels
+            # an equal tuple built apart finds the same id
+            assert parts.intern(tuple(list(labels))) == pid
+        assert parts.intern(tuple(range(20))) == len(parts.labels) - 1
+
+    def test_one_partitions_serves_narrow_then_wide_bags(self):
+        # the memos filled on bags of at most 16 positions serve bags past
+        # them, step by step against the reference loops; terminals only,
+        # so the tables stay small
+        parts = kernels.Partitions()
+        refs = {"intro": ref_introduce_vertex, "edge": ref_introduce_edge, "forget": ref_forget}
+        for seed in range(12):
+            rng = random.Random(1600 + seed)
+            ops, bag = random_ops(rng, 6)
+            edges = 0
+            while bag < 20:
+                if bag >= 2 and edges < 6 and rng.random() < 0.3:
+                    pu, pv = rng.sample(range(bag), 2)
+                    ops.append(("edge", pu, pv, rng.randint(0, 3)))
+                    edges += 1
+                else:
+                    ops.append(("intro", rng.randrange(bag + 1), True))
+                    bag += 1
+            for _ in range(4):
+                pu, pv = rng.sample(range(bag - 4, bag), 2)
+                ops.append(("edge", pu, pv, 1))
+            ops += [("forget", bag - 1), ("forget", 0)]
+            table = kernels.dp_leaf()
+            ref = {(1, (0,)): (0, None)}
+            for op in ops:
+                table = apply_op(table, op, parts)
+                ref = refs[op[0]](ref, *op[1:])
+                got = labelled(table, parts)
+                assert got == ref
+                assert list(got) == list(ref)
+        assert max(map(len, parts.labels)) == 20

@@ -1,5 +1,7 @@
 """Elimination orders, decompositions, the nice refinement, and .td files."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,11 @@ from steinmerge import (
     validate_nice,
     write_td,
 )
+from steinmerge import kernels
 from steinmerge.synth import (
     clique_instance,
     cycle_instance,
+    grid_with_holes,
     random_connected_instance,
 )
 from steinmerge.treewidth import (
@@ -329,6 +333,14 @@ class TestNiceForm:
         td = decomposition_from_order(inst.graph, greedy_degree(inst.graph))
         with pytest.raises(ValidationError):
             make_nice(inst.graph, td, 99)
+
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0)])
+    def test_tree_edge_to_a_missing_node_rejected(self, edge):
+        # a negative index would wrap round a list to the last node
+        g = path_graph(3)
+        td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), (edge,), 1)
+        with pytest.raises(ValidationError, match="missing node"):
+            make_nice(g, td, 0)
 
     def test_large_chain_no_recursion_blowup(self):
         # a long path produces a decomposition chain far past the default
@@ -642,3 +654,47 @@ class TestNiceMatchesReference:
         assert nice == reference_make_nice(g, td, root)
         assert validate_nice(g, nice) == []
         assert all(type(nd) is NiceNode for nd in nice.nodes)
+
+
+def identity_family():
+    """Fixed synth graphs of 2-40 vertices: random, grid, cycle and clique."""
+    for seed in range(100):
+        n = 6 + seed % 35
+        yield random_connected_instance(seed, n, n - 1 + (seed % 4) * n // 2, 2 + seed % 5)
+    for seed in range(4):
+        yield grid_with_holes(seed, 6, 7, 0.15, 5)
+    for n in range(3, 13):
+        yield cycle_instance(n, 3, seed=n)
+    for n in range(2, 9):
+        yield clique_instance(n, 3, seed=n)
+
+
+def digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestIdentityOverAFixedFamily:
+    """Elimination and the nice refinement give, digit for digit, what they
+    gave before their loops were tightened: sha256 digests recorded then
+    over ``identity_family``. Any reordering of a pop, a bag or a node
+    changes them."""
+
+    def test_eliminations(self):
+        rows = []
+        for inst in identity_family():
+            _, masks = inst.graph.adjacency_masks
+            rows.append([kernels.eliminate(masks, cap) for cap in (-1, 2, 3, 6)])
+        assert digest(rows) == (
+            "a4573d627f2672961f25f3aaac0d3da4def4ca8c7aaa09c5c897b31ab3331a46"
+        )
+
+    def test_nice_nodes(self):
+        rows = []
+        for inst in identity_family():
+            g = inst.graph
+            td = decomposition_from_order(g, greedy_degree(g))
+            for root in (min(inst.terminals), max(inst.terminals)):
+                rows.append([tuple(nd) for nd in make_nice(g, td, root).nodes])
+        assert digest(rows) == (
+            "45b59975a8891df8de76b6e47adbf99bb82947850cdec40b48f6a2d63114c00f"
+        )
