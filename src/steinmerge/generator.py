@@ -16,7 +16,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from math import inf
 from typing import Callable, Iterable, Sequence
 
 from . import kernels
@@ -163,43 +162,6 @@ def sph_construct(
     return prune(instance, edges)
 
 
-def _induced_forest(
-    instance: SteinerInstance, members: set[int], spare: list[int] | None = None
-) -> list[int]:
-    """Minimum spanning forest of the subgraph induced by ``members``.
-
-    The forest is a list of edge ranks. When ``spare`` is given, every
-    induced edge left out of the forest is appended to it in rank order.
-    """
-    g = instance.graph
-    indptr, nbr, _ = g.csr
-    ranks = g.edge_ranks
-    slot = g.slot_ranks
-    induced = sorted(
-        slot[i]
-        for v in members
-        for i in range(indptr[v], indptr[v + 1])
-        if nbr[i] > v and nbr[i] in members
-    )
-    return minimum_spanning_edges(
-        len(indptr) - 1, ranks.tail, ranks.head, induced, spare, len(members) - 1
-    )
-
-
-def _induced_tree(
-    instance: SteinerInstance, members: set[int], bound: float = inf
-) -> SteinerSolution | None:
-    """Pruned MST of the subgraph induced by ``members``.
-
-    Equals ``prune(instance, induced_edges)`` when that is lighter than
-    ``bound``, and is None otherwise, including when the members do not
-    connect the terminals. The forest goes straight to ``strip_leaves``,
-    because the MST that ``prune`` would take of it first is the forest
-    itself.
-    """
-    return strip_leaves(instance, _induced_forest(instance, members), bound)
-
-
 def _insertion_candidates(instance: SteinerInstance, tverts: frozenset[int]) -> list[int]:
     """The vertices outside ``tverts`` with two or more neighbours in it, ascending.
 
@@ -247,35 +209,49 @@ def _preorder(
     return pre, pos, size, up
 
 
-class _DeletionCheck:
-    """Every Steiner-vertex deletion of one tree, scored against one MST.
+class _PassForest:
+    """Every vertex move of one tree, scored against one spanning forest.
 
-    Built once per local-search pass from the MST of G[T], T the current
-    tree's vertices, and the induced edges left out of it. An MST edge
-    avoiding ``v`` is the lightest edge across some cut of G[T]; the same
-    cut restricted to G[T - v] keeps it lightest, and under the strict rank
-    order that puts it in the unique minimum spanning forest of G[T - v].
-    So that forest is the MST minus the edges at ``v``, plus whatever
-    Kruskal takes from the left-out edges avoiding ``v`` to join the
-    pieces ``v`` leaves behind.
+    Built once per local-search pass: the MST of G[T], T the current tree's
+    vertices, and the induced edges it leaves out, in rank order. Under the
+    strict rank order each subgraph has one minimum spanning forest, and
+    each move repairs this one. Inserting ``v``: a left-out edge is the
+    heaviest on a cycle of MST edges that G[T + v] keeps, so it stays out,
+    and Kruskal over the MST plus ``v``'s edges into T gives the forest of
+    G[T + v]. Deleting ``v``: an MST edge avoiding ``v`` is the lightest
+    across some cut of G[T] and stays so in G[T - v], so that forest is the
+    MST minus the edges at ``v``, plus whatever Kruskal takes from the
+    left-out edges avoiding ``v`` to join the pieces ``v`` leaves behind.
 
     When the MST spans T and all its leaves are terminals, every such piece
     holds a terminal: a one-vertex piece is an MST leaf, and a larger one
     has two leaves of its own, at most one of them ``v``'s neighbour. Then
-    pieces Kruskal cannot join mean disconnected terminals, and the answer
-    is None before any forest is built.
+    pieces Kruskal cannot join mean disconnected terminals, and a deletion
+    gives None before any forest is built.
     """
 
-    def __init__(self, instance: SteinerInstance, members: set[int]) -> None:
+    def __init__(self, instance: SteinerInstance, members: frozenset[int]) -> None:
         self.instance = instance
-        ranks = instance.graph.edge_ranks
+        self.members = members
+        graph = instance.graph
+        indptr, nbr, _ = graph.csr
+        slot = graph.slot_ranks
+        ranks = graph.edge_ranks
         self.tail, self.head = ranks.tail, ranks.head
+        induced = sorted(
+            slot[i]
+            for v in members
+            for i in range(indptr[v], indptr[v + 1])
+            if nbr[i] > v and nbr[i] in members
+        )
         self.spare: list[int] = []
-        self.mst = _induced_forest(instance, members, self.spare)
+        self.mst = minimum_spanning_edges(
+            graph.n_vertices, self.tail, self.head, induced, self.spare, len(members) - 1
+        )
         self.pre, self.pos, self.size, _ = _preorder(
             ((self.tail[r], self.head[r]) for r in self.mst),
             min(members),
-            instance.graph.n_vertices,
+            graph.n_vertices,
         )
         degree = Counter(x for r in self.mst for x in (self.tail[r], self.head[r]))
         terms = instance.terminals
@@ -283,8 +259,23 @@ class _DeletionCheck:
             d > 1 or x in terms for x, d in degree.items()
         )
 
+    def with_vertex(self, v: int, bound: float) -> SteinerSolution | None:
+        """The pruned MST of G[T + v] if lighter than ``bound``, else None."""
+        graph = self.instance.graph
+        indptr, nbr, _ = graph.csr
+        slot = graph.slot_ranks
+        members = self.members
+        ranked = self.mst + [
+            slot[i] for i in range(indptr[v], indptr[v + 1]) if nbr[i] in members
+        ]
+        ranked.sort()
+        forest = minimum_spanning_edges(
+            graph.n_vertices, self.tail, self.head, ranked, spanning=len(members)
+        )
+        return strip_leaves(self.instance, forest, bound)
+
     def without(self, v: int, bound: float) -> SteinerSolution | None:
-        """``_induced_tree(instance, members - {v}, bound)`` for one ``v``."""
+        """The pruned MST of G[T - v] if lighter than ``bound``, else None."""
         tail, head, pre, pos, size = self.tail, self.head, self.pre, self.pos, self.size
         # the MST minus v falls apart into v's child subtrees, which are
         # consecutive slices of the preorder, and the part above v
@@ -446,8 +437,8 @@ def _cheapest_reconnect(
 
 
 # a tree, as its vertex set T and its weight w, mapped to every move scored
-# on it: vertex v -> ``_induced_tree`` of T with v added (v outside T, an
-# insertion) or removed (v in T, a deletion), under w
+# on it: vertex v -> the pruned MST of G[T + v] (v outside T, an insertion)
+# or of G[T - v] (v in T, a deletion) if lighter than w, else None
 Verdicts = dict[tuple[frozenset[int], int], dict[int, SteinerSolution | None]]
 
 
@@ -457,9 +448,9 @@ class Optima:
 
     ``optima`` maps each certified local optimum's edge set to the lengths
     of the three lists its certifying pass shuffled; ``verdicts`` keeps
-    every insertion and every Steiner-vertex deletion scored, one table
-    for both, since a vertex's membership in the tree says which move it
-    was.
+    every insertion and every Steiner-vertex deletion a ``_PassForest``
+    scored, one table for both, since a vertex's membership in the tree
+    says which move it was.
     """
 
     optima: dict[frozenset[Edge], tuple[int, int, int]] = field(default_factory=dict)
@@ -492,16 +483,16 @@ def local_search(
     """Descend from ``tree`` to a local optimum; weight never increases.
 
     Moves, tried in order until none improves: insert a non-tree vertex and
-    rebuild the pruned MST over the enlarged vertex set; delete a Steiner
+    take the pruned MST over the enlarged vertex set; delete a Steiner
     vertex the same way; swap one tree edge for the cheapest path that
     reconnects the two halves. Scan orders are shuffled by ``rng``. Once
     ``deadline`` (a monotonic-clock timestamp) has passed, the current tree
     is returned before the next candidate is evaluated.
 
-    Deletions and exchanges are checked against the current tree rather
-    than rebuilt per candidate, with the same outcome: ``_DeletionCheck``
-    repairs one MST per pass instead of building the MST of each G[T - v],
-    and ``_ExchangeCheck`` settles once per pass which edges a lighter path
+    Every move is checked against the current tree rather than rebuilt
+    from the graph, with the same outcome: one ``_PassForest`` per pass
+    repairs the MST of G[T] into that of each G[T + v] and G[T - v], and
+    ``_ExchangeCheck`` settles once per pass which edges a lighter path
     could replace, so the cheapest-path search runs only for those.
     ``tree`` must be a tree. An accepted move that is not strictly lighter
     than the current tree raises InvariantError, so a scoring fault cannot
@@ -516,12 +507,12 @@ def local_search(
     would have left it. A pass the deadline cuts short records nothing.
 
     Its ``verdicts`` keep every insertion and deletion scored, in one dict
-    per tree: ``_induced_tree(T + v, w)`` and ``_induced_tree(T - v, w)``
-    depend only on the tree's vertex set T, its weight w and v, and v's
-    membership in T says which of the two it is. So a pass over a tree
-    seen before looks each candidate up first and scores only the new
-    ones; ``_DeletionCheck`` is built only when some removable vertex is
-    not yet scored. The scan order, the deadline checks and the
+    per tree: the pruned MSTs of G[T + v] and G[T - v] under w depend only
+    on the tree's vertex set T, its weight w and v, and v's membership in T
+    says which of the two it is. So a pass over a tree seen before looks
+    each candidate up first and scores only the new ones; the pass's
+    ``_PassForest`` is built on the first candidate not yet scored, and
+    not at all when every one is. The scan order, the deadline checks and the
     rng draws stay as they were. Within one call no tree repeats, since
     every accepted move is lighter, so a fresh memo changes nothing.
 
@@ -550,6 +541,7 @@ def local_search(
         candidates = _insertion_candidates(instance, tverts)
         rng.shuffle(candidates)
         scored = verdicts.setdefault((tverts, current.weight), {})
+        forest = None
         accepted = None
         for v in candidates:
             if expired():
@@ -557,7 +549,9 @@ def local_search(
             if v in scored:
                 accepted = scored[v]
             else:
-                accepted = scored[v] = _induced_tree(instance, tverts | {v}, current.weight)
+                if forest is None:
+                    forest = _PassForest(instance, tverts)
+                accepted = scored[v] = forest.with_vertex(v, current.weight)
             if accepted is not None:
                 break
         if accepted is not None:
@@ -566,16 +560,15 @@ def local_search(
 
         removable = [v for v in sorted(tverts) if v not in terms]
         rng.shuffle(removable)
-        deletion = None
         for v in removable:
             if expired():
                 return current
             if v in scored:
                 accepted = scored[v]
             else:
-                if deletion is None:
-                    deletion = _DeletionCheck(instance, tverts)
-                accepted = scored[v] = deletion.without(v, current.weight)
+                if forest is None:
+                    forest = _PassForest(instance, tverts)
+                accepted = scored[v] = forest.without(v, current.weight)
             if accepted is not None:
                 break
         if accepted is not None:

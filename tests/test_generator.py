@@ -41,10 +41,9 @@ from steinmerge.graph import strip_leaves
 from steinmerge.generator import (
     Optima,
     _cheapest_reconnect,
-    _DeletionCheck,
+    _PassForest,
     _derive_seed,
     _ExchangeCheck,
-    _induced_tree,
     _insertion_candidates,
 )
 from steinmerge.synth import (
@@ -261,12 +260,12 @@ class TestCertifiedOptima:
 
             return counted
 
-        for name in ("_induced_tree", "_DeletionCheck", "_ExchangeCheck"):
+        for name in ("_PassForest", "_ExchangeCheck"):
             monkeypatch.setattr(generator, name, counting(name, getattr(generator, name)))
         memo = Optima()
         best = local_search(inst, start, rng_for(), memo=memo)
         assert list(memo.optima) == [best.edges]
-        assert min(calls.values()) > 0 and len(calls) == 3
+        assert min(calls.values()) > 0 and len(calls) == 2
         calls.clear()
         rng = rng_for(1)
         assert local_search(inst, best, rng, memo=memo) == best
@@ -358,16 +357,16 @@ class TestInsertionVerdicts:
     def test_no_insertion_is_scored_twice(self, monkeypatch):
         inst = grid_with_holes(3, 10, 10)
         start = sph_construct(inst, None, min(inst.terminals), rng_for())
-        real = generator._induced_tree
+        real = _PassForest.with_vertex
 
         def scores(memo):
             seen = Counter()
 
-            def counted(instance, members, bound=inf):
-                seen[frozenset(members), bound] += 1
-                return real(instance, members, bound)
+            def counted(forest, v, bound):
+                seen[forest.members | {v}, bound] += 1
+                return real(forest, v, bound)
 
-            monkeypatch.setattr(generator, "_induced_tree", counted)
+            monkeypatch.setattr(_PassForest, "with_vertex", counted)
             # later descents pass through trees the first one visited
             for stream in range(4):
                 local_search(inst, start, rng_for(stream), memo=memo)
@@ -412,7 +411,7 @@ class TestDeletionVerdicts:
         starts = []
         for _ in range(3):
             members = set(inst.terminals) | {v for v in range(20) if rng.random() < 0.7}
-            start = _induced_tree(inst, members)
+            start = reference_induced_tree(inst, members)
             if start is not None:
                 starts.append(start)
 
@@ -432,30 +431,23 @@ class TestDeletionVerdicts:
                 assert descend(start, stream, warm) == plain
         # every remembered deletion verdict is the one a fresh check gives
         for (tverts, weight), scored in warm.verdicts.items():
-            check = _DeletionCheck(inst, set(tverts))
+            forest = _PassForest(inst, tverts)
             for v in scored.keys() & tverts:
-                assert scored[v] == check.without(v, weight)
+                assert scored[v] == forest.without(v, weight)
 
     def test_no_deletion_is_scored_twice(self, monkeypatch):
         inst = grid_with_holes(3, 10, 10)
         start = sph_construct(inst, None, min(inst.terminals), rng_for())
-        real = _DeletionCheck
+        real = _PassForest.without
 
         def scores(memo):
             seen = Counter()
 
-            def counted(instance, members):
-                check = real(instance, members)
-                key = frozenset(members)
+            def counted(forest, v, bound):
+                seen[forest.members, v, bound] += 1
+                return real(forest, v, bound)
 
-                def without(v, bound):
-                    seen[key, v, bound] += 1
-                    return real.without(check, v, bound)
-
-                check.without = without
-                return check
-
-            monkeypatch.setattr(generator, "_DeletionCheck", counted)
+            monkeypatch.setattr(_PassForest, "without", counted)
             for stream in range(4):
                 local_search(inst, start, rng_for(stream), memo=memo)
             return seen
@@ -488,12 +480,47 @@ class TestOneVerdictTable:
         def unscored(*args):
             raise AssertionError("a remembered move was scored again")
 
-        monkeypatch.setattr(generator, "_induced_tree", unscored)
-        monkeypatch.setattr(generator, "_DeletionCheck", unscored)
+        monkeypatch.setattr(generator, "_PassForest", unscored)
         memo.optima.clear()
         rng = rng_for()
         assert local_search(inst, path, rng, memo=memo) == edge
         assert rng.getstate() == state
+
+    def test_a_pass_builds_at_most_one_forest(self, monkeypatch):
+        inst = grid_with_holes(3, 10, 10)
+        start = sph_construct(inst, None, min(inst.terminals), rng_for())
+        # what each pass did, in order: one list per pass
+        passes = []
+        candidates = generator._insertion_candidates
+
+        def new_pass(instance, tverts):
+            passes.append([])
+            return candidates(instance, tverts)
+
+        class Recorded(_PassForest):
+            def __init__(self, instance, members):
+                passes[-1].append("forest")
+                super().__init__(instance, members)
+
+            def with_vertex(self, v, bound):
+                passes[-1].append("insertion")
+                return super().with_vertex(v, bound)
+
+            def without(self, v, bound):
+                passes[-1].append("deletion")
+                return super().without(v, bound)
+
+        monkeypatch.setattr(generator, "_insertion_candidates", new_pass)
+        monkeypatch.setattr(generator, "_PassForest", Recorded)
+        memo = Optima()
+        # later descents meet trees whose moves an earlier one scored
+        for stream in range(4):
+            local_search(inst, start, rng_for(stream), memo=memo)
+        for done in passes:
+            assert done == [] or (done[0] == "forest" and done.count("forest") == 1)
+        # one forest scored both moves of a pass, and a pass scored nothing
+        assert any("insertion" in done and "deletion" in done for done in passes)
+        assert [] in passes
 
 
 def triangle_with_hub():
@@ -526,7 +553,7 @@ class TestAcceptedMovesAreLighter:
         inst, light, star = triangle_with_hub()
         assert local_search(inst, star, rng_for()) == light
         # a deletion check that hands back the tree it was given
-        monkeypatch.setattr(_DeletionCheck, "without", lambda self, v, bound: star)
+        monkeypatch.setattr(_PassForest, "without", lambda self, v, bound: star)
         fake_clock(monkeypatch, *[0.0] * 50, 9.0)
         with pytest.raises(InvariantError, match="deletion weighs 9"):
             local_search(inst, star, rng_for(), deadline=5.0)
@@ -625,22 +652,6 @@ class TestIndexSpaceMoves:
         assert _insertion_candidates(inst, tverts) == scan
 
     @given(st.integers(0, 10**6), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_induced_tree_matches_prune_of_mst(self, seed, data):
-        inst = tie_heavy_instance(seed)
-        g = inst.graph
-        vertices = data.draw(st.sets(st.sampled_from(sorted(g.vertices))))
-        if data.draw(st.booleans()):
-            vertices |= inst.terminals
-        ref = reference_induced_tree(inst, vertices)
-        assert _induced_tree(inst, vertices) == ref
-        bound = data.draw(st.integers(0, 3 * g.n_vertices))
-        got = _induced_tree(inst, vertices, bound)
-        assert (got is None) == (ref is None or ref.weight >= bound)
-        if got is not None:
-            assert got == ref
-
-    @given(st.integers(0, 10**6), st.data())
     @settings(max_examples=100, deadline=None)
     def test_prune_matches_reference(self, seed, data):
         inst = tie_heavy_instance(seed)
@@ -702,17 +713,28 @@ def random_tree(instance, data):
 
 
 class TestCurrentTreeChecks:
-    """Deletion and exchange checks against the from-scratch routines."""
+    """Vertex-move and exchange checks against the from-scratch routines."""
 
     @given(st.integers(0, 10**6), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_deletion_matches_induced_tree(self, seed, data):
+    def test_pass_forest_matches_induced_trees(self, seed, data):
         inst = tie_heavy_instance(seed)
         members, _ = random_tree(inst, data)
-        check = _DeletionCheck(inst, members)
+        tverts = frozenset(members)
+        forest = _PassForest(inst, tverts)
         bound = data.draw(st.one_of(st.just(inf), st.integers(0, 30)))
-        for v in sorted(members - inst.terminals):
-            assert check.without(v, bound) == _induced_tree(inst, members - {v}, bound)
+
+        def under_bound(tree):
+            return None if tree is None or tree.weight >= bound else tree
+
+        # every outside vertex, not only the candidates with two tree
+        # neighbours: one with fewer is pruned off or leaves G[T + v] split
+        for v in sorted(set(range(inst.graph.n_vertices)) - tverts):
+            expect = under_bound(reference_induced_tree(inst, tverts | {v}))
+            assert forest.with_vertex(v, bound) == expect
+        for v in sorted(tverts - inst.terminals):
+            expect = under_bound(reference_induced_tree(inst, tverts - {v}))
+            assert forest.without(v, bound) == expect
 
     def test_deletion_of_a_cut_vertex(self):
         # 1 is the only link between terminals 0 and 2 inside {0, 1, 2, 3}:
@@ -721,11 +743,10 @@ class TestCurrentTreeChecks:
             [(0, 1, 2), (1, 2, 2), (1, 3, 1), (0, 3, 1), (2, 4, 1), (3, 4, 9)],
             [0, 2],
         )
-        members = {0, 1, 2, 3}
-        check = _DeletionCheck(inst, members)
+        check = _PassForest(inst, frozenset({0, 1, 2, 3}))
         assert check.without(1, inf) is None
-        assert _induced_tree(inst, {0, 2, 3}) is None
-        assert check.without(3, inf) == _induced_tree(inst, {0, 1, 2})
+        assert reference_induced_tree(inst, {0, 2, 3}) is None
+        assert check.without(3, inf) == reference_induced_tree(inst, {0, 1, 2})
         assert check.without(3, inf).weight == 4
 
     def test_deletion_with_a_steiner_leaf_in_the_mst(self):
@@ -733,10 +754,9 @@ class TestCurrentTreeChecks:
         # deleting 1 leaves piece {3} apart from {0, 2} without losing the
         # terminals: 0-2 alone still joins them
         inst = build_instance([(0, 1, 1), (1, 2, 1), (1, 3, 1), (0, 2, 3)], [0, 2])
-        members = {0, 1, 2, 3}
-        check = _DeletionCheck(inst, members)
+        check = _PassForest(inst, frozenset({0, 1, 2, 3}))
         assert not check.terminal_leaves
-        assert check.without(1, inf) == _induced_tree(inst, {0, 2, 3})
+        assert check.without(1, inf) == reference_induced_tree(inst, {0, 2, 3})
         assert check.without(1, inf).weight == 3
         assert check.without(3, inf).weight == 2
 
@@ -747,7 +767,7 @@ class TestCurrentTreeChecks:
             [(0, 1, 2), (1, 2, 2), (1, 3, 1), (0, 3, 1), (2, 4, 1), (3, 4, 9)],
             [0, 2],
         )
-        check = _DeletionCheck(inst, {0, 1, 2, 3})
+        check = _PassForest(inst, frozenset({0, 1, 2, 3}))
         assert check.terminal_leaves
         calls = []
 
@@ -895,7 +915,7 @@ def forbid_moves(monkeypatch):
     def unscored(*args):
         raise AssertionError("a local-search move was scored past the deadline")
 
-    for name in ("_induced_tree", "_DeletionCheck", "_cheapest_reconnect"):
+    for name in ("_PassForest", "_cheapest_reconnect"):
         monkeypatch.setattr(generator, name, unscored)
 
 
