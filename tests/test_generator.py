@@ -617,6 +617,11 @@ def reference_induced_tree(instance, vertices):
         return None
 
 
+def under_bound(tree, bound):
+    """``tree`` if it weighs less than ``bound``, else None."""
+    return None if tree is None or tree.weight >= bound else tree
+
+
 def reference_reconnect(instance, side, other):
     """Cheapest side-to-other path from an unbounded ``dijkstra_multi`` run."""
     indptr, nbr, wts = instance.graph.csr
@@ -650,6 +655,21 @@ class TestIndexSpaceMoves:
             and sum(nbr[i] in tverts for i in range(indptr[v], indptr[v + 1])) >= 2
         ]
         assert _insertion_candidates(inst, tverts) == scan
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_induced_tree_matches_prune_of_mst(self, seed, data):
+        inst = tie_heavy_instance(seed)
+        members, _ = random_tree(inst, data)
+        tverts = frozenset(members)
+        forest = _PassForest(inst, tverts)
+        bound = data.draw(st.one_of(st.just(inf), st.integers(0, 30)))
+        # every outside vertex, not only the candidates with two tree
+        # neighbours: one with fewer is pruned off or leaves G[T + v] split
+        for v in sorted(set(range(inst.graph.n_vertices)) - tverts):
+            assert forest.with_vertex(v, bound) == under_bound(
+                reference_induced_tree(inst, tverts | {v}), bound
+            )
 
     @given(st.integers(0, 10**6), st.data())
     @settings(max_examples=100, deadline=None)
@@ -717,24 +737,16 @@ class TestCurrentTreeChecks:
 
     @given(st.integers(0, 10**6), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_pass_forest_matches_induced_trees(self, seed, data):
+    def test_deletion_matches_induced_tree(self, seed, data):
         inst = tie_heavy_instance(seed)
         members, _ = random_tree(inst, data)
         tverts = frozenset(members)
         forest = _PassForest(inst, tverts)
         bound = data.draw(st.one_of(st.just(inf), st.integers(0, 30)))
-
-        def under_bound(tree):
-            return None if tree is None or tree.weight >= bound else tree
-
-        # every outside vertex, not only the candidates with two tree
-        # neighbours: one with fewer is pruned off or leaves G[T + v] split
-        for v in sorted(set(range(inst.graph.n_vertices)) - tverts):
-            expect = under_bound(reference_induced_tree(inst, tverts | {v}))
-            assert forest.with_vertex(v, bound) == expect
         for v in sorted(tverts - inst.terminals):
-            expect = under_bound(reference_induced_tree(inst, tverts - {v}))
-            assert forest.without(v, bound) == expect
+            assert forest.without(v, bound) == under_bound(
+                reference_induced_tree(inst, tverts - {v}), bound
+            )
 
     def test_deletion_of_a_cut_vertex(self):
         # 1 is the only link between terminals 0 and 2 inside {0, 1, 2, 3}:
