@@ -18,7 +18,8 @@ I/O error (stdout whose encoding cannot hold the output included: one
 `error:` line, no traceback; --output files are always UTF-8), 3 parse
 or validation failure (input that is not UTF-8 text included), 4
 infeasible, 5 capacity fallback or refusal (any command that runs out of
-memory included: one `capacity:` line, no traceback), 6 timeout (bench:
+memory, or whose --jobs worker process dies, included: one `capacity:`
+line, no traceback), 6 timeout (bench:
 the most severe code of its instances, a skipped one counting as 6).
 --jobs sets the worker processes, at most one per CPU.
 """
@@ -269,26 +270,6 @@ def _bench_row(report: MergeReport, name: str, instance: SteinerInstance,
         improvement=improvement,
     )
     return row
-
-
-def _read_cell(column: str, text: str):
-    if column in ("instance", "source"):
-        return text
-    if text == "":
-        return None
-    if column in ("grasp_gap", "smh_gap", "improvement"):
-        return Fraction(text)
-    if column in ("capacity_fallback", "timed_out"):
-        return text == "1"
-    return int(text)
-
-
-def read_bench_csv(text: str) -> list[dict]:
-    """Parse bench CSV back into rows (2-decimal gaps stay 2-decimal)."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != BENCH_COLUMNS:
-        raise ParseError("unexpected bench CSV header")
-    return [{c: _read_cell(c, v) for c, v in row.items()} for row in reader]
 
 
 def bench_summary(rows: list[dict]) -> dict:

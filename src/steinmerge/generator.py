@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import os
 import random
+import sys
 import time
 from bisect import bisect_right
 from collections import Counter
@@ -19,6 +20,7 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import kernels
+from .exact import CapacityError
 from .graph import (
     Edge,
     InvariantError,
@@ -41,15 +43,20 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     """``list(map(fn, items))``, in worker processes when more than one runs.
 
     Workers are capped at one per item and one per CPU. ``fn`` must pickle:
-    a module-level function or a ``functools.partial`` of one.
+    a module-level function or a ``functools.partial`` of one. A worker
+    that dies, as an out-of-memory kill ends one, is a CapacityError.
     """
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return list(map(fn, items))
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    except BrokenProcessPool as exc:
+        raise CapacityError(f"a worker process died: {exc}") from None
 
 
 def _derive_seed(seed: int, idx: int) -> int:
@@ -74,6 +81,9 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.pool_size < 1:
             raise ValidationError("pool_size must be at least 1")
+        # a larger range has no len(), which parallel_map takes
+        if self.pool_size > sys.maxsize:
+            raise ValidationError(f"pool_size must be at most {sys.maxsize}")
         if self.iterations_per_run < 1:
             raise ValidationError("iterations_per_run must be at least 1")
         if not 0.0 <= self.perturbation_strength < 1.0:

@@ -34,8 +34,7 @@ def eliminate(masks, cap):
     """Greedy minimum-degree elimination over bitmask adjacency.
 
     masks[i] is the neighbor bitmask of vertex i (the caller's list is not
-    mutated). Ties on degree go to the lowest vertex. cap < 0 disables the
-    width cap.
+    mutated). Ties on degree go to the lowest vertex.
 
     Returns (width, order, bags): bags[i] is the bitmask of order[i] and its
     neighbours not yet eliminated when it goes, one bag of the tree
@@ -56,7 +55,7 @@ def eliminate(masks, cap):
         d, v = heapq.heappop(heap)
         if removed[v] or d != deg[v]:
             continue
-        if cap >= 0 and d > cap:
+        if d > cap:
             return d, None, None
         if d > width:
             width = d

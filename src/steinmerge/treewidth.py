@@ -14,7 +14,6 @@ from typing import NamedTuple, Sequence
 
 from . import kernels
 from .graph import (
-    InvariantError,
     ParseError,
     ValidationError,
     WeightedGraph,
@@ -50,31 +49,25 @@ class TreeDecomposition:
     width: int
 
 
-def _eliminate(graph: WeightedGraph, cap: int) -> EliminationOrder:
-    vs, masks = graph.adjacency_masks
-    width, at, bags = kernels.eliminate(masks, cap)
-    if at is None:
-        return EliminationOrder(None, width)
-    return EliminationOrder(tuple(vs[i] for i in at), width, bags, masks)
-
-
 def greedy_degree(graph: WeightedGraph) -> EliminationOrder:
     """Full greedy minimum-degree elimination order.
 
-    The reported width is the highest degree any vertex had at the moment it
-    was eliminated. Degree ties go to the lowest vertex id.
+    This is the elimination capped at ``graph.n_vertices``, which no degree
+    reaches. The reported width is the highest degree any vertex had at the
+    moment it was eliminated. Degree ties go to the lowest vertex id.
     """
-    found = _eliminate(graph, -1)
-    if found.exceeded:
-        raise InvariantError("uncapped elimination returned no order")
-    return found
+    return greedy_degree_capped(graph, graph.n_vertices)
 
 
 def greedy_degree_capped(graph: WeightedGraph, max_width: int) -> EliminationOrder:
     """Greedy elimination that aborts as soon as a step would exceed max_width."""
     if max_width < 0:
         raise ValueError("max_width must be nonnegative")
-    return _eliminate(graph, max_width)
+    vs, masks = graph.adjacency_masks
+    width, at, bags = kernels.eliminate(masks, max_width)
+    if at is None:
+        return EliminationOrder(None, width)
+    return EliminationOrder(tuple(vs[i] for i in at), width, bags, masks)
 
 
 def decomposition_from_order(
@@ -136,7 +129,11 @@ def _holding(bags: Sequence[frozenset[int]]) -> dict[int, list[int]]:
     holding: dict[int, list[int]] = {}
     for i, b in enumerate(bags):
         for v in b:
-            holding.setdefault(v, []).append(i)
+            held = holding.get(v)
+            if held is None:
+                holding[v] = [i]
+            else:
+                held.append(i)
     return holding
 
 
@@ -149,7 +146,10 @@ def _covering_bag(
     """
     hu, hv = holding.get(u, ()), holding.get(v, ())
     scan, other = (hu, v) if len(hu) <= len(hv) else (hv, u)
-    return next((i for i in scan if other in bags[i]), None)
+    for i in scan:
+        if other in bags[i]:
+            return i
+    return None
 
 
 def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[str]:
@@ -229,6 +229,8 @@ INTRODUCE = "introduce"
 INTRODUCE_EDGE = "edge"
 FORGET = "forget"
 JOIN = "join"
+# how many children a node of each kind has
+_ARITY = {LEAF: 0, INTRODUCE: 1, INTRODUCE_EDGE: 1, FORGET: 1, JOIN: 2}
 
 
 class NiceNode(NamedTuple):
@@ -306,27 +308,14 @@ def make_nice(
     for j in bfs[1:]:
         children[parent[j]].append(j)
 
-    # each graph edge goes to the lowest-index node covering both
-    # endpoints, found among the bags of whichever endpoint has fewer
-    holding: dict[int, list[int]] = {}
-    for i, bag in enumerate(bags):
-        for v in bag:
-            held = holding.get(v)
-            if held is None:
-                holding[v] = [i]
-            else:
-                held.append(i)
+    # each graph edge goes to the lowest-index node covering both endpoints
+    holding = _holding(bags)
     assigned: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for e in sorted(graph.weights):
-        u, v = e
-        hu, hv = holding.get(u, ()), holding.get(v, ())
-        scan, other = (hu, v) if len(hu) <= len(hv) else (hv, u)
-        for i in scan:
-            if other in bags[i]:
-                assigned[i].append(e)
-                break
-        else:
-            raise ValidationError(f"edge ({u}, {v}) is covered by no bag")
+        i = _covering_bag(bags, holding, *e)
+        if i is None:
+            raise ValidationError(f"edge ({e[0]}, {e[1]}) is covered by no bag")
+        assigned[i].append(e)
 
     # nodes are built positionally, straight from their field tuples
     new = tuple.__new__
@@ -404,17 +393,10 @@ def validate_nice(graph: WeightedGraph, nice: NiceDecomposition) -> list[str]:
             if c >= idx:
                 out.append(f"node {idx}: child {c} does not precede it (post-order)")
             referenced.add(c)
-        kinds_ok = {
-            LEAF: 0,
-            INTRODUCE: 1,
-            INTRODUCE_EDGE: 1,
-            FORGET: 1,
-            JOIN: 2,
-        }
-        if nd.kind not in kinds_ok:
+        if nd.kind not in _ARITY:
             out.append(f"node {idx}: unknown kind {nd.kind!r}")
             continue
-        if len(nd.children) != kinds_ok[nd.kind]:
+        if len(nd.children) != _ARITY[nd.kind]:
             out.append(f"node {idx}: {nd.kind} has {len(nd.children)} children")
             continue
         if nd.kind == LEAF:

@@ -12,6 +12,7 @@ import json
 import os
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from steinmerge import (
     validate_nice,
     write_stp,
 )
-from steinmerge.cli import main, read_bench_csv
+from steinmerge.cli import main
 from steinmerge.synth import (
     clique_instance,
     cycle_instance,
@@ -315,14 +316,16 @@ def test_09_external_benchmark(capsys, tmp_path):
                 "(set SMH_STEINLIB_DIR to a directory of .stp files)"
             )
         pytest.skip("no external benchmark instances supplied")
-    out_path = tmp_path / "bench.csv"
-    argv = ["bench", directory, "--format", "csv", "-o", str(out_path), "--seed", "0"]
+    out_path = tmp_path / "bench.json"
+    argv = ["bench", directory, "--format", "json", "-o", str(out_path), "--seed", "0"]
     best = os.environ.get("SMH_BEST_KNOWN")
     if best:
         argv += ["--best-known", best]
     code = main(argv)
-    records = read_bench_csv(out_path.read_text())
-    gaps = [(r["grasp_gap"], r["smh_gap"]) for r in records if r["grasp_gap"] is not None]
+    records = json.loads(out_path.read_text())
+    # gaps print as two-decimal strings
+    gaps = [(Fraction(r["grasp_gap"]), Fraction(r["smh_gap"]))
+            for r in records if r["grasp_gap"] is not None]
     if gaps:
         mean_grasp = sum(g for g, _ in gaps) / len(gaps)
         mean_smh = sum(g for _, g in gaps) / len(gaps)

@@ -1,16 +1,24 @@
 """Command-line behavior: exit codes, formats, env overrides, bench files."""
 
+import argparse
+import contextlib
+import csv
 import dataclasses
 import hashlib
+import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinmerge import (
     ParseError,
@@ -18,11 +26,14 @@ from steinmerge import (
     dreyfus_wagner,
     greedy_degree,
     decomposition_from_order,
+    parse_stp_file,
     write_stp,
     write_td,
 )
 import steinmerge
-from steinmerge import GeneratorConfig, cli, exact, generate_pool, kernels, write_pool
+from steinmerge import (
+    GeneratorConfig, cli, exact, generate_pool, generator, kernels, write_pool,
+)
 from steinmerge.cli import (
     BENCH_COLUMNS,
     EXIT_CAPACITY,
@@ -34,7 +45,6 @@ from steinmerge.cli import (
     compute_gap,
     csv_text,
     main,
-    read_bench_csv,
     read_best_known,
 )
 from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance
@@ -89,21 +99,6 @@ class TestBenchCsv:
         )
         row.update(over)
         return row
-
-    def test_roundtrip(self):
-        rows = [
-            self.make_row(),
-            self.make_row(
-                instance="y", best_known=None, grasp_gap=None, smh_gap=None,
-                improvement=None, capacity_fallback=True,
-            ),
-        ]
-        again = read_bench_csv(csv_text(BENCH_COLUMNS, rows))
-        assert again == rows
-
-    def test_header_checked(self):
-        with pytest.raises(ParseError):
-            read_bench_csv("a,b,c\n1,2,3\n")
 
     def test_two_decimal_gaps(self):
         text = csv_text(BENCH_COLUMNS, [self.make_row(smh_gap=Fraction(1, 3))])
@@ -418,6 +413,115 @@ def test_out_of_memory_exits_capacity(argv, capsys, monkeypatch):
     assert main(argv) == EXIT_CAPACITY
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", "capacity: out of memory\n")
+
+
+HUGE_POOL = "100000000000000000000"
+
+
+@pytest.mark.parametrize("by_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("command", ["solve", "generate", "bench"])
+def test_pool_beyond_a_machine_word_rejected(tmp_path, capsys, monkeypatch, command, by_env):
+    # a range that long has no len(); the pool size is checked with the
+    # other flags, before any file is read: none of these files exists
+    argv = [command, str(tmp_path / ("none" if command == "bench" else "none.stp"))]
+    if by_env:
+        monkeypatch.setenv("SMH_POOL", HUGE_POOL)
+    else:
+        argv += ["--pool", HUGE_POOL]
+    assert main(argv) == EXIT_PARSE
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"invalid input: pool_size must be at most {sys.maxsize}\n")
+
+
+def _dying_worker(*args):
+    """Ends its process as an out-of-memory kill would."""
+    os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers must inherit the stand-in"
+)
+@pytest.mark.parametrize("command", ["solve", "generate", "bench"])
+def test_dying_worker_exits_capacity(tmp_path, capsys, monkeypatch, command):
+    for i in range(2):
+        (tmp_path / f"case{i}.stp").write_text(write_stp(sparse_instance(20 + i, 25, 4)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if command == "bench":
+        monkeypatch.setattr(cli, "_bench_one", _dying_worker)
+        target = str(tmp_path)
+    else:
+        monkeypatch.setattr(generator, "_one_run", _dying_worker)
+        target = str(tmp_path / "case0.stp")
+    assert main([command, target, "--pool", "2", "--grasp-iters", "1", "--jobs", "2"]) == (
+        EXIT_CAPACITY)
+    out = capsys.readouterr()
+    assert out.err.startswith("capacity: a worker process died: ")
+    assert out.err.count("\n") == 1
+
+
+# one numeric flag at a time gets one of these, as a flag or as its SMH_* variable
+HOSTILE_VALUES = ("0", "-1", str(2**63), str(10**30), "nan", "inf", "", "x")
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6}
+
+
+def _numeric_flags(command):
+    """The destinations of ``command``'s int and float flags, from its parser."""
+    parser = cli.build_parser(command)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(a.dest for a in sub.choices[command]._actions if a.type in (int, float))
+
+
+@pytest.fixture(scope="module")
+def hostile_targets(tmp_path_factory):
+    """Each command's positional arguments, on one 20-vertex instance."""
+    d = tmp_path_factory.mktemp("hostile")
+    (d / "bench").mkdir()
+    path = d / "bench" / "inst.stp"
+    path.write_text(write_stp(sparse_instance(3, 20, 4)))
+    pool = d / "pool.txt"
+    pool.write_text(write_pool(generate_pool(
+        parse_stp_file(path), GeneratorConfig(pool_size=2, iterations_per_run=1))))
+    return {
+        "solve": [str(path)],
+        "generate": [str(path)],
+        "merge": [str(path), str(pool)],
+        "oracle": [str(path)],
+        "bench": [str(d / "bench")],
+    }
+
+
+@given(
+    data=st.data(),
+    value=st.sampled_from(HOSTILE_VALUES),
+    by_env=st.booleans(),
+    jobs=st.sampled_from(["1", "2"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_no_numeric_value_ends_in_a_traceback(hostile_targets, data, value, by_env, jobs):
+    command = data.draw(st.sampled_from(sorted(hostile_targets)))
+    flags = _numeric_flags(command)
+    dest = data.draw(st.sampled_from(flags))
+    argv = [command, *hostile_targets[command]]
+    for name, base in (("time_limit", "0.05"), ("jobs", jobs)):
+        if name in flags and name != dest:
+            argv += [f"--{name.replace('_', '-')}", base]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SMH_")}
+    if by_env:
+        env[f"SMH_{dest.upper()}"] = value
+    else:
+        argv += [f"--{dest.replace('_', '-')}", value]
+    # a drawn --jobs may ask for any number of workers: allow none at all
+    cpus = 1 if dest == "jobs" else os.cpu_count()
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            mock.patch.object(os, "cpu_count", lambda: cpus), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse's usage error
+            code = stop.code
+    assert code in DOCUMENTED_EXITS, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestGenerateAndMerge:
@@ -797,12 +901,12 @@ class TestBenchCommand:
                      "--rank-iters", "1", "--best-known", str(best_path),
                      "--format", "csv", "-o", str(out_path)])
         assert code == EXIT_OK
-        rows = read_bench_csv(out_path.read_text())
+        rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
         assert [r["instance"] for r in rows] == [n for n, _ in names]
         for r in rows:
-            assert r["best_known"] is not None
-            assert r["smh_gap"] is not None and r["smh_gap"] >= 0
-            assert r["weight"] <= r["pool_best"]
+            assert r["best_known"] != ""
+            assert r["smh_gap"] != "" and float(r["smh_gap"]) >= 0
+            assert int(r["weight"]) <= int(r["pool_best"])
 
     def test_drop_solved(self, tmp_path, capsys):
         d, names = self.fill_dir(tmp_path)
@@ -814,12 +918,13 @@ class TestBenchCommand:
         best_path.write_text("".join(rows))
         argv = ["bench", str(d), "--pool", "4", "--grasp-iters", "2",
                 "--rank-iters", "1", "--best-known", str(best_path),
-                "--format", "csv"]
+                "--format", "json"]
         main(argv)
-        all_rows = read_bench_csv(capsys.readouterr().out)
+        all_rows = json.loads(capsys.readouterr().out)
         main(argv + ["--drop-solved"])
-        kept = read_bench_csv(capsys.readouterr().out)
-        dropped = {r["instance"] for r in all_rows if r["grasp_gap"] == 0}
+        kept = json.loads(capsys.readouterr().out)
+        # a zero grasp gap is a pool that already matches the best known value
+        dropped = {r["instance"] for r in all_rows if r["pool_best"] == r["best_known"]}
         assert {r["instance"] for r in kept} == {r["instance"] for r in all_rows} - dropped
 
     def test_empty_directory(self, tmp_path, capsys):
@@ -896,11 +1001,11 @@ class TestBenchCommand:
 
         monkeypatch.setattr(time, "monotonic", monotonic)
         code = main(["bench", str(d), "--pool", "2", "--grasp-iters", "1",
-                     "--rank-iters", "1", "--time-limit", "5", "--format", "csv"])
+                     "--rank-iters", "1", "--time-limit", "5", "--format", "json"])
         out = capsys.readouterr()
         assert code == EXIT_TIMEOUT
         assert "skipped" not in out.err
-        (row,) = read_bench_csv(out.out)
+        (row,) = json.loads(out.out)
         assert row["timed_out"]
 
     def test_capacity_fallback_exits_capacity(self, tmp_path, capsys):
@@ -908,8 +1013,8 @@ class TestBenchCommand:
         d = tmp_path / "bench"
         d.mkdir()
         (d / "dense.stp").write_text(write_stp(dense_instance(3, 40, 0.2, 10, max_weight=3)))
-        code = main(["bench", str(d), *FALLBACK_FLAGS, "--format", "csv"])
-        (row,) = read_bench_csv(capsys.readouterr().out)
+        code = main(["bench", str(d), *FALLBACK_FLAGS, "--format", "json"])
+        (row,) = json.loads(capsys.readouterr().out)
         assert code == EXIT_CAPACITY
         assert row["capacity_fallback"] and not row["timed_out"]
 
@@ -932,8 +1037,8 @@ class TestBenchCommand:
 
         monkeypatch.setattr(cli, "generate_pool", generating)
         code = main(["bench", str(d), *FALLBACK_FLAGS, "--time-limit", "5",
-                     "--format", "csv"])
-        rows = read_bench_csv(capsys.readouterr().out)
+                     "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)
         assert code == EXIT_TIMEOUT
         assert [(r["capacity_fallback"], r["timed_out"]) for r in rows] == [
             (True, False), (False, True),

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import sys
 import time
 from collections import Counter
 from math import inf
@@ -81,6 +82,7 @@ class TestConfig:
         "kwargs",
         [
             {"pool_size": 0},
+            {"pool_size": sys.maxsize + 1},
             {"iterations_per_run": 0},
             {"perturbation_strength": -0.1},
             {"perturbation_strength": 1.0},
@@ -89,6 +91,10 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             GeneratorConfig(**kwargs)
+
+    def test_pool_size_up_to_a_machine_word(self):
+        # parallel_map takes len() of the run range, which must fit a word
+        assert len(range(GeneratorConfig(pool_size=sys.maxsize).pool_size)) == sys.maxsize
 
 
 class TestConstruction:

@@ -82,14 +82,14 @@ class TestKernelContracts:
         for seed in range(10):
             masks = random_masks(random.Random(seed), 12)
             keep = list(masks)
-            for cap in (-1, 2):
+            for cap in (len(masks), 2):
                 kernels.eliminate(masks, cap)
                 assert masks == keep
 
     def test_eliminate_records_the_bags_its_order_induces(self):
         for seed in range(20):
             masks = random_masks(random.Random(seed), 14)
-            width, order, bags = kernels.eliminate(masks, -1)
+            width, order, bags = kernels.eliminate(masks, len(masks))
             assert sorted(order) == list(range(14))
             # replay the order: each bag is the vertex and its neighbours
             # left in the fill-in graph

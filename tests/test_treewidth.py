@@ -95,6 +95,16 @@ class TestGreedyDegree:
         with pytest.raises(ValueError):
             greedy_degree_capped(path_graph(3), -1)
 
+    @given(st.integers(0, 100_000), st.integers(1, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_uncapped_is_the_elimination_capped_at_n(self, seed, n):
+        g = random_connected_instance(seed, n, 3 * n, 2).graph
+        full = greedy_degree(g)
+        capped = greedy_degree_capped(g, g.n_vertices)
+        assert (full.order, full.width, full.bags) == (
+            capped.order, capped.width, capped.bags)
+        assert not full.exceeded
+
 
 class TestDecomposition:
     def test_path_decomposition_valid(self):
@@ -340,6 +350,16 @@ class TestNiceForm:
         g = path_graph(3)
         td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), (edge,), 1)
         with pytest.raises(ValidationError, match="missing node"):
+            make_nice(g, td, 0)
+
+    def test_td_missing_an_edge_rejected(self):
+        # bags {1,2}, {2,3}, {4} in file ids: no bag holds edge (3, 4), and
+        # the pinned root 0 does not close the gap
+        g = path_graph(4)
+        td = read_td("s td 3 2 4\nb 1 1 2\nb 2 2 3\nb 3 4\n1 2\n2 3\n")
+        assert validate_decomposition(g, td) == [
+            "condition 2: edge (3, 4) not inside any bag"]
+        with pytest.raises(ValidationError, match=r"^edge \(2, 3\) is covered by no bag$"):
             make_nice(g, td, 0)
 
     def test_large_chain_no_recursion_blowup(self):
@@ -683,7 +703,7 @@ class TestIdentityOverAFixedFamily:
         rows = []
         for inst in identity_family():
             _, masks = inst.graph.adjacency_masks
-            rows.append([kernels.eliminate(masks, cap) for cap in (-1, 2, 3, 6)])
+            rows.append([kernels.eliminate(masks, cap) for cap in (len(masks), 2, 3, 6)])
         assert digest(rows) == (
             "a4573d627f2672961f25f3aaac0d3da4def4ca8c7aaa09c5c897b31ab3331a46"
         )
