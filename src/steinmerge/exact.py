@@ -111,7 +111,8 @@ def _cycle_collection_paused():
     """Keep the cyclic garbage collector off for the duration of the block.
 
     DP tables are dicts of tuples and hold no reference cycles, so the
-    collections their growth triggers find nothing. Timed on the wall
+    collections their growth triggers find nothing; ``merge.run_smh``
+    holds the pause over a whole merge for the same reason. Timed on the wall
     clock over 60 ``solve_with_decomposition`` calls on
     ``random_connected_instance`` graphs of 6-25 vertices and up to 3n
     edges (7 of them run out of states), in 4 rounds in one process that

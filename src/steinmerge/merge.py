@@ -23,6 +23,7 @@ from .exact import (
     CapacityError,
     DEFAULT_STATE_BUDGET,
     DeadlineError,
+    _cycle_collection_paused,
     dp_solve,
     tree_states_bound,
 )
@@ -357,33 +358,39 @@ def run_smh(
     union record's. When the final union is one ranking already solved,
     the final pass gets the same tree back and, as the final-dp result,
     wins the tie with the ranking incumbent.
+
+    The cyclic collector stays off while ranking and the final pass run,
+    as it does inside each DP: the merge makes no reference cycles, so a
+    collection it would trigger finds nothing to free, and a full one
+    over a long-lived heap can cost as much as the merge itself.
     """
     if not pool.entries:
         raise ValidationError("merge needs a nonempty pool")
-    memo: dict[frozenset[Edge], _Union] = {}
-    t_rank = time.monotonic()
-    ranking = ranking_procedure(instance, pool, cfg, state_budget, deadline, memo)
-    rank_seconds = time.monotonic() - t_rank
+    with _cycle_collection_paused():
+        memo: dict[frozenset[Edge], _Union] = {}
+        t_rank = time.monotonic()
+        ranking = ranking_procedure(instance, pool, cfg, state_budget, deadline, memo)
+        rank_seconds = time.monotonic() - t_rank
 
-    sols = pool.entries
-    order = sorted(
-        range(len(sols)), key=lambda i: (ranking.f_a[i], sols[i].weight, i)
-    )
-    t_final = time.monotonic()
-    selected, union = greedy_steiner_union(
-        instance, [sols[i] for i in order], cfg.final_width, memo=memo
-    )
-    final_tree: SteinerSolution | None = None
-    capacity_fallback = False
-    timed_out = deadline is not None and time.monotonic() > deadline
-    if not timed_out:
-        try:
-            final_tree = union.solve(state_budget, deadline)
-        except DeadlineError:
-            timed_out = True
-        else:
-            capacity_fallback = final_tree is None
-    final_seconds = time.monotonic() - t_final
+        sols = pool.entries
+        order = sorted(
+            range(len(sols)), key=lambda i: (ranking.f_a[i], sols[i].weight, i)
+        )
+        t_final = time.monotonic()
+        selected, union = greedy_steiner_union(
+            instance, [sols[i] for i in order], cfg.final_width, memo=memo
+        )
+        final_tree: SteinerSolution | None = None
+        capacity_fallback = False
+        timed_out = deadline is not None and time.monotonic() > deadline
+        if not timed_out:
+            try:
+                final_tree = union.solve(state_budget, deadline)
+            except DeadlineError:
+                timed_out = True
+            else:
+                capacity_fallback = final_tree is None
+        final_seconds = time.monotonic() - t_final
     timed_out = timed_out or (deadline is not None and time.monotonic() > deadline)
 
     best_idx = pool.best_index()

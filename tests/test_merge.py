@@ -308,6 +308,25 @@ class TestRunSmh:
         assert report.merge_seconds == report.rank_seconds + report.final_seconds
         assert not report.timed_out
 
+    def test_ranking_and_final_pass_run_with_the_collector_off(self, monkeypatch):
+        # the merge makes no reference cycles; a full collection that
+        # lands inside it only adds to its time
+        inst = sparse_instance(8, 30, 5)
+        pool = generate_pool(inst, GeneratorConfig(pool_size=4, iterations_per_run=2))
+        seen = []
+        for name in ("ranking_procedure", "greedy_steiner_union"):
+            real = getattr(merge, name)
+
+            def spy(*args, _real=real, **kwargs):
+                seen.append(gc.isenabled())
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(merge, name, spy)
+        assert gc.isenabled()
+        run_smh(inst, pool, MergeConfig(rank_iterations=2))
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
 
 def repeating_pool():
     # 5 trees whose 20 ranking rounds at caps 2/2 select only 4 distinct unions
