@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 invalid decomposition (validate-td), 2 usage or
 I/O error (stdout whose encoding cannot hold the output included: one
 `error:` line, no traceback; --output files are always UTF-8), 3 parse
 or validation failure (input that is not UTF-8 text included), 4
-infeasible, 5 capacity fallback or refusal (any command that runs out of
+infeasible (never for a parsed instance: the parser rejects a disconnected
+one with 3), 5 capacity fallback or refusal (any command that runs out of
 memory, or whose --jobs worker process dies, included: one `capacity:`
 line, no traceback), 6 timeout (bench:
 the most severe code of its instances, a skipped one counting as 6).
@@ -498,6 +499,7 @@ def _merge_config(args: argparse.Namespace) -> MergeConfig:
         rank_iterations=args.rank_iters,
         keep_best=not args.no_keep_best,
         seed=args.seed,
+        state_budget=args.state_budget,
     )
     if args.rank_width > cfg.rank_width:
         sys.stderr.write(
@@ -519,8 +521,7 @@ def _at_least_one(args: argparse.Namespace, name: str) -> int:
     """``args.<name>``, or a ValidationError naming its flag and variable.
 
     Below 1 a job count would silently run sequentially, and an oracle cap
-    or a state budget would fail every instance, and only after the work
-    before it ran.
+    would refuse every instance, and only after the work before it ran.
     """
     value = getattr(args, name)
     if value < 1:
@@ -545,12 +546,10 @@ class _Pipeline:
 
     generator: GeneratorConfig
     merge: MergeConfig
-    state_budget: int
 
     @staticmethod
     def of(args: argparse.Namespace) -> "_Pipeline":
-        _at_least_one(args, "state_budget")
-        return _Pipeline(_generator_config(args), _merge_config(args), args.state_budget)
+        return _Pipeline(_generator_config(args), _merge_config(args))
 
 
 def _run_pipeline(
@@ -562,10 +561,7 @@ def _run_pipeline(
     t0 = time.monotonic()
     pool = generate_pool(instance, pipeline.generator, workers, deadline)
     gen_seconds = time.monotonic() - t0
-    report = run_smh(
-        instance, pool, pipeline.merge,
-        state_budget=pipeline.state_budget, deadline=deadline,
-    )
+    report = run_smh(instance, pool, pipeline.merge, deadline=deadline)
     return report, gen_seconds
 
 
@@ -598,16 +594,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    _at_least_one(args, "state_budget")
     # checked like every command's flags, though a merge starts no workers
     _at_least_one(args, "jobs")
     cfg = _merge_config(args)
     deadline = _deadline(args)
     instance = parse_stp_file(args.instance)
     pool = read_pool(Path(args.pool_file).read_text(encoding="utf-8"), instance)
-    report = run_smh(
-        instance, pool, cfg, state_budget=args.state_budget, deadline=deadline
-    )
+    report = run_smh(instance, pool, cfg, deadline=deadline)
     return _emit_report(report, args.format, None)
 
 

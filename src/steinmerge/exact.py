@@ -33,6 +33,7 @@ from .treewidth import (
     JOIN,
     LEAF,
     NiceDecomposition,
+    TreeDecomposition,
     decomposition_from_order,
     greedy_degree,
     make_nice,
@@ -118,7 +119,9 @@ def _cycle_collection_paused():
     edges (7 of them run out of states), in 4 rounds in one process that
     alternate the two sides, the calls took 52.0-58.4 s (median 54.5)
     with the pause and 56.4-60.4 s (median 59.5) without it (Python
-    3.11, 2 vCPUs). The collector's earlier state is restored on exit.
+    3.11, 2 vCPUs), when those solves still rooted the decomposition at
+    the first-eliminated bag. The collector's earlier state is restored
+    on exit.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -275,13 +278,21 @@ def solve_with_decomposition(
     """Full exact pipeline on one graph: eliminate, decompose, refine, dp_solve.
 
     The decomposition is the one the greedy minimum-degree elimination
-    records, pinned at ``root_vertex`` (the smallest terminal when not
-    given). The result weight does not depend on the pinned root terminal,
-    which only changes the nice decomposition carrying the computation.
+    records, with its bags renumbered last-eliminated first, so the nice
+    tree is rooted where the elimination ends and each edge goes to the
+    bag of its earlier-eliminated endpoint. It is pinned at ``root_vertex``
+    (the last-eliminated terminal when not given). The result weight does
+    not depend on the pinned root terminal, which only changes the nice
+    decomposition carrying the computation.
     """
-    td = decomposition_from_order(instance.graph, greedy_degree(instance.graph))
+    elimination = greedy_degree(instance.graph)
+    td = decomposition_from_order(instance.graph, elimination)
+    last = len(td.bags) - 1
+    td = TreeDecomposition(
+        td.bags[::-1], tuple((last - i, last - j) for i, j in td.tree_edges), td.width
+    )
     if root_vertex is None:
-        root_vertex = min(instance.terminals)
+        root_vertex = next(v for v in reversed(elimination.order) if v in instance.terminals)
     nice = make_nice(instance.graph, td, root_vertex)
     return dp_solve(instance, nice, state_budget=state_budget)
 

@@ -268,12 +268,16 @@ class SteinerSolution:
 
 
 def solution_violations(instance: SteinerInstance, solution: SteinerSolution) -> list[str]:
-    """Check the tree/coverage/pruned-form invariants; returns each violation found."""
+    """Check the tree/coverage/pruned-form invariants; returns each violation found.
+
+    Messages name vertices by their file ids (internal id + 1), as the .stp
+    and pool files number them.
+    """
     g = instance.graph
     out: list[str] = []
     for u, v in solution.edges:
         if not g.has_edge(u, v):
-            out.append(f"edge ({u}, {v}) not in instance graph")
+            out.append(f"edge ({u + 1}, {v + 1}) not in instance graph")
     if out:
         return out
     if solution.weight != g.total_weight(solution.edges):
@@ -286,7 +290,7 @@ def solution_violations(instance: SteinerInstance, solution: SteinerSolution) ->
         return out
     verts = solution.vertices
     if not instance.terminals <= verts:
-        missing = sorted(instance.terminals - verts)
+        missing = [t + 1 for t in sorted(instance.terminals - verts)]
         out.append(f"terminals not spanned: {missing}")
     if len(solution.edges) != len(verts) - 1:
         out.append(
@@ -305,7 +309,7 @@ def solution_violations(instance: SteinerInstance, solution: SteinerSolution) ->
     )
     for r in spare:
         u, v = edges[r]
-        out.append(f"edge ({u}, {v}) closes a cycle")
+        out.append(f"edge ({u + 1}, {v + 1}) closes a cycle")
     if len(forest) < len(verts) - 1:
         out.append("solution is disconnected")
     deg: dict[int, int] = {}
@@ -314,7 +318,7 @@ def solution_violations(instance: SteinerInstance, solution: SteinerSolution) ->
         deg[v] = deg.get(v, 0) + 1
     for v, d in sorted(deg.items()):
         if d == 1 and v not in instance.terminals:
-            out.append(f"non-terminal leaf {v}")
+            out.append(f"non-terminal leaf {v + 1}")
     return out
 
 

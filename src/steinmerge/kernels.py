@@ -200,17 +200,13 @@ def dp_introduce_vertex(table, pos, is_terminal, parts, deadline=None):
         if npid is None:
             labels = parts.labels[pid]
             # the new block takes the first id not used before position j
-            # and the later ids move up by one, which keeps first-occurrence
-            # order
-            if j == len(labels):
-                nl = labels + (max(labels, default=-1) + 1,)
-            elif j:
-                head = labels[:j]
-                b = max(head) + 1
-                nl = head + (b,) + tuple([x + (x >= b) for x in labels[j:]])
-            else:
-                nl = (0,) + tuple([x + 1 for x in labels])
-            npid = memo[ck] = parts.intern(nl)
+            # and the later ids from it on move up by one, which keeps
+            # first-occurrence order
+            head = labels[:j]
+            b = max(head, default=-1) + 1
+            npid = memo[ck] = parts.intern(
+                head + (b,) + tuple([x + (x >= b) for x in labels[j:]])
+            )
         out[(nm | bit, npid)] = kept
     return out
 
@@ -286,14 +282,7 @@ def dp_forget(table, pos, parts, deadline=None):
                 labels = parts.labels[pid]
                 lab = labels[j]
                 rest = labels[:j] + labels[j + 1 :]
-                if lab not in rest:
-                    npid = -1
-                else:
-                    # dropping a later member of a block keeps
-                    # first-occurrence order
-                    npid = parts.intern(
-                        rest if labels.index(lab) < j else canon_labels(rest)
-                    )
+                npid = parts.intern(canon_labels(rest)) if lab in rest else -1
                 memo[ck] = npid
             if npid < 0:
                 continue

@@ -49,13 +49,14 @@ _RANK_SALT = 1 << 20
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Width caps and iteration counts for the merge pipeline."""
+    """Width caps, iteration counts and the DP state budget of the merge."""
 
     final_width: int = 10
     rank_width: int = 8
     rank_iterations: int = 20
     keep_best: bool = True
     seed: int = 0
+    state_budget: int = DEFAULT_STATE_BUDGET
 
     def __post_init__(self) -> None:
         if self.final_width < 1:
@@ -64,6 +65,8 @@ class MergeConfig:
             raise ValidationError("rank_width must lie in [1, final_width]")
         if self.rank_iterations < 0:
             raise ValidationError("rank_iterations must be nonnegative")
+        if self.state_budget < 1:
+            raise ValidationError("state_budget must be at least 1")
 
 
 @dataclass(eq=False)
@@ -254,7 +257,6 @@ def ranking_procedure(
     instance: SteinerInstance,
     pool: SolutionPool,
     cfg: MergeConfig,
-    state_budget: int = DEFAULT_STATE_BUDGET,
     deadline: float | None = None,
     memo: dict[frozenset[Edge], _Union] | None = None,
 ) -> RankingState:
@@ -293,7 +295,7 @@ def ranking_procedure(
         )
         chosen = tuple(sorted(perm[j] for j in selected))
         try:
-            tree = union.solve(state_budget, deadline)
+            tree = union.solve(cfg.state_budget, deadline)
         except DeadlineError:
             break
         if tree is None:
@@ -342,7 +344,6 @@ def run_smh(
     instance: SteinerInstance,
     pool: SolutionPool,
     cfg: MergeConfig,
-    state_budget: int = DEFAULT_STATE_BUDGET,
     deadline: float | None = None,
 ) -> MergeReport:
     """Rank, reselect at the final width cap, solve the union, keep the best.
@@ -369,7 +370,7 @@ def run_smh(
     with _cycle_collection_paused():
         memo: dict[frozenset[Edge], _Union] = {}
         t_rank = time.monotonic()
-        ranking = ranking_procedure(instance, pool, cfg, state_budget, deadline, memo)
+        ranking = ranking_procedure(instance, pool, cfg, deadline, memo)
         rank_seconds = time.monotonic() - t_rank
 
         sols = pool.entries
@@ -385,7 +386,7 @@ def run_smh(
         timed_out = deadline is not None and time.monotonic() > deadline
         if not timed_out:
             try:
-                final_tree = union.solve(state_budget, deadline)
+                final_tree = union.solve(cfg.state_budget, deadline)
             except DeadlineError:
                 timed_out = True
             else:

@@ -152,6 +152,20 @@ def _covering_bag(
     return None
 
 
+def _reach(
+    adj: dict[int, list[int]], start: int, within: set[int] | None = None
+) -> set[int]:
+    """The tree nodes reachable from ``start``, through ``within`` alone if given."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in seen and (within is None or j in within):
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
 def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[str]:
     """Check the three decomposition conditions plus the width field.
 
@@ -173,15 +187,7 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
         adj[j].append(i)
     if len(td.tree_edges) != n - 1:
         out.append(f"{len(td.tree_edges)} tree edges for {n} nodes (not a tree)")
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != n:
+    if len(_reach(adj, 0)) != n:
         out.append("decomposition tree is disconnected")
 
     # conditions 2 and 3 scan only the bags that hold a vertex, not all bags
@@ -201,18 +207,7 @@ def validate_decomposition(graph: WeightedGraph, td: TreeDecomposition) -> list[
 
     for v in sorted(graph.vertices):
         nodes = holding.get(v)
-        if not nodes:
-            continue
-        reach = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j in node_set and j not in reach:
-                    reach.add(j)
-                    stack.append(j)
-        if len(reach) != len(nodes):
+        if nodes and len(_reach(adj, nodes[0], set(nodes))) != len(nodes):
             out.append(f"condition 3: bags containing vertex {v + 1} are not connected")
 
     true_width = max(len(b) for b in td.bags) - 1
@@ -269,20 +264,20 @@ def make_nice(
     of the lowest-index bag holding both.
 
     The tree is rooted at bag 0 and walked children first, in reverse
-    breadth-first order. A leaf bag becomes a leaf node and one introduce
-    per vertex, ascending; each child link forgets, then introduces, the
-    vertices its two bags differ by, ascending; joins combine the adapted
-    children left to right, and the bag's introduce-edge nodes follow in
-    edge order. A malformed tree edge or a disconnected tree is a
-    ValidationError.
+    breadth-first order. One rule adapts a bag to another: forget, then
+    introduce, the vertices the two differ by, ascending. It grows a leaf
+    node's {root_vertex} to its leaf bag, each child's bag to its parent's,
+    and bag 0 down to {root_vertex}. Joins combine the adapted children
+    left to right, and the bag's introduce-edge nodes follow in edge order.
+    A malformed tree edge or a disconnected tree is a ValidationError.
     """
     if root_vertex not in graph.vertices:
         raise ValidationError(f"root vertex {root_vertex} is not in the graph")
     if not td.bags:
         raise ValidationError("cannot refine an empty decomposition")
 
-    pin = frozenset((root_vertex,))
-    bags = [frozenset(b) | pin for b in td.bags]
+    pinned = (root_vertex,)
+    bags = [frozenset(b).union(pinned) for b in td.bags]
     n = len(bags)
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in td.tree_edges:
@@ -321,50 +316,43 @@ def make_nice(
     new = tuple.__new__
     sorted_bags = [tuple(sorted(b)) for b in bags]
     nodes: list[NiceNode] = []
+
+    def adapt(top: int, held: tuple[int, ...], want: tuple[int, ...]) -> int:
+        """Chain from node ``top``, bag ``held``, to bag ``want``: forget
+        what ``held`` alone holds, then introduce what it lacks, ascending,
+        keeping the bag sorted. Returns the chain's last node."""
+        grow = list(held)
+        for v in held:
+            if v not in want:
+                del grow[bisect_left(grow, v)]
+                nodes.append(new(NiceNode, (FORGET, tuple(grow), (top,), v, None)))
+                top = len(nodes) - 1
+        for v in want:
+            if v not in held:
+                insort(grow, v)
+                nodes.append(new(NiceNode, (INTRODUCE, tuple(grow), (top,), v, None)))
+                top = len(nodes) - 1
+        return top
+
     top_of = [0] * n
     for i in reversed(bfs):  # children first
-        bag = bags[i]
+        bag = sorted_bags[i]
         kids = children[i]
         if not kids:
-            nodes.append(new(NiceNode, (LEAF, (root_vertex,), (), -1, None)))
-            cur = len(nodes) - 1
-            grow = [root_vertex]
-            for v in sorted(bag - pin):
-                insort(grow, v)
-                nodes.append(new(NiceNode, (INTRODUCE, tuple(grow), (cur,), v, None)))
-                cur += 1
+            nodes.append(new(NiceNode, (LEAF, pinned, (), -1, None)))
+            cur = adapt(len(nodes) - 1, pinned, bag)
         else:
-            # adapt each child's bag to this one: forget what it alone
-            # holds, then introduce what it lacks, keeping the bag sorted
-            adapted = []
-            for c in kids:
-                cur = top_of[c]
-                grow = list(sorted_bags[c])
-                child = bags[c]
-                for v in sorted(child - bag):
-                    del grow[bisect_left(grow, v)]
-                    nodes.append(new(NiceNode, (FORGET, tuple(grow), (cur,), v, None)))
-                    cur = len(nodes) - 1
-                for v in sorted(bag - child):
-                    insort(grow, v)
-                    nodes.append(new(NiceNode, (INTRODUCE, tuple(grow), (cur,), v, None)))
-                    cur = len(nodes) - 1
-                adapted.append(cur)
+            adapted = [adapt(top_of[c], sorted_bags[c], bag) for c in kids]
             cur = adapted[0]
             for a in adapted[1:]:
-                nodes.append(new(NiceNode, (JOIN, sorted_bags[i], (cur, a), -1, None)))
+                nodes.append(new(NiceNode, (JOIN, bag, (cur, a), -1, None)))
                 cur = len(nodes) - 1
         for e in assigned[i]:
-            nodes.append(new(NiceNode, (INTRODUCE_EDGE, sorted_bags[i], (cur,), -1, e)))
+            nodes.append(new(NiceNode, (INTRODUCE_EDGE, bag, (cur,), -1, e)))
             cur = len(nodes) - 1
         top_of[i] = cur
 
-    cur = top_of[0]
-    grow = list(sorted_bags[0])
-    for v in sorted(bags[0] - pin):
-        del grow[bisect_left(grow, v)]
-        nodes.append(new(NiceNode, (FORGET, tuple(grow), (cur,), v, None)))
-        cur = len(nodes) - 1
+    adapt(top_of[0], sorted_bags[0], pinned)
     # every node's bag lies inside some decomposition bag
     width = max(len(b) for b in bags) - 1
     return NiceDecomposition(tuple(nodes), root_vertex, width)

@@ -258,8 +258,8 @@ def test_07_capacity_economics(capsys):
         rep = run_smh(
             inst,
             pool,
-            MergeConfig(final_width=10, rank_width=6, rank_iterations=5, seed=seed),
-            state_budget=1 << 13,
+            MergeConfig(final_width=10, rank_width=6, rank_iterations=5, seed=seed,
+                        state_budget=1 << 13),
         )
         detected = (
             rep.capacity_fallback

@@ -172,6 +172,26 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["capacity_fallback"] is True
 
+    def test_table_notes_a_capacity_fallback(self, stp, capsys):
+        path = stp(sparse_instance(3, 30, 5))
+        code = main(["solve", path, "--pool", "3", "--grasp-iters", "1",
+                     "--rank-iters", "1", "--state-budget", "1"])
+        assert code == EXIT_CAPACITY
+        lines = capsys.readouterr().out.splitlines()
+        assert "note          final union exceeded the state budget; fell back" in lines
+
+    def test_disconnected_instance_exits_parse_not_infeasible(self, tmp_path, capsys):
+        # two disjoint triangles: exit 4 is never reached from a parsed file
+        bad = tmp_path / "two.stp"
+        bad.write_text(
+            "33D32945 STP File, STP Format Version 1.0\n"
+            "SECTION Graph\nNodes 6\nEdges 6\n"
+            "E 1 2 1\nE 2 3 1\nE 1 3 1\nE 4 5 1\nE 5 6 1\nE 4 6 1\nEND\n"
+            "SECTION Terminals\nTerminals 2\nT 1\nT 4\nEND\nEOF\n"
+        )
+        assert main(["solve", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "invalid input: instance graph is not connected\n"
+
     def test_rank_width_clamped_with_note(self, stp, capsys):
         path = stp(sparse_instance(4, 25, 4))
         code = main(["solve", path, "--pool", "2", "--grasp-iters", "1",
@@ -553,6 +573,31 @@ class TestGenerateAndMerge:
         pool_path.write_text("steinmerge-pool 1\ntree 1 1\n")
         assert main(["merge", path, str(pool_path)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "edges, terminals, line, message",
+        [
+            # the triangle 1-2-3 plus the edge 4-5: as many edges as a tree
+            # on those vertices, one of them closing a cycle
+            ([(0, 1, 1), (1, 2, 1), (0, 2, 1), (2, 3, 1), (3, 4, 1)], [0, 3, 4],
+             "tree 4 1 2 2 3 1 3 4 5", "edge (2, 3) closes a cycle"),
+            ([(0, 1, 1), (1, 2, 1), (0, 2, 1)], [0, 2],
+             "tree 1 1 2", "terminals not spanned: [3]"),
+            ([(0, 1, 1), (1, 2, 1), (2, 3, 1)], [0, 3],
+             "tree 2 1 2 3 4", "edge count 2 != |V|-1 = 3 (not a tree)"),
+            ([(0, 1, 1), (1, 2, 1), (2, 3, 1)], [0, 2],
+             "tree 3 1 2 2 3 3 4", "non-terminal leaf 4"),
+        ],
+        ids=["cycle", "not-spanned", "not-a-tree", "steiner-leaf"],
+    )
+    def test_pool_tree_errors_name_file_ids(
+        self, stp, tmp_path, capsys, edges, terminals, line, message
+    ):
+        path = stp(build_instance(edges, terminals))
+        pool_path = tmp_path / "pool.txt"
+        pool_path.write_text(f"steinmerge-pool 1\n{line}\n")
+        assert main(["merge", path, str(pool_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"invalid input: line 2: {message}\n"
+
 
 class TestOracleCommand:
     def test_matches_library_result(self, stp, capsys):
@@ -664,6 +709,22 @@ class TestValidateTdCommand:
         assert code == 1
         assert out.out.strip() != ""
 
+
+    @pytest.mark.parametrize(
+        "td, problem",
+        [
+            ("s td 0 1 3\n", "decomposition has no bags"),
+            ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 3\n",
+             "tree edge (1, 3) references a missing node"),
+        ],
+        ids=["no-bags", "missing-bag"],
+    )
+    def test_tree_problems(self, stp, tmp_path, capsys, td, problem):
+        path = stp(build_instance([(0, 1, 1), (1, 2, 1)], [0, 2]))
+        td_path = tmp_path / "bad.td"
+        td_path.write_text(td)
+        assert main(["validate-td", path, str(td_path)]) == 1
+        assert problem in capsys.readouterr().out.splitlines()
 
     def test_messages_name_file_ids(self, stp, tmp_path, capsys):
         # the path 1-2-3 of the file: no bag holds its edge 2-3, and bag 2
@@ -907,6 +968,29 @@ class TestBenchCommand:
             assert r["best_known"] != ""
             assert r["smh_gap"] != "" and float(r["smh_gap"]) >= 0
             assert int(r["weight"]) <= int(r["pool_best"])
+
+    def test_gaps_and_improvement_against_best_known(self, tmp_path, capsys):
+        # on these two grids the merge beats the pool: 1504 -> 1471 and
+        # 1360 -> 1333, against best-known values of 1400 and 1300
+        d = tmp_path / "grids"
+        d.mkdir()
+        for seed in (2, 7):
+            (d / f"g{seed}.stp").write_text(write_stp(grid_with_holes(seed, 12, 12)))
+        best_path = tmp_path / "best.csv"
+        best_path.write_text("grid-12x12-2,1400\ngrid-12x12-7,1300\n")
+        argv = ["bench", str(d), "--pool", "8", "--grasp-iters", "1", "--perturb", "0.7",
+                "--rank-iters", "3", "--best-known", str(best_path)]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["pool_best"], r["weight"]) for r in rows] == [(1504, 1471), (1360, 1333)]
+        # (1504 - 1400) / 1400, (1471 - 1400) / 1400 and 33 of 104 closed;
+        # (1360 - 1300) / 1300, (1333 - 1300) / 1300 and 27 of 60 closed
+        assert [(r["grasp_gap"], r["smh_gap"], r["improvement"]) for r in rows] == [
+            ("7.43", "5.07", "31.73"), ("4.62", "2.54", "45.00")]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "mean gap  grasp 6.02%  smh 3.80%" in lines
+        assert "mean improvement 38.37%" in lines
 
     def test_drop_solved(self, tmp_path, capsys):
         d, names = self.fill_dir(tmp_path)

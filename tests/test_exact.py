@@ -34,7 +34,14 @@ from steinmerge import (
 )
 from steinmerge import exact, kernels
 from steinmerge.exact import DW_TERMINAL_CAP, _bell
-from steinmerge.treewidth import FORGET, INTRODUCE, INTRODUCE_EDGE, JOIN, LEAF
+from steinmerge.treewidth import (
+    FORGET,
+    INTRODUCE,
+    INTRODUCE_EDGE,
+    JOIN,
+    LEAF,
+    NiceDecomposition,
+)
 from steinmerge.synth import random_connected_instance, sparse_instance
 
 
@@ -337,6 +344,16 @@ class TestDpSolve:
         nice = make_nice(inst.graph, td, 2)
         with pytest.raises(ValidationError):
             dp_solve(inst, nice)
+
+    def test_unknown_node_kind_rejected(self):
+        inst = small_instance(2)
+        td = decomposition_from_order(inst.graph, greedy_degree(inst.graph))
+        nice = make_nice(inst.graph, td, min(inst.terminals))
+        nodes = list(nice.nodes)
+        nodes[1] = nodes[1]._replace(kind="bogus")
+        broken = NiceDecomposition(tuple(nodes), nice.root_vertex, nice.width)
+        with pytest.raises(ValidationError, match="^unknown node kind 'bogus'$"):
+            dp_solve(inst, broken)
 
     def test_state_budget_aborts(self):
         inst = small_instance(5)

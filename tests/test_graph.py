@@ -149,6 +149,13 @@ class TestInstanceAndSolution:
         sol = solution_of(inst, [(0, 1), (1, 2)])
         assert any("non-terminal leaf" in v for v in solution_violations(inst, sol))
 
+    def test_violations_name_a_non_edge_and_a_wrong_weight(self):
+        inst = build_instance([(0, 1, 1), (1, 2, 1)], [0, 2])
+        assert solution_violations(inst, SteinerSolution(frozenset({(0, 2)}), 1)) == [
+            "edge (1, 3) not in instance graph"]
+        lying = SteinerSolution(frozenset({(0, 1), (1, 2)}), 9)
+        assert solution_violations(inst, lying) == ["cached weight 9 != edge total 2"]
+
     def test_valid_solution_passes(self):
         inst = build_instance([(0, 1, 1), (1, 2, 1)], [0, 2])
         sol = solution_of(inst, [(0, 1), (1, 2)])
@@ -219,6 +226,20 @@ class TestStpFormat:
     def test_huge_node_count_is_rejected_before_allocation(self):
         with pytest.raises(ValidationError, match="cannot connect"):
             parse_stp(SAMPLE.replace("Nodes 4", "Nodes 99999999999999"))
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ParseError, match=r"^negative weight -1 on edge \(1, 4\)$"):
+            parse_stp(SAMPLE.replace("E 1 4 10", "E 1 4 -1"))
+
+    def test_self_loop_dropped(self):
+        looped = SAMPLE.replace("Edges 4", "Edges 5").replace("E 1 4 10", "E 1 4 10\nE 2 2 5")
+        inst = parse_stp(looped)
+        assert inst.graph.weights == parse_stp(SAMPLE).graph.weights
+
+    def test_terminals_section_without_a_terminal(self):
+        bad = SAMPLE.replace("Terminals 2\nT 1\nT 4", "Terminals 0")
+        with pytest.raises(ValidationError, match="^instance has no terminals$"):
+            parse_stp(bad)
 
     def test_duplicate_edge_keeps_minimum(self):
         body = """
@@ -305,6 +326,12 @@ class TestAlgorithms:
         inst = build_instance([(0, 1, 1), (1, 2, 1)], [0, 2])
         with pytest.raises(InfeasibleError):
             prune(inst, [(0, 1)])
+
+    def test_prune_rejects_an_edge_outside_the_instance(self):
+        inst = build_instance([(0, 1, 1), (1, 2, 1)], [0, 2])
+        message = r"^edge \(0, 2\) is not part of the instance graph$"
+        with pytest.raises(ValidationError, match=message):
+            prune(inst, [(0, 1), (2, 0)])
 
     def test_prune_empty_for_single_terminal(self):
         inst = build_instance([(0, 1, 1)], [0])

@@ -42,7 +42,7 @@ from steinmerge.exact import tree_states_bound
 from steinmerge.generator import SolutionPool, _derive_seed
 from steinmerge.merge import RankIteration
 from steinmerge.synth import dense_instance, grid_with_holes, sparse_instance, tree_instance
-from steinmerge.treewidth import INTRODUCE_EDGE, EliminationOrder
+from steinmerge.treewidth import INTRODUCE_EDGE, EliminationOrder, TreeDecomposition
 
 
 def k4_instance():
@@ -65,6 +65,8 @@ class TestConfig:
             {"rank_width": 0},
             {"final_width": 3, "rank_width": 4},
             {"rank_iterations": -1},
+            {"state_budget": 0},
+            {"state_budget": -3},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -166,9 +168,7 @@ class TestRanking:
     def test_budget_miss_records_skip_not_value(self):
         inst = sparse_instance(2, 30, 5)
         pool = generate_pool(inst, GeneratorConfig(pool_size=4, iterations_per_run=2))
-        state = ranking_procedure(
-            inst, pool, MergeConfig(rank_iterations=3), state_budget=1
-        )
+        state = ranking_procedure(inst, pool, MergeConfig(rank_iterations=3, state_budget=1))
         assert state.skipped == 3
         assert all(it.value is None for it in state.iterations)
         for i, w in enumerate(pool.weights):
@@ -266,9 +266,7 @@ class TestRunSmh:
     def test_capacity_fallback_degrades_to_pool(self):
         inst = sparse_instance(6, 35, 6)
         pool = generate_pool(inst, GeneratorConfig(pool_size=4, iterations_per_run=2))
-        report = run_smh(
-            inst, pool, MergeConfig(rank_iterations=2), state_budget=1
-        )
+        report = run_smh(inst, pool, MergeConfig(rank_iterations=2, state_budget=1))
         assert report.capacity_fallback
         assert report.ranking.skipped == 2
         assert report.source == "pool"
@@ -572,8 +570,7 @@ class TestUnionMemo:
         rounds = 8
         state = ranking_procedure(
             inst, pool, MergeConfig(final_width=2, rank_width=2,
-                                    rank_iterations=rounds, seed=3),
-            state_budget=1,
+                                    rank_iterations=rounds, seed=3, state_budget=1),
         )
         distinct = {it.selected for it in state.iterations}
         assert len(distinct) < rounds
@@ -592,7 +589,7 @@ class TestUnionMemo:
         assert union.solved == {1: None}
 
 
-def rounds_solved_afresh(instance, pool, cfg, state_budget):
+def rounds_solved_afresh(instance, pool, cfg):
     """Each ranking round's log entry, its union selected and solved on a fresh memo.
 
     Also returns how many rounds hit the state budget, and how many unions
@@ -607,7 +604,7 @@ def rounds_solved_afresh(instance, pool, cfg, state_budget):
         selected, union = greedy_steiner_union(
             instance, [sols[p] for p in perm], cfg.rank_width, memo={}
         )
-        tree = union.solve(state_budget)
+        tree = union.solve(cfg.state_budget)
         value = None if tree is None else tree.weight
         misses += tree is None
         trees += union.is_tree
@@ -634,10 +631,11 @@ class TestSharedMemoAgainstFreshSolves:
         assert len(pool.entries) > 4
         misses = trees = 0
         for cap in (1, 2, 3):
-            cfg = MergeConfig(final_width=cap, rank_width=cap, rank_iterations=8, seed=5)
             for budget in (1, 64, DEFAULT_STATE_BUDGET):
-                shared = ranking_procedure(inst, pool, cfg, state_budget=budget)
-                fresh, missed, tree_unions = rounds_solved_afresh(inst, pool, cfg, budget)
+                cfg = MergeConfig(final_width=cap, rank_width=cap, rank_iterations=8,
+                                  seed=5, state_budget=budget)
+                shared = ranking_procedure(inst, pool, cfg)
+                fresh, missed, tree_unions = rounds_solved_afresh(inst, pool, cfg)
                 assert list(shared.iterations) == fresh
                 misses += missed
                 trees += tree_unions
@@ -645,6 +643,42 @@ class TestSharedMemoAgainstFreshSolves:
         # unions are trees and wider caps' unions complete their DP
         assert 0 < misses < 72
         assert 0 < trees < 72
+
+
+class TestUnionBagOrders:
+    def test_reversed_bag_order_gives_equal_weights(self):
+        # the union DP in today's bag order and in the order whole-graph
+        # solves use, last-eliminated first with the last-eliminated
+        # terminal pinned; most bag positions are terminals, forced into
+        # the mask
+        solved = 0
+        for inst in (
+            sparse_instance(4, 120, 20, 4.0),
+            grid_with_holes(2, 12, 12),
+            dense_instance(1, 40, 0.15, 10, max_weight=3),
+        ):
+            pool = generate_pool(inst, GeneratorConfig(
+                pool_size=8, iterations_per_run=1, perturbation_strength=0.7, seed=3
+            ))
+            for cap in (2, 3, 4):
+                _, union = greedy_steiner_union(inst, pool.entries, cap)
+                if union.is_tree:
+                    continue
+                graph = union.graph
+                td = decomposition_from_order(graph, union.elimination)
+                last = len(td.bags) - 1
+                flipped = TreeDecomposition(
+                    td.bags[::-1], tuple((last - i, last - j) for i, j in td.tree_edges),
+                    td.width,
+                )
+                pin = next(
+                    v for v in reversed(union.elimination.order) if v in inst.terminals
+                )
+                today = exact.dp_solve(inst, make_nice(graph, td, min(inst.terminals)))
+                reversed_order = exact.dp_solve(inst, make_nice(graph, flipped, pin))
+                assert today.weight == reversed_order.weight
+                solved += 1
+        assert solved == 9
 
 
 def zero_weighted(instance, seed):

@@ -352,6 +352,15 @@ class TestNiceForm:
         with pytest.raises(ValidationError, match="missing node"):
             make_nice(g, td, 0)
 
+    def test_empty_decomposition_rejected(self):
+        with pytest.raises(ValidationError, match="^cannot refine an empty decomposition$"):
+            make_nice(path_graph(2), TreeDecomposition((), (), 0), 0)
+
+    def test_disconnected_decomposition_rejected(self):
+        td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), (), 1)
+        with pytest.raises(ValidationError, match="^decomposition tree is disconnected$"):
+            make_nice(path_graph(3), td, 0)
+
     def test_td_missing_an_edge_rejected(self):
         # bags {1,2}, {2,3}, {4} in file ids: no bag holds edge (3, 4), and
         # the pinned root 0 does not close the gap
@@ -525,6 +534,11 @@ class TestTdFormat:
         td = read_td("c a comment\ns td 1 2 2\nb 1 1 2\n")
         assert td.bags == (frozenset({0, 1}),)
         assert td.width == 1
+
+    @pytest.mark.parametrize("line", ["s td 1 2", "s tw 1 2 2"])
+    def test_read_malformed_solution_line(self, line):
+        with pytest.raises(ParseError, match="^line 1: malformed solution line$"):
+            read_td(f"{line}\nb 1 1 2\n")
 
     def test_read_bag_id_out_of_range(self):
         with pytest.raises(ParseError):

@@ -23,31 +23,40 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from steinmerge import GeneratorConfig, MergeConfig, generate_pool, run_smh  # noqa: E402
+from steinmerge import (  # noqa: E402
+    GeneratorConfig,
+    MergeConfig,
+    SteinerInstance,
+    generate_pool,
+    run_smh,
+)
 from steinmerge.synth import dense_instance  # noqa: E402
 
 SEEDS = range(3)
+
+
+def protocol(seed: int) -> tuple[SteinerInstance, GeneratorConfig, MergeConfig]:
+    """Test 7's instance, generator settings and merge settings for one seed."""
+    return (
+        dense_instance(seed, 200, 0.12, 40, max_weight=3),
+        GeneratorConfig(
+            pool_size=10, iterations_per_run=3, perturbation_strength=0.4, seed=seed
+        ),
+        MergeConfig(
+            final_width=10, rank_width=6, rank_iterations=5, seed=seed, state_budget=1 << 13
+        ),
+    )
 
 
 def one_run() -> tuple[float, list[tuple[float, float]]]:
     """The worst merge/generation ratio of one pass, and each seed's seconds."""
     seconds = []
     for seed in SEEDS:
-        inst = dense_instance(seed, 200, 0.12, 40, max_weight=3)
+        inst, gen, cfg = protocol(seed)
         t0 = time.monotonic()
-        pool = generate_pool(
-            inst,
-            GeneratorConfig(
-                pool_size=10, iterations_per_run=3, perturbation_strength=0.4, seed=seed
-            ),
-        )
+        pool = generate_pool(inst, gen)
         gen_seconds = time.monotonic() - t0
-        report = run_smh(
-            inst,
-            pool,
-            MergeConfig(final_width=10, rank_width=6, rank_iterations=5, seed=seed),
-            state_budget=1 << 13,
-        )
+        report = run_smh(inst, pool, cfg)
         seconds.append((gen_seconds, report.merge_seconds))
     return max(m / g for g, m in seconds), seconds
 

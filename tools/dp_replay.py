@@ -13,8 +13,8 @@ eliminations.
 WORKLOAD is ``sparse-merge``, ``grid-solve`` or ``dense-fallback`` (their
 seed-23 instances, built as ``perfbench/workloads.py`` defines them, but in
 memory: pools come from ``generate_pool`` rather than pool files) or
-``test7`` (acceptance test 7's three instances and merge settings, as
-``tools/capacity_ratio.py`` runs them). Nothing is written to disk.
+``test7`` (acceptance test 7's three instances and merge settings, from
+``protocol`` in ``tools/capacity_ratio.py``). Nothing is written to disk.
 
 To compare two checkouts, run each checkout's copy in turn, one at a time,
 so that both see the same host load; equal digests mean equal results.
@@ -34,10 +34,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import capacity_ratio  # noqa: E402
 from steinmerge import (  # noqa: E402
     CapacityError,
-    GeneratorConfig,
-    MergeConfig,
     cli,
     exact,
     generate_pool,
@@ -55,15 +54,9 @@ GROUPS = ("dp_solve", "make_nice", "eliminate")
 def operations(name: str):
     """The workload's operations, each a call that runs one solve or merge."""
     if name == "test7":
-        for seed in range(3):
-            inst = synth.dense_instance(seed, 200, 0.12, 40, max_weight=3)
-            gen = GeneratorConfig(
-                pool_size=10, iterations_per_run=3, perturbation_strength=0.4, seed=seed
-            )
-            cfg = MergeConfig(final_width=10, rank_width=6, rank_iterations=5, seed=seed)
-            yield lambda i=inst, g=gen, c=cfg: run_smh(
-                i, generate_pool(i, g), c, state_budget=1 << 13
-            )
+        for seed in capacity_ratio.SEEDS:
+            inst, gen, cfg = capacity_ratio.protocol(seed)
+            yield lambda i=inst, g=gen, c=cfg: run_smh(i, generate_pool(i, g), c)
         return
     wl = WORKLOADS[name]
     rng = random.Random(f"{wl.name}/{SEED}")
@@ -79,14 +72,12 @@ def operations(name: str):
             pool = generate_pool(inst, cli._generator_config(args))
             args = cli.build_parser(wl.command).parse_args(
                 [wl.command, "-", "-", *common, *wl.flags])
-            yield lambda i=inst, p=pool, c=cli._merge_config(args), b=args.state_budget: (
-                run_smh(i, p, c, state_budget=b))
+            yield lambda i=inst, p=pool, c=cli._merge_config(args): run_smh(i, p, c)
         else:
             args = cli.build_parser(wl.command).parse_args(
                 [wl.command, "-", *common, *wl.flags])
             pipe = cli._Pipeline.of(args)
-            yield lambda i=inst, q=pipe: run_smh(
-                i, generate_pool(i, q.generator), q.merge, state_budget=q.state_budget)
+            yield lambda i=inst, q=pipe: run_smh(i, generate_pool(i, q.generator), q.merge)
 
 
 def record(name: str) -> dict[str, list]:
