@@ -10,8 +10,6 @@ often strictly better on sparse instances.
 from .exact import (
     DEFAULT_STATE_BUDGET,
     DW_TERMINAL_CAP,
-    CapacityError,
-    DeadlineError,
     dp_solve,
     dreyfus_wagner,
     solve_with_decomposition,
@@ -26,6 +24,8 @@ from .generator import (
     write_pool,
 )
 from .graph import (
+    CapacityError,
+    DeadlineError,
     InfeasibleError,
     InvariantError,
     ParseError,

@@ -2,7 +2,8 @@
 
 Subcommands: solve (full pipeline), generate (pool only), merge (pool file
 in, merged tree out), oracle (small exact solve), validate-td
-(decomposition checker), bench (directory sweep with CSV report).
+(decomposition checker), bench (directory sweep, reported as a table,
+json or csv by --format).
 
 Every protocol flag can also be set through an environment variable with
 the SMH_ prefix (SMH_POOL, SMH_GRASP_ITERS, SMH_PERTURB, SMH_MAX_WIDTH,
@@ -40,15 +41,11 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .exact import (
-    DEFAULT_STATE_BUDGET,
-    DW_TERMINAL_CAP,
-    CapacityError,
-    DeadlineError,
-    dreyfus_wagner,
-)
+from .exact import DEFAULT_STATE_BUDGET, DW_TERMINAL_CAP, dreyfus_wagner
 from .generator import GeneratorConfig, generate_pool, parallel_map, read_pool, write_pool
 from .graph import (
+    CapacityError,
+    DeadlineError,
     InfeasibleError,
     ParseError,
     SteinerError,

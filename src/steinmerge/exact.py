@@ -17,9 +17,10 @@ from functools import lru_cache
 
 from . import kernels
 from .graph import (
+    CapacityError,
+    DeadlineError,
     InfeasibleError,
     InvariantError,
-    SteinerError,
     SteinerInstance,
     SteinerSolution,
     ValidationError,
@@ -38,14 +39,6 @@ from .treewidth import (
     greedy_degree,
     make_nice,
 )
-
-
-class CapacityError(SteinerError):
-    """A solver refused to run because a configured size budget was exceeded."""
-
-
-class DeadlineError(SteinerError):
-    """A solver stopped because the caller's deadline passed."""
 
 
 # A stored state costs about 360 bytes (tracemalloc peak over stored states:

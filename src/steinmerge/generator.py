@@ -20,8 +20,8 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from . import kernels
-from .exact import CapacityError
 from .graph import (
+    CapacityError,
     Edge,
     InvariantError,
     ParseError,
@@ -327,6 +327,10 @@ class _PassForest:
         forest += joined
         return strip_leaves(self.instance, forest, bound)
 
+    def score(self, v: int, bound: float) -> SteinerSolution | None:
+        """``without(v)`` for a vertex of T, ``with_vertex(v)`` for any other."""
+        return self.without(v, bound) if v in self.members else self.with_vertex(v, bound)
+
 
 class _ExchangeCheck:
     """Which edges of one tree a path lighter than themselves could replace.
@@ -422,6 +426,30 @@ class _ExchangeCheck:
         lo = self.pos[x]
         return set(self.pre[lo : lo + self.size[x]])
 
+    def improve(
+        self, instance: SteinerInstance, tree: SteinerSolution, e: Edge
+    ) -> SteinerSolution | None:
+        """``tree`` with ``e`` swapped for the cheapest path rejoining its
+        halves, pruned; None when no path lighter than ``e`` rejoins them.
+
+        The path is searched from the half that holds ``e[0]``. It is
+        lighter than ``e``, and pruning only sheds weight, so a replaceable
+        edge always gives a lighter tree.
+        """
+        a, b = e
+        lower = self.lower(a, b)
+        if lower not in self.replaceable:
+            return None
+        below = self.below(lower)
+        side = below if lower == a else tree.vertices - below
+        limit = instance.graph.weights[e]
+        found = _cheapest_reconnect(instance, side, tree.vertices - side, limit)
+        if found is None:
+            raise InvariantError("a reconnecting path was found, then lost")
+        rest = set(tree.edges)
+        rest.discard(e)
+        return prune(instance, rest | set(found[1]))
+
 
 def _cheapest_reconnect(
     instance: SteinerInstance, side: set[int], other: set[int], limit: int
@@ -495,9 +523,12 @@ def local_search(
     Moves, tried in order until none improves: insert a non-tree vertex and
     take the pruned MST over the enlarged vertex set; delete a Steiner
     vertex the same way; swap one tree edge for the cheapest path that
-    reconnects the two halves. Scan orders are shuffled by ``rng``. Once
-    ``deadline`` (a monotonic-clock timestamp) has passed, the current tree
-    is returned before the next candidate is evaluated.
+    reconnects the two halves. A pass feeds each move's candidate list
+    through one scan: shuffle it with ``rng`` (the tree edges too, when no
+    edge is replaceable), note its length, and score each candidate in
+    turn until one gives a lighter tree. Once ``deadline`` (a
+    monotonic-clock timestamp) has passed, the current tree is returned
+    before the next candidate is evaluated.
 
     Every move is checked against the current tree rather than rebuilt
     from the graph, with the same outcome: one ``_PassForest`` per pass
@@ -533,14 +564,10 @@ def local_search(
     current = tree
     if len(instance.terminals) == 1:
         return current
-    graph = instance.graph
     terms = instance.terminals
     if memo is None:
         memo = Optima()
     optima, verdicts = memo.optima, memo.verdicts
-
-    def expired() -> bool:
-        return deadline is not None and time.monotonic() > deadline
 
     while True:
         if current.edges in optima:
@@ -548,74 +575,43 @@ def local_search(
                 rng.shuffle([None] * length)
             return current
         tverts = current.vertices
-        candidates = _insertion_candidates(instance, tverts)
-        rng.shuffle(candidates)
         scored = verdicts.setdefault((tverts, current.weight), {})
         forest = None
+
+        def vertex_move(v: int) -> SteinerSolution | None:
+            nonlocal forest
+            if v not in scored:
+                if forest is None:
+                    forest = _PassForest(instance, tverts)
+                scored[v] = forest.score(v, current.weight)
+            return scored[v]
+
+        def moves() -> Iterable[tuple[str, list, Callable]]:
+            # each list is built only once the moves before it failed
+            yield "insertion", _insertion_candidates(instance, tverts), vertex_move
+            yield "deletion", [v for v in sorted(tverts) if v not in terms], vertex_move
+            exchange = _ExchangeCheck(instance, current.edges, min(tverts))
+            yield "exchange", list(current.canonical_edges()), partial(
+                exchange.improve, instance, current
+            )
+
+        shuffled = []
         accepted = None
-        for v in candidates:
-            if expired():
-                return current
-            if v in scored:
-                accepted = scored[v]
-            else:
-                if forest is None:
-                    forest = _PassForest(instance, tverts)
-                accepted = scored[v] = forest.with_vertex(v, current.weight)
-            if accepted is not None:
-                break
-        if accepted is not None:
-            current = _lighter(accepted, current, "insertion")
-            continue
-
-        removable = [v for v in sorted(tverts) if v not in terms]
-        rng.shuffle(removable)
-        for v in removable:
-            if expired():
-                return current
-            if v in scored:
-                accepted = scored[v]
-            else:
-                if forest is None:
-                    forest = _PassForest(instance, tverts)
-                accepted = scored[v] = forest.without(v, current.weight)
-            if accepted is not None:
-                break
-        if accepted is not None:
-            current = _lighter(accepted, current, "deletion")
-            continue
-
-        # edge exchange: drop one tree edge and reconnect the two halves
-        # along the cheapest path in the whole graph; a path costing w(e)
-        # or more cannot pay off, so only edges with a lighter path are tried
-        exchange = _ExchangeCheck(instance, current.edges, min(tverts))
-        tree_edges = list(current.canonical_edges())
-        # shuffled even when nothing is replaceable: the run's later
-        # restarts draw from the same rng
-        rng.shuffle(tree_edges)
-        if exchange.replaceable:
-            for e in tree_edges:
-                if expired():
+        for move, candidates, score in moves():
+            rng.shuffle(candidates)
+            shuffled.append(len(candidates))
+            for c in candidates:
+                if deadline is not None and time.monotonic() > deadline:
                     return current
-                a, b = e
-                lower = exchange.lower(a, b)
-                if lower not in exchange.replaceable:
-                    continue
-                below = exchange.below(lower)
-                side = below if lower == a else tverts - below
-                found = _cheapest_reconnect(instance, side, tverts - side, graph.weights[e])
-                if found is None:
-                    raise InvariantError("a reconnecting path was found, then lost")
-                # the path is lighter than e, and pruning only sheds weight,
-                # so the first replaceable edge gives a lighter tree
-                rest = set(current.edges)
-                rest.discard(e)
-                accepted = prune(instance, rest | set(found[1]))
+                accepted = score(c)
+                if accepted is not None:
+                    break
+            if accepted is not None:
                 break
         if accepted is None:
-            optima[current.edges] = (len(candidates), len(removable), len(tree_edges))
+            optima[current.edges] = tuple(shuffled)
             return current
-        current = _lighter(accepted, current, "exchange")
+        current = _lighter(accepted, current, move)
 
 
 def _one_run(

@@ -2,7 +2,10 @@
 
 Vertices are dense 0-based integers internally. STP files use 1-based ids,
 so file id = internal id + 1 everywhere in the toolkit; readers and writers
-apply that mapping consistently.
+apply that mapping consistently. Messages about an input file (.stp,
+pool or .td) name file ids; checks that only library callers reach, such
+as ``prune``, ``WeightedGraph.build`` and ``make_nice``, name the ids
+they were given.
 
 Edge weights are nonnegative 64-bit integers, at most ``MAX_WEIGHT``.
 Fractional weights in input files are rejected so that all weight
@@ -44,6 +47,14 @@ class InfeasibleError(SteinerError):
 
 class InvariantError(SteinerError):
     """An internal consistency check failed: a bug in the toolkit, not bad input."""
+
+
+class CapacityError(SteinerError):
+    """A solver refused to run because a configured size budget was exceeded."""
+
+
+class DeadlineError(SteinerError):
+    """A solver stopped because the caller's deadline passed."""
 
 
 def edge_key(u: int, v: int) -> Edge:

@@ -20,15 +20,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import (
-    CapacityError,
     DEFAULT_STATE_BUDGET,
-    DeadlineError,
     _cycle_collection_paused,
     dp_solve,
     tree_states_bound,
 )
 from .generator import SolutionPool, _derive_seed
 from .graph import (
+    CapacityError,
+    DeadlineError,
     Edge,
     SteinerInstance,
     SteinerSolution,

@@ -361,7 +361,8 @@ def make_nice(
 def validate_nice(graph: WeightedGraph, nice: NiceDecomposition) -> list[str]:
     """Structural check of a nice decomposition against its graph.
 
-    Its own messages use internal ids, those of ``validate_decomposition`` file ids."""
+    Its own messages use internal ids, those of ``validate_decomposition``
+    file ids, by the numbering rule in ``graph``'s module docstring."""
     out: list[str] = []
     nodes = nice.nodes
     t0 = nice.root_vertex

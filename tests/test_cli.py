@@ -216,6 +216,25 @@ class TestSolveCommand:
         assert main(["solve", str(bad)]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ("E 1 2", "line 5: edge line needs 'E u v w'"),
+            ("E 1 2 1.5", "line 5: non-integer edge weight '1.5' "
+             "(fractional weights are not supported)"),
+        ],
+        ids=["no-weight", "fractional-weight"],
+    )
+    def test_malformed_edge_line(self, tmp_path, capsys, edge, message):
+        bad = tmp_path / "bad.stp"
+        bad.write_text(
+            "33D32945 STP File, STP Format Version 1.0\n"
+            f"SECTION Graph\nNodes 2\nEdges 1\n{edge}\nEND\n"
+            "SECTION Terminals\nTerminals 2\nT 1\nT 2\nEND\nEOF\n"
+        )
+        assert main(["solve", str(bad)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_env_defaults_and_flag_priority(self, stp, capsys, monkeypatch):
         path = stp(sparse_instance(5, 25, 4))
         monkeypatch.setenv("SMH_POOL", "2")
@@ -788,6 +807,24 @@ class TestUnencodableOutput:
         assert code == EXIT_USAGE
         assert err.startswith("error: cannot encode output: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fmt, code", [("table", EXIT_USAGE), ("csv", EXIT_USAGE), ("json", EXIT_OK)]
+    )
+    def test_ascii_stdout_in_process(self, stp, capsys, monkeypatch, fmt, code):
+        # json escapes every non-ASCII character, so only table and csv fail
+        path = stp(dataclasses.replace(four_cycle(), name="grün"))
+        ascii_out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", ascii_out)
+        assert main(["solve", path, "--format", fmt]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            ascii_out.flush()
+            assert "gr\\u00fcn" in ascii_out.buffer.getvalue().decode("ascii")
+            assert "error" not in err
+        else:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: cannot encode output: ")
 
     def test_output_file_is_utf8(self, folder, tmp_path):
         out = tmp_path / "out.csv"

@@ -19,9 +19,11 @@ from helpers import (
 from steinmerge import (
     CapacityError,
     DeadlineError,
+    InfeasibleError,
     InvariantError,
     SteinerSolution,
     ValidationError,
+    WeightedGraph,
     decomposition_from_order,
     dp_solve,
     dreyfus_wagner,
@@ -354,6 +356,17 @@ class TestDpSolve:
         broken = NiceDecomposition(tuple(nodes), nice.root_vertex, nice.width)
         with pytest.raises(ValidationError, match="^unknown node kind 'bogus'$"):
             dp_solve(inst, broken)
+
+    def test_decomposition_without_a_connecting_edge_is_infeasible(self):
+        # the host path 0-1-2 joins its terminals 0 and 2, but the
+        # decomposition comes from the subgraph holding edge (0, 1) alone
+        inst = build_instance([(0, 1, 1), (1, 2, 1)], [0, 2])
+        sub = WeightedGraph.build({0, 1, 2}, [(0, 1, 1)])
+        nice = make_nice(sub, decomposition_from_order(sub, greedy_degree(sub)), 0)
+        with pytest.raises(
+            InfeasibleError, match="^terminals cannot be connected in this graph$"
+        ):
+            dp_solve(inst, nice)
 
     def test_state_budget_aborts(self):
         inst = small_instance(5)

@@ -766,6 +766,10 @@ class TestCurrentTreeChecks:
         assert reference_induced_tree(inst, {0, 2, 3}) is None
         assert check.without(3, inf) == reference_induced_tree(inst, {0, 1, 2})
         assert check.without(3, inf).weight == 4
+        # score picks the move by membership in T: 4 lies outside it
+        assert check.score(1, inf) is None
+        assert check.score(3, inf) == check.without(3, inf)
+        assert check.score(4, inf) == check.with_vertex(4, inf)
 
     def test_deletion_with_a_steiner_leaf_in_the_mst(self):
         # the MST of G[T] is the star 0-1, 1-2, 1-3 with Steiner leaf 3, so
@@ -805,6 +809,8 @@ class TestCurrentTreeChecks:
         inst = tie_heavy_instance(seed)
         members, edges = random_tree(inst, data)
         check = _ExchangeCheck(inst, edges, min(members))
+        # only a tree that spans the terminals is pruned after an exchange
+        tree = solution_of(inst, edges) if inst.terminals <= members else None
         for a, b in edges:
             lower = check.lower(a, b)
             below = check.below(lower)
@@ -813,6 +819,12 @@ class TestCurrentTreeChecks:
             expect = _cheapest_reconnect(inst, below, above, limit) is not None
             assert (_cheapest_reconnect(inst, above, below, limit) is not None) == expect
             assert (lower in check.replaceable) == expect
+            if tree is not None:
+                better = check.improve(inst, tree, edge_key(a, b))
+                assert (better is None) == (lower not in check.replaceable)
+                if better is not None:
+                    assert better.weight < tree.weight
+                    assert solution_violations(inst, better) == []
 
 
 # sha256 of write_pool(generate_pool(...)); a rewrite of local search must

@@ -165,3 +165,52 @@ def test_heapq_imported_only_by_the_kernels_and_the_generator():
         if _imports_heapq(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert users == HEAP_USERS
+
+
+# the package's layers: each module imports only from the modules listed
+# for it, so no lower layer depends on a higher one. None means anything
+LAYERS = {
+    "graph": set(),
+    "kernels": {"graph"},
+    "treewidth": {"graph", "kernels"},
+    "exact": {"graph", "kernels", "treewidth"},
+    "generator": {"graph", "kernels"},
+    "merge": {"graph", "kernels", "treewidth", "exact", "generator"},
+    "synth": {"graph"},
+    "cli": None,
+    "__init__": None,
+}
+
+
+def _package_imports(tree):
+    """The package modules a file imports, at any depth, however spelled."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "steinmerge" and len(parts) > 1:
+                    yield parts[1]
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "steinmerge":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                yield parts[0]
+            else:  # `from . import kernels` imports the module kernels
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_has_a_layer():
+    assert sorted(path.stem for path in SOURCES) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_follow_the_layers(path):
+    allowed = LAYERS.get(path.stem, set())
+    if allowed is None:
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    strays = sorted(set(_package_imports(tree)) - allowed)
+    assert strays == [], f"{path.stem} imports {strays}, above its layer"
